@@ -1,93 +1,73 @@
-"""Hot numeric kernels: numba @njit versions with pure-numpy fallbacks.
+"""The per-cell Gram tensor: one linear operator for M(a) and its adjoint.
 
-The backend is chosen once at import from the OBSGRID_BACKEND environment
-variable ("numba" or "numpy"); default is numba when importable. Both
-backends are deterministic run-to-run: the numba kernels parallelize over
-matrix rows / quadrature points with a fixed sequential reduction per
-entry, the numpy path uses single BLAS calls.
+Every density-dependent Gram quantity is linear in the per-cell integrals
 
-Kernel inputs: V is the mode-value table of shape (nmodes, npts, q)
-(eigenfunction components at every Gauss node, cell-major point order),
-wa the per-point weight a(cell(p)) * w_p.
+    K_c[i, j] = sum_{p in c} w_p V_i(p) . conj(V_j(p)),
+
+so they are reduced once per mode basis and stored as the packed upper
+triangle, one row of ncells values per mode pair i <= j (shape
+(n(n+1)/2, ncells)), in real dtype when every mode value is real. Then
+
+    M(a)_ij         = sum_c a_c K_c[i, j]           (one GEMV, K @ a)
+    form_cells(W)_c = Re sum_ij W_ij K_c[i, j]      (one GEMV, w @ K)
+
+with w_ii = W_ii and w_ij = W_ij + conj(W_ji) for i < j; the two maps are
+adjoint: a @ form_cells(W) = Re sum_ij W_ij M(a)_ij. Both are plain numpy
+calls, deterministic for a fixed numpy/BLAS build.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_env = os.environ.get("OBSGRID_BACKEND", "").strip().lower()
-if _env not in ("", "numba", "numpy"):
-    raise ValueError(f"OBSGRID_BACKEND must be 'numba' or 'numpy', got {_env!r}")
-
-NUMBA_AVAILABLE = False
-if _env != "numpy":
-    try:
-        from numba import njit, prange
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        if _env == "numba":
-            raise
-BACKEND = "numba" if (NUMBA_AVAILABLE and _env != "numpy") else "numpy"
+BACKEND = "numpy"     # recorded in the environment line of perfbench/
 
 
-def _mass_numpy(V: np.ndarray, wa: np.ndarray) -> np.ndarray:
-    n, p, q = V.shape
-    Vw = (V * wa[None, :, None]).reshape(n, p * q)
-    return Vw @ V.conj().reshape(n, p * q).T
+class CellGram:
+    """Packed per-cell Gram tensor of a mode table V on a grid.
 
+    V has shape (nmodes, npts, q) with cell-major point order
+    (pts_per_cell consecutive points per cell); quad_w are the point
+    weights.
+    """
 
-def _form_numpy(V: np.ndarray, W: np.ndarray) -> np.ndarray:
-    # F_p = Re sum_ij W_ij <V_i(p), V_j(p)>
-    Z = np.einsum("ij,ipc->jpc", W, V)
-    return np.einsum("jpc,jpc->p", np.conj(V), Z).real
+    def __init__(self, V: np.ndarray, quad_w: np.ndarray, pts_per_cell: int):
+        n, npts, q = V.shape
+        nc, m = npts // pts_per_cell, pts_per_cell * q
+        real = not V.imag.any()
+        # (n, m, ncells): the point axis of a cell outermost, so each mode
+        # pair reduces m contiguous rows of ncells values
+        X = np.ascontiguousarray((V.real if real else V)
+                                 .reshape(n, nc, m).transpose(0, 2, 1))
+        Xw = X * np.repeat(quad_w, q).reshape(nc, m).T
+        np.conj(Xw, out=Xw)
+        iu, ju = np.triu_indices(n)
+        self.n = n
+        self.K = np.empty((len(iu), nc), dtype=X.dtype)
+        k = 0
+        for i in range(n):
+            np.einsum("mc,jmc->jc", X[i], Xw[i:], out=self.K[k:k + n - i])
+            k += n - i
+        if not real:
+            # sum_p w_p |V_i(p)|^2 is real; drop the rounding residue
+            self.K[iu == ju] = self.K[iu == ju].real
+        self._up = iu * n + ju
+        self._lo = ju * n + iu
+        self._off = np.flatnonzero(iu != ju)
 
+    def mass(self, a: np.ndarray) -> np.ndarray:
+        """Exactly Hermitian M_ij = sum_c a_c K_c[i, j] (complex dtype)."""
+        mp = self.K @ a
+        M = np.empty(self.n * self.n, dtype=complex)
+        M[self._lo] = np.conj(mp)
+        M[self._up] = mp
+        return M.reshape(self.n, self.n)
 
-if NUMBA_AVAILABLE:
-
-    @njit(parallel=True, cache=True)
-    def _mass_numba(V, wa):  # pragma: no cover - exercised via dispatch
-        n, p, q = V.shape
-        M = np.zeros((n, n), dtype=np.complex128)
-        for i in prange(n):
-            for j in range(i + 1):
-                acc = 0.0 + 0.0j
-                for k in range(p):
-                    dot = 0.0 + 0.0j
-                    for c in range(q):
-                        dot += V[i, k, c] * np.conj(V[j, k, c])
-                    acc += wa[k] * dot
-                M[i, j] = acc
-                M[j, i] = np.conj(acc)
-        return M
-
-    @njit(parallel=True, cache=True)
-    def _form_numba(V, W):  # pragma: no cover - exercised via dispatch
-        n, p, q = V.shape
-        F = np.zeros(p)
-        for k in prange(p):
-            acc = 0.0
-            for i in range(n):
-                for j in range(n):
-                    dot = 0.0 + 0.0j
-                    for c in range(q):
-                        dot += V[i, k, c] * np.conj(V[j, k, c])
-                    acc += (W[i, j] * dot).real
-            F[k] = acc
-        return F
-
-
-def mass_from_points(V: np.ndarray, wa: np.ndarray) -> np.ndarray:
-    """Hermitian matrix M_ij = sum_p wa_p <V_i(p), V_j(p)>."""
-    if BACKEND == "numba":
-        return _mass_numba(np.ascontiguousarray(V), np.ascontiguousarray(wa))
-    return _mass_numpy(V, wa)
-
-
-def form_from_points(V: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Pointwise real quadratic form F_p = Re sum_ij W_ij V_i(p) conj(V_j(p))."""
-    if BACKEND == "numba":
-        return _form_numba(np.ascontiguousarray(V),
-                           np.ascontiguousarray(W.astype(np.complex128)))
-    return _form_numpy(V, W)
+    def form(self, W: np.ndarray) -> np.ndarray:
+        """Per-cell real form Re sum_ij W_ij K_c[i, j], shape (ncells,)."""
+        Wf = np.asarray(W).reshape(-1)
+        w = Wf[self._up]
+        w[self._off] += np.conj(Wf[self._lo[self._off]])
+        if np.isrealobj(self.K):
+            return w.real @ self.K
+        return (w @ self.K).real

@@ -5,7 +5,8 @@ Subcommands: solve, sweep, limit, smallt, torus-deg, certify, cesaro,
 model. Configs are strict JSON (schema v1, unknown keys rejected) so
 experiments stay auditable; acceptance thresholds are config data with
 documented defaults, not code. report.json is byte-identical for
-identical (config, seed); wall-clock times go to a sidecar timing.json.
+identical (config, seed) on a fixed platform and numpy/BLAS build;
+wall-clock times go to a sidecar timing.json.
 
 Exit codes: 0 pass, 2 acceptance failure, 1 error.
 """
@@ -16,10 +17,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -304,12 +303,6 @@ def fit_rate(points, floor: float):
 # ------------------------------------------------------------- experiments
 
 
-def _n_workers(njobs: int) -> int:
-    cap = os.environ.get("OBSGRID_THREADS")
-    cap = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(njobs, cap))
-
-
 def run_solve(cfg) -> ExperimentReport:
     model, grid = _build(cfg)
     rep = ExperimentReport("solve", cfg)
@@ -362,14 +355,11 @@ def run_sweep(cfg) -> ExperimentReport:
     t0 = time.perf_counter()
     failures = []
     results = {}
-    with ThreadPoolExecutor(max_workers=_n_workers(len(Ts))) as pool:
-        futs = {pool.submit(_sweep_point, model, grid, cfg, T,
-                            s1.a_star, s1.value): T for T in Ts}
-        for fut, T in futs.items():
-            try:
-                results[T] = fut.result()
-            except Exception as e:       # noqa: BLE001 - per-point diagnostics
-                failures.append(f"T={T}: {e}")
+    for T in Ts:
+        try:
+            results[T] = _sweep_point(model, grid, cfg, T, s1.a_star, s1.value)
+        except Exception as e:           # noqa: BLE001 - per-point diagnostics
+            failures.append(f"T={T}: {e}")
     rep.timing["sweep_s"] = time.perf_counter() - t0
     if not results:
         raise RuntimeError("all sweep points failed: " + "; ".join(failures))

@@ -31,9 +31,10 @@ class ContractViolation(ValueError):
 class ModeBasis:
     """Eigenfunction values of a mode subset at the grid's Gauss nodes.
 
-    Caches V (nmodes, npts, q) so that every density-dependent quantity
-    becomes a weighted reduction over points; reused across all
-    assemblies on one (model, grid, modes) triple.
+    Keeps V (nmodes, npts, q) and reduces it once into the per-cell Gram
+    tensor (`_kernels.CellGram`), through which every density-dependent
+    quantity is one matrix-vector product; reused across all assemblies
+    on one (model, grid, modes) triple.
     """
 
     def __init__(self, model: SpectralModel, grid: Grid, modes):
@@ -43,21 +44,16 @@ class ModeBasis:
         vals = [model.phi(j, grid.quad_x) for j in self.modes]
         self.V = np.ascontiguousarray(np.stack(vals, axis=0))
         self.lams = np.array([model.eigenvalues[j - 1] for j in self.modes])
-
-    def point_weights(self, a) -> np.ndarray:
-        avals = a.values if isinstance(a, DensityField) else np.asarray(a, dtype=float)
-        return self.grid.quad_w * np.repeat(avals, self.grid.pts_per_cell)
+        self.gram = _kernels.CellGram(self.V, grid.quad_w, grid.pts_per_cell)
 
     def mass(self, a) -> np.ndarray:
         """Hermitian mass matrix M_ij = integral a phi_i . conj(phi_j)."""
-        M = _kernels.mass_from_points(self.V, self.point_weights(a))
-        return 0.5 * (M + M.conj().T)
+        avals = a.values if isinstance(a, DensityField) else np.asarray(a, dtype=float)
+        return self.gram.mass(avals)
 
     def form_cells(self, W: np.ndarray) -> np.ndarray:
-        """Per-cell integrals of the spatial form sum_ij W_ij phi_i conj(phi_j)."""
-        F = _kernels.form_from_points(self.V, W)
-        pc = self.grid.pts_per_cell
-        return (F * self.grid.quad_w).reshape(self.grid.ncells, pc).sum(axis=1)
+        """Per-cell integrals of the spatial form Re sum_ij W_ij phi_i conj(phi_j)."""
+        return self.gram.form(W)
 
     def form_cell_average(self, W: np.ndarray) -> SpatialFunction:
         vals = self.form_cells(W) / self.grid.cell_measures

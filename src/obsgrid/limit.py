@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (DensityField, Grid, SpatialFunction, bathtub,
-                       l1_distance, level_threshold, project_box_mean,
-                       tube_measure)
+                       cell_average, l1_distance, level_threshold,
+                       project_box_mean, tube_measure)
 from .gram import get_basis, mass_matrix
 from .optimize import OptOptions, maximize_sigma1
 from .spectral import SpectralModel
@@ -240,7 +240,10 @@ def cesaro_mean(model: SpectralModel, grid: Grid, N: int) -> SpatialFunction:
     """(1/N) sum_{j<=N} |phi_j|^2 as cellwise averages."""
     if not 1 <= N <= model.n_max:
         raise ValueError(f"N must be in 1..{model.n_max}")
-    basis = get_basis(model, grid, tuple(range(1, N + 1)))
-    W = np.eye(N) / N
-    f = basis.form_cell_average(W)
-    return SpatialFunction(grid, np.maximum(f.values.real, 0.0))
+    # only the diagonal of the Gram tensor: evaluate |phi_j|^2 directly
+    # rather than build an N(N+1)/2-row mode basis for one query
+    def density(x):
+        return sum(np.sum(np.abs(model.phi(j, x)) ** 2, axis=1)
+                   for j in range(1, N + 1)) / N
+
+    return SpatialFunction(grid, cell_average(grid, density))

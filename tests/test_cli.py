@@ -1,7 +1,5 @@
 import json
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -216,20 +214,3 @@ class TestReports:
         assert "lambda = 1" in out and "lambda = 16" in out
         assert "p0 = 2" in out
         assert (tmp_path / "out" / "modes.csv").exists()
-
-    def test_threads_env_respected(self, tmp_path):
-        # smoke test: a capped worker pool must give identical results
-        path = write_config(tmp_path, name="sweep.json", experiment="sweep",
-                            T=[0.4, 0.8, 1.2, 1.6], N=4)
-        env_code = (
-            "import os; os.environ['OBSGRID_THREADS'] = '1';"
-            "from obsgrid.cli import main;"
-            f"main(['sweep', '--config', {str(path)!r}, "
-            f"'--out', {str(tmp_path / 'one')!r}])"
-        )
-        subprocess.run([sys.executable, "-c", env_code], check=True,
-                       capture_output=True)
-        main(["sweep", "--config", str(path), "--out", str(tmp_path / "many")])
-        b1 = (tmp_path / "one" / "report.json").read_bytes()
-        b2 = (tmp_path / "many" / "report.json").read_bytes()
-        assert b1 == b2
