@@ -73,7 +73,8 @@ _TOP_KEYS = {"version", "experiment", "model", "grid", "L", "T", "N",
              "torus_family", "sampler", "deltas", "compact_fraction"}
 _MODEL_KEYS = {"name", "n_max", "mu", "u"}
 _GRID_KEYS = {"cells", "gauss_order"}
-_OPT_KEYS = {"max_iter", "tol", "init", "method", "seed", "max_restarts"}
+_OPT_KEYS = {"max_iter", "tol", "init", "method"}
+_OPT_METHODS = ("frank_wolfe", "projected_ascent")
 _CERT_KEYS = {"nu"}
 _SAMPLER_KEYS = {"n_samples", "families", "h_list", "fresh_seed"}
 _FAMILY_KEYS = {"eta", "m", "n_members"}
@@ -113,6 +114,11 @@ def validate_config(raw: dict) -> dict:
     opt.setdefault("tol", 1e-6)
     opt.setdefault("init", "constant")
     opt.setdefault("method", "frank_wolfe")
+    if opt["init"] != "constant":
+        raise ConfigError(f"optimizer.init must be 'constant', got {opt['init']!r}")
+    if opt["method"] not in _OPT_METHODS:
+        raise ConfigError(
+            f"optimizer.method must be one of {_OPT_METHODS}, got {opt['method']!r}")
 
     cert = dict(raw.get("certificate") or {})
     _reject_unknown(cert, _CERT_KEYS, "certificate.")
@@ -203,6 +209,14 @@ def _opts(cfg, grid, L, init=None, seed_shift=0) -> OptOptions:
     o = cfg["optimizer"]
     return OptOptions(max_iter=o["max_iter"], tol=o["tol"], init=init,
                       seed=cfg["seed"] + seed_shift, method=o["method"])
+
+
+def _warn_unconverged(rep, res, T, N) -> None:
+    """One warning per FW solve that stopped before its gap tolerance."""
+    if not res.converged:
+        rel = res.fw_gap / abs(res.value) if res.value else math.inf
+        rep.warnings.append(f"FW solve at T={T:g}, N={N} stopped unconverged: "
+                            f"gap/value = {rel:.3g}")
 
 
 def _max_axis_index(model, N: int) -> int:
@@ -313,6 +327,7 @@ def run_solve(cfg) -> ExperimentReport:
     t0 = time.perf_counter()
     res = maximize_obs(model, grid, L, T, N, _opts(cfg, grid, L))
     rep.timing["solve_s"] = time.perf_counter() - t0
+    _warn_unconverged(rep, res, T, N)
     rec = {"T": T, "N": N, **res.as_dict(),
            "bangbang_frac": bang_bang_fraction(res.a_star)}
     rep.records.append(rec)
@@ -370,6 +385,7 @@ def run_sweep(cfg) -> ExperimentReport:
     rows = []
     for T in sorted(results):
         res, lower, upper, ratio, d = results[T]
+        _warn_unconverged(rep, res, T, N)
         rec = {"T": T, "value": res.value, "fw_gap": res.fw_gap,
                "lower_bound": lower, "upper_bound": upper,
                "l1_dist": d, "ratio": ratio,
@@ -472,24 +488,26 @@ def run_smallt(cfg) -> ExperimentReport:
     # descending-N warm starts keep the reported chain consistent with
     # the truncation monotonicity C^(N) >= C^(N+1)
     t0 = time.perf_counter()
-    values: dict[int, tuple[float, float]] = {}
+    results = {}
     init = None
     for N in sorted(Ns, reverse=True):
-        res = maximize_obs(model, grid, L, T, N, _opts(cfg, grid, L, init=init))
-        values[N] = (res.value, res.fw_gap)
-        init = res.a_star
+        results[N] = maximize_obs(model, grid, L, T, N, _opts(cfg, grid, L, init=init))
+        init = results[N].a_star
     rep.timing["smallt_s"] = time.perf_counter() - t0
 
     rows = []
     for N in Ns:
-        v, gap = values[N]
-        rep.records.append({"N": N, "v": v / T, "value": v, "fw_gap": gap})
+        res = results[N]
+        v, gap = res.value, res.fw_gap
+        _warn_unconverged(rep, res, T, N)
+        rep.records.append({"N": N, "v": v / T, "value": v, "fw_gap": gap,
+                            "converged": res.converged})
         rows.append([N, v / T, v, gap])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "smallt.csv", ["N", "v", "value", "fw_gap"], rows)
 
-    vs = [values[N][0] / T for N in Ns]
+    vs = [results[N].value / T for N in Ns]
     rep.checks["value_floor"] = all(v >= L - acc["value_floor_slack"] for v in vs)
     rep.checks["v_nonincreasing_in_N"] = all(
         b <= a + 1e-12 for a, b in zip(vs, vs[1:]))
@@ -607,8 +625,9 @@ def run_certify(cfg) -> ExperimentReport:
     t0 = time.perf_counter()
     res = maximize_obs(model, grid, L, T, N, _opts(cfg, grid, L))
     rep.timing["solve_s"] = time.perf_counter() - t0
+    _warn_unconverged(rep, res, T, N)
     rec = {"T": T, "N": N, "value": res.value, "fw_gap": res.fw_gap,
-           "certificate": cert.as_dict(),
+           "converged": res.converged, "certificate": cert.as_dict(),
            "bangbang_frac": bang_bang_fraction(res.a_star)}
     rep.records.append(rec)
     srtol = acc["sandwich_rtol"]

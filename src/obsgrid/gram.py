@@ -23,6 +23,8 @@ from . import _kernels
 from .geometry import DensityField, Grid, SpatialFunction
 from .spectral import OVERFLOW_THETA, SpectralModel, tau
 
+CLUSTER_ETA = 1e-8          # relative width of the minimal eigenvalue cluster
+
 
 class ContractViolation(ValueError):
     """An operation received input outside its documented contract."""
@@ -58,6 +60,23 @@ class ModeBasis:
     def form_cell_average(self, W: np.ndarray) -> SpatialFunction:
         vals = self.form_cells(W) / self.grid.cell_measures
         return SpatialFunction(self.grid, vals)
+
+    def cluster_form(self, B: np.ndarray, weights=None, mask=None) -> np.ndarray:
+        """Cellwise max(Re form(conj(B B^H) / m * weights), 0) of an eigen-cluster.
+
+        B holds the m cluster eigenvectors of a Hermitian matrix in this
+        basis (or in the modes selected by mask). The Rayleigh weights of
+        an eigenvector v are b = conj(v), so this is the uniform average
+        of the member forms: a supergradient of lambda_min at the cluster.
+        """
+        W = (B @ B.conj().T).conj() / B.shape[1]
+        if weights is not None:
+            W = W * weights
+        if mask is not None:
+            full = np.zeros((len(self.modes), len(self.modes)), dtype=complex)
+            full[np.ix_(mask, mask)] = W
+            W = full
+        return np.maximum(self.form_cell_average(W).values.real, 0.0)
 
 
 _basis_cache: dict = {}
@@ -115,26 +134,45 @@ class ObsMatrix:
         return np.exp(E) * self.Ghat
 
 
+class GramForm:
+    """The truncated Gram form over modes 1..N at horizon T, linear in a.
+
+    G(a) = D mantissa(a) D with D = diag(e^{e_j}), e_j = Re(lambda_j) T,
+    and mantissa(a) = sym(hhat * M(a)), where hhat holds the bounded tau
+    mantissas. Built once per (model, grid, T, N); every density then
+    costs one mass assembly.
+    """
+
+    def __init__(self, model: SpectralModel, grid: Grid, T: float, N: int,
+                 theta: float = OVERFLOW_THETA):
+        if not 1 <= N <= model.n_max:
+            raise ValueError(f"N must be in 1..{model.n_max}")
+        if T <= 0:
+            raise ValueError("T must be positive")
+        self.basis = get_basis(model, grid, tuple(range(1, N + 1)))
+        lams = self.basis.lams
+        hhat = np.empty((N, N), dtype=complex)
+        for i in range(N):
+            for j in range(i + 1):
+                hhat[i, j] = tau(lams[i], lams[j], T).mantissa
+                hhat[j, i] = np.conj(hhat[i, j])
+        self.hhat = hhat
+        self.exps = lams.real * T
+        self.theta = theta
+
+    def mantissa(self, a) -> np.ndarray:
+        Ghat = self.hhat * self.basis.mass(a)
+        return 0.5 * (Ghat + Ghat.conj().T)
+
+    def obs(self, Ghat: np.ndarray) -> ObsMatrix:
+        return ObsMatrix(self.basis.modes, Ghat, self.exps, self.theta)
+
+
 def assemble(model: SpectralModel, grid: Grid, a, T: float, N: int,
              theta: float = OVERFLOW_THETA) -> ObsMatrix:
     """Truncated Gram form over modes 1..N at horizon T, factored."""
-    if not 1 <= N <= model.n_max:
-        raise ValueError(f"N must be in 1..{model.n_max}")
-    if T <= 0:
-        raise ValueError("T must be positive")
-    modes = tuple(range(1, N + 1))
-    basis = get_basis(model, grid, modes)
-    M = basis.mass(a)
-    lams = basis.lams
-    hhat = np.empty((N, N), dtype=complex)
-    for i in range(N):
-        for j in range(i + 1):
-            hhat[i, j] = tau(lams[i], lams[j], T).mantissa
-            hhat[j, i] = np.conj(hhat[i, j])
-    Ghat = hhat * M
-    Ghat = 0.5 * (Ghat + Ghat.conj().T)
-    exps = lams.real * T
-    return ObsMatrix(modes, Ghat, exps, theta)
+    form = GramForm(model, grid, T, N, theta)
+    return form.obs(form.mantissa(a))
 
 
 def min_eigpair(H: np.ndarray) -> tuple[float, np.ndarray]:
@@ -159,82 +197,61 @@ def min_eigpair(H: np.ndarray) -> tuple[float, np.ndarray]:
     return float(w[0]), v
 
 
-def _inverse_spectrum(S: np.ndarray, exps: np.ndarray):
-    """Eigendecomposition of C = e^{2 min(exps)} D^-1 S^-1 D^-1, D = diag(e^exps).
+def _factored_spectrum(obs: ObsMatrix):
+    """(lambda_min, eig(C), eigvecs(C), L-block mask) of the Gram form.
 
-    The eigenvalues of D S D are e^{2 min(exps)} / eig(C) with the same
-    eigenvectors; C is graded downward, so the top of its spectrum (the
-    bottom of the Gram form's) carries full relative accuracy.
-    """
-    w, U = np.linalg.eigh(0.5 * (S + S.conj().T))
-    e0 = float(exps.min())
-    if w[-1] <= 0.0:                 # vanishing form (e.g. a == 0): lambda_min ~ 0
-        wc = np.full(len(w), np.inf)
-        return e0, wc, np.eye(len(w), dtype=S.dtype)
-    w = np.maximum(w, w[-1] * 1e-300)  # clamp: singular directions give lambda_min ~ 0
-    Sinv = (U / w) @ U.conj().T
-    C = Sinv * np.exp(-(np.add.outer(exps, exps) - 2.0 * e0))
-    wc, Uc = np.linalg.eigh(0.5 * (C + C.conj().T))
-    return e0, wc, Uc
-
-
-def _min_eig_factored(S: np.ndarray, exps: np.ndarray) -> tuple[float, np.ndarray]:
-    """lambda_min and eigenvector of D S D, D = diag(e^exps), stably."""
-    e0, wc, Uc = _inverse_spectrum(S, exps)
-    lam = float(np.exp(2.0 * e0) / wc[-1])
-    v = Uc[:, -1]
-    k = int(np.argmax(np.abs(v)))
-    if v[k] != 0:
-        v = v / (v[k] / abs(v[k]))
-    return lam, v
-
-
-def reduce_min_eig(obs: ObsMatrix) -> tuple[float, np.ndarray, np.ndarray]:
-    """Smallest eigenvalue of the full Gram form from its factored parts.
-
-    Returns (lambda_min, eigenvector on the L-block, L-block mask). The
-    H-block is removed by a Schur complement on the mantissa matrix
+    The H-block is removed by a Schur complement S on the mantissa matrix
     (ridge-regularized when needed); dropping the e^{-2 e_j} constraint
     weights of stiff modes perturbs the Rayleigh quotient by <= e^{-theta}.
+    On the L-block, C = e^{2 e0} D^-1 S^-1 D^-1 with D = diag(e^exps) and
+    e0 = min(exps): the eigenvalues of D S D are e^{2 e0} / eig(C) with
+    the same eigenvectors, and C is graded downward, so the top of its
+    spectrum (the bottom of the Gram form's) carries full relative accuracy.
     """
-    S, lmask = _schur_lblock(obs)
-    lam, v = _min_eig_factored(S, obs.exps[lmask])
-    return lam, v, lmask
-
-
-def _schur_lblock(obs: ObsMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Mantissa matrix on the L-block after Schur elimination of the H-block."""
     lmask = obs.lblock
     if not lmask.any():
         raise OverflowError("T too large for N at this precision; reduce N or T")
-    if lmask.all():
-        return obs.Ghat, lmask
-    hmask = ~lmask
-    Gll = obs.Ghat[np.ix_(lmask, lmask)]
-    Glh = obs.Ghat[np.ix_(lmask, hmask)]
-    Ghh = obs.Ghat[np.ix_(hmask, hmask)]
-    try:
-        X = np.linalg.solve(Ghh, Glh.conj().T)
-    except np.linalg.LinAlgError:
-        ridge = 1e-14 * max(np.trace(Ghh).real, 1e-300)
-        X = np.linalg.solve(Ghh + ridge * np.eye(Ghh.shape[0]), Glh.conj().T)
-    S = Gll - Glh @ X
-    return 0.5 * (S + S.conj().T), lmask
+    S = obs.Ghat
+    if not lmask.all():
+        hmask = ~lmask
+        Gll = obs.Ghat[np.ix_(lmask, lmask)]
+        Glh = obs.Ghat[np.ix_(lmask, hmask)]
+        Ghh = obs.Ghat[np.ix_(hmask, hmask)]
+        try:
+            X = np.linalg.solve(Ghh, Glh.conj().T)
+        except np.linalg.LinAlgError:
+            ridge = 1e-14 * max(np.trace(Ghh).real, 1e-300)
+            X = np.linalg.solve(Ghh + ridge * np.eye(Ghh.shape[0]), Glh.conj().T)
+        S = Gll - Glh @ X
+    exps = obs.exps[lmask]
+    e0 = float(exps.min())
+    w, U = np.linalg.eigh(0.5 * (S + S.conj().T))
+    if w[-1] <= 0.0:                 # vanishing form (e.g. a == 0): lambda_min ~ 0
+        wc, Uc = np.full(len(w), np.inf), np.eye(len(w), dtype=S.dtype)
+    else:
+        w = np.maximum(w, w[-1] * 1e-300)  # clamp: singular directions give lambda_min ~ 0
+        Sinv = (U / w) @ U.conj().T
+        C = Sinv * np.exp(-(np.add.outer(exps, exps) - 2.0 * e0))
+        wc, Uc = np.linalg.eigh(0.5 * (C + C.conj().T))
+    return float(np.exp(2.0 * e0) / wc[-1]), wc, Uc, lmask
 
 
-def min_eig_cluster(obs: ObsMatrix, eta: float = 1e-8):
+def reduce_min_eig(obs: ObsMatrix) -> float:
+    """Smallest eigenvalue of the full Gram form from its factored parts."""
+    return _factored_spectrum(obs)[0]
+
+
+def min_eig_cluster(obs: ObsMatrix):
     """(lambda_min, cluster eigenvector block, L-block mask).
 
-    The cluster collects eigenvalues within eta * (1 + |lambda_min|) of
-    the smallest; its eigenvectors (L-block coordinates) come from the
+    The cluster collects eigenvalues within CLUSTER_ETA * (1 + |lambda_min|)
+    of the smallest; its eigenvectors (L-block coordinates) come from the
     factored inverse spectrum, so they stay accurate under extreme
     exponent grading.
     """
-    S, lmask = _schur_lblock(obs)
-    e0, wc, Uc = _inverse_spectrum(S, obs.exps[lmask])
-    lam = float(np.exp(2.0 * e0) / wc[-1])
-    lam_cut = lam + eta * (1.0 + abs(lam))
-    wc_cut = np.exp(2.0 * e0) / lam_cut
+    lam, wc, Uc, lmask = _factored_spectrum(obs)
+    lam_cut = lam + CLUSTER_ETA * (1.0 + abs(lam))
+    wc_cut = np.exp(2.0 * float(obs.exps[lmask].min())) / lam_cut
     members = wc >= wc_cut
     if not members.any():
         members[-1] = True
@@ -244,8 +261,7 @@ def min_eig_cluster(obs: ObsMatrix, eta: float = 1e-8):
 def obs_constant(model: SpectralModel, grid: Grid, a, T: float, N: int,
                  theta: float = OVERFLOW_THETA) -> float:
     """Truncated observability constant C_T^{(N)}(a)."""
-    lam, _, _ = reduce_min_eig(assemble(model, grid, a, T, N, theta))
-    return lam
+    return reduce_min_eig(assemble(model, grid, a, T, N, theta))
 
 
 def obs_constant_rand(model: SpectralModel, grid: Grid, a, T: float, N: int) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 from .geometry import (DensityField, Grid, SpatialFunction, bathtub,
                        cell_average, l1_distance, level_threshold,
                        project_box_mean, tube_measure)
-from .gram import get_basis, mass_matrix
+from .gram import CLUSTER_ETA, get_basis, mass_matrix
 from .optimize import OptOptions, maximize_sigma1
 from .spectral import SpectralModel
 
@@ -55,13 +55,10 @@ def limit_set(model: SpectralModel, grid: Grid, L: float,
     res = maximize_sigma1(model, grid, L, opts)
     M = mass_matrix(model, grid, res.a_star, model.J1).matrix
     w, U = np.linalg.eigh(M)
-    cluster = w <= w[0] + 1e-8 * (1.0 + abs(w[0]))
-    m = int(cluster.sum())
+    B = U[:, w <= w[0] + CLUSTER_ETA * (1.0 + abs(w[0]))]
+    m = B.shape[1]
     alphas = np.full(m, 1.0 / m)
-    B = U[:, cluster]
-    Wmat = (B @ B.conj().T).conj() / m
-    psi = basis.form_cell_average(Wmat)
-    psi = SpatialFunction(grid, np.maximum(psi.values.real, 0.0))
+    psi = SpatialFunction(grid, basis.cluster_form(B))
     a_re, _ = bathtub(grid, psi.values, L)
     rng_psi = float(psi.values.max() - psi.values.min())
     mu = level_threshold(grid, psi, L) if rng_psi > 1e-12 else float(psi.values.mean())

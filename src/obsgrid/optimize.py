@@ -17,11 +17,12 @@ import numpy as np
 
 from .geometry import (DensityField, Grid, SpatialFunction, bathtub,
                        project_box_mean)
-from .gram import ObsMatrix, get_basis, min_eig_cluster, reduce_min_eig
-from .spectral import OVERFLOW_THETA, SpectralModel, gamma_factored, tau
+from .gram import (CLUSTER_ETA, GramForm, get_basis, mass_matrix,
+                   min_eig_cluster, reduce_min_eig)
+from .spectral import OVERFLOW_THETA, SpectralModel, gamma_factored
 
-CLUSTER_ETA = 1e-8          # relative width of the minimal eigenvalue cluster
 STALL_WINDOW = 50           # iterations of gap stagnation before a restart
+LINE_SEARCH_ITERS = 60      # golden-section steps per FW line search
 ETA_GAP_FACTOR = 1.5        # eta = factor * gap for the auto nu_T (admissible: (1, 2))
 
 
@@ -61,7 +62,7 @@ class Certificate:
                 "upper_bound": self.upper_bound, "sigma1_a1": self.sigma1_a1}
 
 
-class _GramObjective:
+class _GramObjective(GramForm):
     """C_T^{(N)} restricted to the segment structure Frank-Wolfe needs.
 
     The Gram form is linear in the density, so a convex combination of
@@ -71,69 +72,33 @@ class _GramObjective:
 
     def __init__(self, model: SpectralModel, grid: Grid, T: float, N: int,
                  theta: float = OVERFLOW_THETA):
-        self.model = model
-        self.grid = grid
-        self.T = T
-        self.N = N
-        self.theta = theta
-        self.basis = get_basis(model, grid, tuple(range(1, N + 1)))
-        lams = self.basis.lams
-        n = len(lams)
-        hhat = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(i + 1):
-                hhat[i, j] = tau(lams[i], lams[j], T).mantissa
-                hhat[j, i] = np.conj(hhat[i, j])
-        self.hhat = hhat
-        self.exps = lams.real * T
-        lmask = 2.0 * self.exps <= theta
-        if not lmask.any():
-            raise OverflowError("T too large for N at this precision; reduce N or T")
+        super().__init__(model, grid, T, N, theta)
         # weight matrix of the supergradient form on the L-block:
         # Phi_b(x) = sum_ij b_i conj(b_j) tau_ij phi_i(x) conj(phi_j(x));
         # H-block weights underflow (< e^-theta) and are dropped.
-        self.lmask = lmask
+        lmask = 2.0 * self.exps <= theta
         E = np.add.outer(self.exps[lmask], self.exps[lmask])
-        self.tau_l = np.exp(np.minimum(E, 700.0)) * hhat[np.ix_(lmask, lmask)]
+        self.tau_l = np.exp(np.minimum(E, 700.0)) * self.hhat[np.ix_(lmask, lmask)]
 
-    def mantissa(self, a) -> np.ndarray:
-        M = self.basis.mass(a)
-        Ghat = self.hhat * M
-        return 0.5 * (Ghat + Ghat.conj().T)
-
-    def value_from_mantissa(self, Ghat: np.ndarray):
-        obs = ObsMatrix(self.basis.modes, Ghat, self.exps, self.theta)
-        return reduce_min_eig(obs)[0]
+    def value_from_mantissa(self, Ghat: np.ndarray) -> float:
+        return reduce_min_eig(self.obs(Ghat))
 
     def value_and_supergradient(self, Ghat: np.ndarray):
         """(value, cellwise Phi averages, cluster size) at one density."""
-        obs = ObsMatrix(self.basis.modes, Ghat, self.exps, self.theta)
-        lam, B, lmask = min_eig_cluster(obs, CLUSTER_ETA)
-        m = B.shape[1]
-        # Rayleigh weights are b = conj(v) for matrix eigenvectors v;
-        # uniform average over the cluster members (a valid supergradient).
-        Wmat = (B @ B.conj().T).conj() / m
-        Wfull = np.zeros((len(self.exps), len(self.exps)), dtype=complex)
-        Wfull[np.ix_(lmask, lmask)] = Wmat * self.tau_l
-        f = self.basis.form_cell_average(Wfull)
-        vals = np.maximum(f.values.real, 0.0)
-        return lam, vals, m
+        lam, B, lmask = min_eig_cluster(self.obs(Ghat))
+        return lam, self.basis.cluster_form(B, self.tau_l, lmask), B.shape[1]
 
 
 def supergradient(model: SpectralModel, grid: Grid, a, T: float, N: int,
-                  theta: float = OVERFLOW_THETA,
-                  return_cluster: bool = False):
+                  theta: float = OVERFLOW_THETA) -> SpatialFunction:
     """Nonnegative spatial density Phi with integral(a * Phi) = C_T^{(N)}(a).
 
     At an eigenvalue cluster the uniform average of the cluster member
     forms is returned (a valid supergradient of the concave objective).
     """
     obj = _GramObjective(model, grid, T, N, theta)
-    lam, vals, m = obj.value_and_supergradient(obj.mantissa(a))
-    phi = SpatialFunction(grid, vals)
-    if return_cluster:
-        return phi, m > 1
-    return phi
+    _, vals, _ = obj.value_and_supergradient(obj.mantissa(a))
+    return SpatialFunction(grid, vals)
 
 
 @dataclass
@@ -143,17 +108,17 @@ class OptOptions:
     init: DensityField | None = None
     seed: int = 0
     max_restarts: int = 3
-    line_search_iters: int = 60
     method: str = "frank_wolfe"      # or "projected_ascent" (cross-check mode)
 
 
-def _golden_section(h, lo: float = 0.0, hi: float = 1.0, iters: int = 60):
-    """Maximize a concave scalar function on [lo, hi]."""
+def _golden_section(h):
+    """Maximize a concave scalar function on [0, 1]."""
     gr = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = 0.0, 1.0
     c1 = hi - gr * (hi - lo)
     c2 = lo + gr * (hi - lo)
     f1, f2 = h(c1), h(c2)
-    for _ in range(iters):
+    for _ in range(LINE_SEARCH_ITERS):
         if f1 < f2:
             lo, c1, f1 = c1, c2, f2
             c2 = lo + gr * (hi - lo)
@@ -195,42 +160,36 @@ def _frank_wolfe(obj, grid: Grid, L: float, opts: OptOptions) -> OptResult:
             break
         # stagnation detection: gap not improved by 1% over STALL_WINDOW iters
         anchor_it, anchor_gap = stall_anchor
+        stalled = False
         if gap < 0.99 * anchor_gap:
             stall_anchor = (it, gap)
-        elif it - anchor_it >= STALL_WINDOW:
-            if restarts >= opts.max_restarts:
-                break
-            restarts += 1
-            stall_anchor = (it, math.inf)
-            noise = rng.uniform(-0.5, 0.5, size=grid.ncells)
-            a = project_box_mean(grid, best_a + noise, L).values
-            Ma = obj.mantissa(a)
-            tentative = True
-            it += 1
-            continue
-        Ms = obj.mantissa(s)
-        theta = _golden_section(
-            lambda t: obj.value_from_mantissa(Ma + t * (Ms - Ma)),
-            iters=opts.line_search_iters)
-        cand = obj.value_from_mantissa(Ma + theta * (Ms - Ma))
-        if cand < val:               # line search cannot improve (nonsmooth point)
+        else:
+            stalled = it - anchor_it >= STALL_WINDOW
+        if not stalled:
+            Ms = obj.mantissa(s)
+            theta = _golden_section(
+                lambda t: obj.value_from_mantissa(Ma + t * (Ms - Ma)))
+            cand = obj.value_from_mantissa(Ma + theta * (Ms - Ma))
+            if cand >= val:
+                a = a + theta * (s - a)
+                Ma = Ma + theta * (Ms - Ma)
+                it += 1
+                continue
             if tentative:            # failed tentative run: go back to best
                 a, Ma = best_a.copy(), obj.mantissa(best_a)
                 tentative = False
                 it += 1
                 continue
-            if restarts < opts.max_restarts:
-                restarts += 1
-                stall_anchor = (it, math.inf)
-                noise = rng.uniform(-0.5, 0.5, size=grid.ncells)
-                a = project_box_mean(grid, best_a + noise, L).values
-                Ma = obj.mantissa(a)
-                tentative = True
-                it += 1
-                continue
+        # stalled, or the line search cannot improve (nonsmooth point):
+        # restart from a seeded perturbation of the best iterate
+        if restarts >= opts.max_restarts:
             break
-        a = a + theta * (s - a)
-        Ma = Ma + theta * (Ms - Ma)
+        restarts += 1
+        stall_anchor = (it, math.inf)
+        noise = rng.uniform(-0.5, 0.5, size=grid.ncells)
+        a = project_box_mean(grid, best_a + noise, L).values
+        Ma = obj.mantissa(a)
+        tentative = True
         it += 1
     if not history:
         val, f, m = obj.value_and_supergradient(Ma)
@@ -296,12 +255,8 @@ class _Sigma1Objective:
     def value_and_supergradient(self, M: np.ndarray):
         w, U = np.linalg.eigh(0.5 * (M + M.conj().T))
         lam = float(w[0])
-        cluster = w <= lam + CLUSTER_ETA * (1.0 + abs(lam))
-        m = int(cluster.sum())
-        B = U[:, cluster]
-        Wmat = (B @ B.conj().T) / m
-        f = self.basis.form_cell_average(Wmat)
-        return lam, np.maximum(f.values.real, 0.0), m
+        B = U[:, w <= lam + CLUSTER_ETA * (1.0 + abs(lam))]
+        return lam, self.basis.cluster_form(B), B.shape[1]
 
 
 def maximize_sigma1(model: SpectralModel, grid: Grid, L: float,
@@ -346,8 +301,6 @@ def lower_bound_certificate(model: SpectralModel, grid: Grid, a1: DensityField,
     1 - gamma_1 e^{eta T} / gamma_p0 with eta = 1.5 * gap, which must land
     in (0,1) (otherwise T is too small for the auto choice).
     """
-    from .gram import mass_matrix  # local import to avoid cycle at module load
-
     if L is None:
         L = a1.mean()
     lam1 = complex(model.eigenvalues[0])

@@ -95,6 +95,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="torus"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("opt", [{"seed": 5}, {"max_restarts": 0},
+                                     {"init": "anything"}, {"method": "newton"}])
+    def test_rejected_optimizer_keys(self, tmp_path, opt):
+        # the runners never read these: accepting them would echo a
+        # setting into report.json that the solve did not use
+        path = write_config(tmp_path, optimizer=opt)
+        with pytest.raises(ConfigError, match=next(iter(opt))):
+            load_config(str(path))
+
+    def test_optimizer_values_accepted(self, tmp_path):
+        for method in ("frank_wolfe", "projected_ascent"):
+            path = write_config(tmp_path, optimizer={"init": "constant", "method": method})
+            assert load_config(str(path))["optimizer"]["method"] == method
+
     def test_smallt_defaults(self):
         cfg = validate_config({"version": 1, "experiment": "smallt",
                                "model": {"name": "dirichlet_1d"}})
@@ -205,6 +219,18 @@ class TestReports:
         r2 = json.loads((tmp_path / "s2" / "report.json").read_text())
         assert r1["config"]["seed"] != r2["config"]["seed"]
         assert r1["records"][0]["k_hat"] != r2["records"][0]["k_hat"]
+
+    def test_unconverged_solves_reported(self, tmp_path, capsys):
+        path = write_config(tmp_path, name="smallt.json", experiment="smallt",
+                            T=1e-3, N=[2, 4], optimizer={"max_iter": 3},
+                            out=str(tmp_path / "out"))
+        main(["smallt", "--config", str(path)])
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [r["converged"] for r in report["records"]] == [False, False]
+        warns = [w for w in report["warnings"] if "unconverged" in w]
+        assert len(warns) == 2
+        for w, N in zip(warns, (2, 4)):
+            assert f"T=0.001, N={N} " in w and "gap/value = " in w
 
     def test_model_subcommand_prints_spectrum(self, tmp_path, capsys):
         path = write_config(tmp_path, name="model.json", experiment="model",

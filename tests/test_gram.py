@@ -6,8 +6,9 @@ import scipy.integrate
 import scipy.linalg
 
 from obsgrid.gram import (ContractViolation, assemble, hum_norm, mass_matrix,
-                          min_eigpair, obs_constant, obs_constant_rand,
-                          quadratic_decomposition, reduce_min_eig)
+                          min_eig_cluster, min_eigpair, obs_constant,
+                          obs_constant_rand, quadratic_decomposition,
+                          reduce_min_eig)
 from obsgrid.spectral import build_model, gamma_from_lambda
 
 from conftest import interval_indicator, random_feasible
@@ -183,6 +184,13 @@ class TestObsConstant:
         naive = float(np.linalg.eigvalsh(obs.reconstruct())[0])
         schur = obs_constant(d1d, grid1024, indicator, 0.3, 8, theta=30.0)
         assert schur == pytest.approx(naive, rel=1e-9)
+
+    @pytest.mark.parametrize("theta", [600.0, 50.0])
+    def test_cluster_value_is_reduce_value(self, d1d, grid512, theta):
+        a = random_feasible(grid512, 0.5, np.random.default_rng(7))
+        obs = assemble(d1d, grid512, a, 0.5, 8, theta=theta)
+        assert obs.hblock.sum() == (theta < 64.0)
+        assert reduce_min_eig(obs) == min_eig_cluster(obs)[0]
 
     def test_empty_lblock_error(self, d1d, grid512):
         a = np.full(grid512.ncells, 0.5)

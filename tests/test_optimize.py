@@ -8,7 +8,8 @@ from obsgrid.gram import obs_constant
 from obsgrid.optimize import (OptOptions, bang_bang_fraction,
                               lower_bound_certificate, maximize_obs,
                               maximize_sigma1, supergradient)
-from obsgrid.spectral import DomainSpec, build_model, gamma_from_lambda
+from obsgrid.spectral import (DomainSpec, SpectralModel, build_model,
+                               gamma_from_lambda)
 
 from conftest import interval_indicator, random_feasible
 
@@ -153,6 +154,28 @@ class TestMaximizeSigma1:
         from obsgrid.limit import sigma1
         a = DensityField(grid512, np.full(grid512.ncells, 0.5))
         assert sigma1(d1d, grid512, a) == pytest.approx(0.5, abs=1e-9)
+
+    def test_supergradient_identity_complex_modes(self):
+        # sum_c a_c |c| Phi_c = sigma1(a) needs the Rayleigh weights
+        # conj(v); real modes cannot tell v from conj(v), so phi_2 is complex
+        from obsgrid.limit import sigma1
+        from obsgrid.optimize import _Sigma1Objective
+        c = np.sqrt(2.0 / PI)
+
+        def ev(j, x):
+            v = c * np.sin(j * x[:, 0]) * (np.exp(1j * x[:, 0]) if j == 2 else 1.0)
+            return v.astype(complex)[:, None]
+
+        model = SpectralModel("complex_test", 1, DomainSpec("interval", ((0.0, PI),)),
+                              np.array([1.0, 1.0, 4.0], dtype=complex), ev)
+        assert model.J1 == (1, 2)
+        grid = make_grid(model.domain, 256, 3)
+        a = interval_indicator(grid, 0.3, 1.7)
+        obj = _Sigma1Objective(model, grid)
+        lam, vals, m = obj.value_and_supergradient(obj.mantissa(a.values))
+        assert m == 1
+        lhs = float(a.values * vals @ grid.cell_measures)
+        assert lhs == pytest.approx(sigma1(model, grid, a), rel=1e-14)
 
 
 class TestBangBangFraction:
