@@ -2,11 +2,12 @@
 claims, with JSON reports and plot-ready CSV output.
 
 Subcommands: solve, sweep, limit, smallt, torus-deg, certify, cesaro,
-model. Configs are strict JSON (schema v1, unknown keys rejected) so
-experiments stay auditable; acceptance thresholds are config data with
-documented defaults, not code. report.json is byte-identical for
-identical (config, seed) on a fixed platform and numpy/BLAS build;
-wall-clock times go to a sidecar timing.json.
+model. Configs are strict JSON (schema v1); each experiment accepts only
+the keys its runner reads (EXPERIMENT_KEYS), so the config echoed into
+report.json states only settings the run used. Acceptance thresholds are
+config data with documented defaults, not code. report.json is
+byte-identical for identical (config, seed) on a fixed platform and
+numpy/BLAS build; wall-clock times go to a sidecar timing.json.
 
 Exit codes: 0 pass, 2 acceptance failure, 1 error.
 """
@@ -14,6 +15,7 @@ Exit codes: 0 pass, 2 acceptance failure, 1 error.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import math
@@ -33,8 +35,23 @@ from .optimize import (OptOptions, bang_bang_fraction, lower_bound_certificate,
 from .spectral import build_model, gamma_factored
 
 SCHEMA_VERSION = 1
-EXPERIMENTS = ("solve", "sweep", "limit", "smallt", "torus-deg", "certify",
-               "cesaro", "model")
+
+# Keys every experiment takes: each runner builds the model on the grid,
+# and every subcommand takes --seed and --out.
+COMMON_KEYS = ("version", "experiment", "model", "grid", "seed", "out")
+# The further top-level keys each runner reads. A key outside this table
+# is rejected, so the config echo in report.json holds only settings the
+# run used.
+EXPERIMENT_KEYS = {
+    "solve": ("L", "T", "N", "optimizer"),
+    "sweep": ("L", "T", "N", "optimizer", "certificate", "acceptance"),
+    "limit": ("L", "optimizer", "sampler", "deltas", "acceptance"),
+    "smallt": ("L", "T", "N", "optimizer", "compact_fraction", "acceptance"),
+    "torus-deg": ("L", "optimizer", "torus_family", "acceptance"),
+    "certify": ("L", "T", "N", "optimizer", "certificate", "acceptance"),
+    "cesaro": ("N", "compact_fraction"),
+    "model": (),
+}
 
 
 class ConfigError(ValueError):
@@ -44,135 +61,99 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------- config
 
 
+_NO_DEFAULT = object()      # accepted key that stays absent unless given
+
+BLOCK_DEFAULTS = {
+    "model": {"name": _NO_DEFAULT, "n_max": 8, "mu": _NO_DEFAULT, "u": _NO_DEFAULT},
+    "grid": {"cells": 1024, "gauss_order": 3},
+    "optimizer": {"max_iter": 2000, "tol": 1e-6},
+    "certificate": {"nu": None},
+    "sampler": {"n_samples": 1000, "families": ["slide", "bathtub", "project"],
+                "h_list": [0.01, 0.03, 0.05]},
+    "torus_family": {"eta": 0.1, "m": 5, "n_members": 8},
+}
+
 ACCEPTANCE_DEFAULTS = {
     "sweep": {
         "r_final_min": 0.97,          # ratio-to-limit target at the last T
         "slope_max": -1.2,            # distance decay target (gap/2 minus slack)
-        "require_r_nondecreasing": True,
-        "require_d_nonincreasing": True,
         "sandwich_rtol": 1e-6,        # lower <= value+gap, value <= upper
         "saturation_floor_cells": 3.0,
     },
-    "solve": {"sandwich_rtol": 1e-6},
     "certify": {"sandwich_rtol": 1e-3, "max_rel_gap": 1e-4},
     "limit": {
-        "require_kkt": True,
-        "khat_positive": True,
         "mhat_target": None,          # e.g. 2*pi for dirichlet_1d, L=0.5
         "mhat_rtol": 0.05,
         "residual_max": 0.05,
     },
     "smallt": {"margin": 0.1, "value_floor_slack": 1e-6},
     "torus-deg": {"equality_tol": 1e-9, "l1_min": 0.1, "attain_tol": 1e-8},
-    "cesaro": {"require_decreasing": True},
-    "model": {},
 }
 
-_TOP_KEYS = {"version", "experiment", "model", "grid", "L", "T", "N",
-             "optimizer", "certificate", "acceptance", "seed", "out",
-             "torus_family", "sampler", "deltas", "compact_fraction"}
-_MODEL_KEYS = {"name", "n_max", "mu", "u"}
-_GRID_KEYS = {"cells", "gauss_order"}
-_OPT_KEYS = {"max_iter", "tol", "init", "method"}
-_OPT_METHODS = ("frank_wolfe", "projected_ascent")
-_CERT_KEYS = {"nu"}
-_SAMPLER_KEYS = {"n_samples", "families", "h_list", "fresh_seed"}
-_FAMILY_KEYS = {"eta", "m", "n_members"}
+_SCALAR_DEFAULTS = {"L": 0.5, "deltas": None, "compact_fraction": 0.5}
+# experiments that take a list of N, with its default
+_N_LISTS = {"smallt": [4, 8, 16], "cesaro": [8, 16, 32, 64]}
 
 
-def _reject_unknown(d: dict, allowed: set, path: str) -> None:
+def _reject_unknown(d: dict, allowed, path: str) -> None:
     for k in d:
         if k not in allowed:
-            raise ConfigError(f"unknown key {path}{k!r}")
+            raise ConfigError(f"unknown key {path}{k!r}; allowed: {sorted(allowed)}")
+
+
+def _block(given, name: str, defaults: dict) -> dict:
+    """One nested block: unknown keys rejected, defaults filled in."""
+    given = {} if given is None else given
+    if not isinstance(given, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    _reject_unknown(given, defaults, name + ".")
+    block = {k: copy.deepcopy(v) for k, v in defaults.items() if v is not _NO_DEFAULT}
+    block.update(given)
+    return block
 
 
 def validate_config(raw: dict) -> dict:
     """Strict validation; returns the config with defaults filled in."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "")
     if raw.get("version") != SCHEMA_VERSION:
         raise ConfigError(f"config 'version' must be {SCHEMA_VERSION}")
     kind = raw.get("experiment")
-    if kind not in EXPERIMENTS:
-        raise ConfigError(f"'experiment' must be one of {EXPERIMENTS}, got {kind!r}")
-
-    model = dict(raw.get("model") or {})
-    _reject_unknown(model, _MODEL_KEYS, "model.")
-    if "name" not in model:
-        raise ConfigError("model.name is required")
-    model.setdefault("n_max", 8)
-
-    grid = dict(raw.get("grid") or {})
-    _reject_unknown(grid, _GRID_KEYS, "grid.")
-    grid.setdefault("cells", 1024)
-    grid.setdefault("gauss_order", 3)
-
-    opt = dict(raw.get("optimizer") or {})
-    _reject_unknown(opt, _OPT_KEYS, "optimizer.")
-    opt.setdefault("max_iter", 2000)
-    opt.setdefault("tol", 1e-6)
-    opt.setdefault("init", "constant")
-    opt.setdefault("method", "frank_wolfe")
-    if opt["init"] != "constant":
-        raise ConfigError(f"optimizer.init must be 'constant', got {opt['init']!r}")
-    if opt["method"] not in _OPT_METHODS:
+    if kind not in EXPERIMENT_KEYS:
         raise ConfigError(
-            f"optimizer.method must be one of {_OPT_METHODS}, got {opt['method']!r}")
+            f"'experiment' must be one of {tuple(EXPERIMENT_KEYS)}, got {kind!r}")
+    keys = COMMON_KEYS + EXPERIMENT_KEYS[kind]
+    _reject_unknown(raw, keys, "")
 
-    cert = dict(raw.get("certificate") or {})
-    _reject_unknown(cert, _CERT_KEYS, "certificate.")
-    cert.setdefault("nu", None)
-
-    acc = dict(ACCEPTANCE_DEFAULTS.get(kind, {}))
-    user_acc = dict(raw.get("acceptance") or {})
-    _reject_unknown(user_acc, set(acc), "acceptance.")
-    acc.update(user_acc)
-
-    sampler = dict(raw.get("sampler") or {})
-    _reject_unknown(sampler, _SAMPLER_KEYS, "sampler.")
-    sampler.setdefault("n_samples", 1000)
-    sampler.setdefault("families", ["slide", "bathtub", "project"])
-    sampler.setdefault("h_list", [0.01, 0.03, 0.05])
-    sampler.setdefault("fresh_seed", None)
-
-    family = dict(raw.get("torus_family") or {})
-    _reject_unknown(family, _FAMILY_KEYS, "torus_family.")
-    family.setdefault("eta", 0.1)
-    family.setdefault("m", 5)
-    family.setdefault("n_members", 8)
-
-    L = raw.get("L", 0.5)
-    if not 0.0 < L < 1.0:
+    cfg = {"version": SCHEMA_VERSION, "experiment": kind,
+           "seed": int(raw.get("seed", 0)), "out": raw.get("out", "runs/" + kind)}
+    for key in keys:
+        if key == "acceptance":
+            cfg[key] = _block(raw.get(key), key, ACCEPTANCE_DEFAULTS[kind])
+        elif key in BLOCK_DEFAULTS:
+            cfg[key] = _block(raw.get(key), key, BLOCK_DEFAULTS[key])
+        elif key in _SCALAR_DEFAULTS:
+            cfg[key] = raw.get(key, _SCALAR_DEFAULTS[key])
+    if "name" not in cfg["model"]:
+        raise ConfigError("model.name is required")
+    if "L" in cfg and not 0.0 < cfg["L"] < 1.0:
         raise ConfigError("L must be in (0,1)")
-
-    cfg = {
-        "version": SCHEMA_VERSION,
-        "experiment": kind,
-        "model": model,
-        "grid": grid,
-        "L": L,
-        "T": raw.get("T", 1e-3 if kind == "smallt" else 1.0),
-        "N": raw.get("N", model["n_max"]),
-        "optimizer": opt,
-        "certificate": cert,
-        "acceptance": acc,
-        "sampler": sampler,
-        "torus_family": family,
-        "deltas": raw.get("deltas"),
-        "compact_fraction": raw.get("compact_fraction", 0.5),
-        "seed": int(raw.get("seed", 0)),
-        "out": raw.get("out", "runs/" + kind),
-    }
-    if kind == "sweep":
-        Ts = cfg["T"] if isinstance(cfg["T"], list) else [cfg["T"]]
-        if len(Ts) < 4:
+    if "T" in keys:
+        T = raw.get("T", 1e-3 if kind == "smallt" else 1.0)
+        if kind == "sweep" and not (isinstance(T, list) and len(T) >= 4):
             raise ConfigError("sweep needs a T list with >= 4 values")
-    if kind == "smallt" and not isinstance(cfg["N"], list):
-        cfg["N"] = [4, 8, 16]
-    if kind == "cesaro" and not isinstance(cfg["N"], list):
-        cfg["N"] = [8, 16, 32, 64]
-    if kind == "torus-deg" and model["name"] != "torus_1d":
+        if kind != "sweep" and isinstance(T, list):
+            raise ConfigError(f"{kind} takes one T, not a list")
+        cfg["T"] = T
+    if "N" in keys:
+        N = raw.get("N", _N_LISTS.get(kind, cfg["model"]["n_max"]))
+        if isinstance(N, list) != (kind in _N_LISTS):
+            want = "an N list" if kind in _N_LISTS else "one N, not a list"
+            raise ConfigError(f"{kind} takes {want}")
+        cfg["N"] = N
+    if "optimizer" in cfg:
+        OptOptions(**cfg["optimizer"])      # rejects max_iter < 1 and tol <= 0
+    if kind == "torus-deg" and cfg["model"]["name"] != "torus_1d":
         raise ConfigError("torus-deg requires model.name == 'torus_1d'")
     return cfg
 
@@ -205,10 +186,8 @@ def _build(cfg, n_max: int | None = None):
     return model, grid
 
 
-def _opts(cfg, grid, L, init=None, seed_shift=0) -> OptOptions:
-    o = cfg["optimizer"]
-    return OptOptions(max_iter=o["max_iter"], tol=o["tol"], init=init,
-                      seed=cfg["seed"] + seed_shift, method=o["method"])
+def _opts(cfg, init=None) -> OptOptions:
+    return OptOptions(**cfg["optimizer"], init=init, seed=cfg["seed"])
 
 
 def _warn_unconverged(rep, res, T, N) -> None:
@@ -254,11 +233,11 @@ class ExperimentReport:
     fit: dict | None = None
     checks: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
-    passed: bool = True
     timing: dict = field(default_factory=dict)
 
-    def finalize(self) -> None:
-        self.passed = all(bool(v) for v in self.checks.values())
+    @property
+    def passed(self) -> bool:
+        return all(bool(v) for v in self.checks.values())
 
     def core_dict(self) -> dict:
         config = {k: v for k, v in self.config.items() if k != "out"}
@@ -325,14 +304,13 @@ def run_solve(cfg) -> ExperimentReport:
     if w:
         rep.warnings.append(w)
     t0 = time.perf_counter()
-    res = maximize_obs(model, grid, L, T, N, _opts(cfg, grid, L))
+    res = maximize_obs(model, grid, L, T, N, _opts(cfg))
     rep.timing["solve_s"] = time.perf_counter() - t0
     _warn_unconverged(rep, res, T, N)
     rec = {"T": T, "N": N, **res.as_dict(),
            "bangbang_frac": bang_bang_fraction(res.a_star)}
     rep.records.append(rec)
     rep.checks["gap_nonnegative"] = res.fw_gap >= -1e-12
-    rep.finalize()
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     write_density_csv(out / "density.csv", res.a_star)
@@ -342,7 +320,7 @@ def run_solve(cfg) -> ExperimentReport:
 
 def _sweep_point(model, grid, cfg, T, a1, sigma1_max):
     L, N = cfg["L"], int(cfg["N"])
-    res = maximize_obs(model, grid, L, T, N, _opts(cfg, grid, L))
+    res = maximize_obs(model, grid, L, T, N, _opts(cfg))
     try:
         cert = lower_bound_certificate(model, grid, a1, T,
                                        cfg["certificate"]["nu"], L=L)
@@ -365,7 +343,7 @@ def run_sweep(cfg) -> ExperimentReport:
     if w:
         rep.warnings.append(w)
 
-    s1 = maximize_sigma1(model, grid, L, _opts(cfg, grid, L))
+    s1 = maximize_sigma1(model, grid, L, _opts(cfg))
 
     t0 = time.perf_counter()
     failures = []
@@ -410,10 +388,10 @@ def run_sweep(cfg) -> ExperimentReport:
     rep.fit = {"slope": slope, "intercept": intercept, "window": window,
                "saturated": saturated, "floor": floor}
 
-    rep.checks["r_nondecreasing"] = (not acc["require_r_nondecreasing"]) or all(
+    rep.checks["r_nondecreasing"] = all(
         b >= a - 1e-9 for a, b in zip(ratios, ratios[1:]))
     rep.checks["r_final"] = ratios[-1] >= acc["r_final_min"]
-    rep.checks["d_nonincreasing"] = (not acc["require_d_nonincreasing"]) or all(
+    rep.checks["d_nonincreasing"] = all(
         b <= a + 1e-9 for a, b in zip(dists, dists[1:]))
     rep.checks["rate_slope"] = (not saturated) and slope is not None \
         and slope <= acc["slope_max"]
@@ -427,7 +405,6 @@ def run_sweep(cfg) -> ExperimentReport:
                 r["value"] > r["upper_bound"] * (1.0 + srtol):
             sandwich_ok = False
     rep.checks["sandwich"] = sandwich_ok
-    rep.finalize()
     return rep
 
 
@@ -438,7 +415,7 @@ def run_limit(cfg) -> ExperimentReport:
     acc = cfg["acceptance"]
     smp = cfg["sampler"]
     t0 = time.perf_counter()
-    sol = limit_set(model, grid, L, _opts(cfg, grid, L))
+    sol = limit_set(model, grid, L, _opts(cfg))
     rep.timing["limit_set_s"] = time.perf_counter() - t0
     rec = {"L": L, "sigma1": sol.sigma1_value, "mu_star": sol.mu_star,
            "alphas": [float(x) for x in sol.alphas],
@@ -466,14 +443,13 @@ def run_limit(cfg) -> ExperimentReport:
         m_hat, resid = tube_linearity(model, grid, sol, cfg["deltas"])
         rec["tube_m_hat"] = m_hat
         rec["tube_residual"] = resid
-        rep.checks["khat_positive"] = (not acc["khat_positive"]) or ke.k_hat > 0
+        rep.checks["khat_positive"] = ke.k_hat > 0
         rep.checks["tube_residual"] = resid <= acc["residual_max"]
         if acc["mhat_target"] is not None:
             rep.checks["mhat"] = abs(m_hat - acc["mhat_target"]) \
                 <= acc["mhat_rtol"] * acc["mhat_target"]
-    rep.checks["kkt"] = (not acc["require_kkt"]) or kk.passed
+    rep.checks["kkt"] = kk.passed
     rep.records.append(rec)
-    rep.finalize()
     return rep
 
 
@@ -481,7 +457,7 @@ def run_smallt(cfg) -> ExperimentReport:
     model, grid = _build(cfg)
     rep = ExperimentReport("smallt", cfg)
     L = cfg["L"]
-    T = float(cfg["T"]) if not isinstance(cfg["T"], list) else float(cfg["T"][0])
+    T = float(cfg["T"])
     Ns = sorted(int(n) for n in cfg["N"])
     acc = cfg["acceptance"]
 
@@ -491,7 +467,7 @@ def run_smallt(cfg) -> ExperimentReport:
     results = {}
     init = None
     for N in sorted(Ns, reverse=True):
-        results[N] = maximize_obs(model, grid, L, T, N, _opts(cfg, grid, L, init=init))
+        results[N] = maximize_obs(model, grid, L, T, N, _opts(cfg, init=init))
         init = results[N].a_star
     rep.timing["smallt_s"] = time.perf_counter() - t0
 
@@ -520,7 +496,6 @@ def run_smallt(cfg) -> ExperimentReport:
     rep.fit = {"cesaro_N": ces_Ns, "cesaro_dev": devs}
     rep.checks["cesaro_decreasing"] = all(
         b < a for a, b in zip(devs, devs[1:]))
-    rep.finalize()
     return rep
 
 
@@ -552,10 +527,8 @@ def run_cesaro(cfg) -> ExperimentReport:
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "cesaro.csv", ["N", "compact_l1_dev"],
                [[n, d] for n, d in zip(Ns, devs)])
-    if cfg["acceptance"]["require_decreasing"]:
-        rep.checks["deviation_decreasing"] = all(
-            b < a for a, b in zip(devs, devs[1:]))
-    rep.finalize()
+    rep.checks["deviation_decreasing"] = all(
+        b < a for a, b in zip(devs, devs[1:]))
     return rep
 
 
@@ -588,7 +561,7 @@ def run_torus_deg(cfg) -> ExperimentReport:
     svals = [sigma1(model, grid, a) for a in members]
     spread = max(abs(s - s_base) for s in svals)
 
-    res = maximize_sigma1(model, grid, L, _opts(cfg, grid, L))
+    res = maximize_sigma1(model, grid, L, _opts(cfg))
     dists = [l1_distance(a, base) for a in members]
     far = max(dists)
 
@@ -605,7 +578,6 @@ def run_torus_deg(cfg) -> ExperimentReport:
     rep.checks["nonbangbang_maximizer"] = bang_bang_fraction(base) > 0.5 \
         and abs(s_base - res.value) <= acc["attain_tol"] + res.fw_gap
     rep.checks["degenerate_detected"] = res.degenerate_flag
-    rep.finalize()
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     write_density_csv(out / "density_constant.csv", base)
@@ -619,11 +591,11 @@ def run_certify(cfg) -> ExperimentReport:
     L, N = cfg["L"], int(cfg["N"])
     T = float(cfg["T"])
     acc = cfg["acceptance"]
-    s1 = maximize_sigma1(model, grid, L, _opts(cfg, grid, L))
+    s1 = maximize_sigma1(model, grid, L, _opts(cfg))
     cert = lower_bound_certificate(model, grid, s1.a_star, T,
                                    cfg["certificate"]["nu"], L=L)
     t0 = time.perf_counter()
-    res = maximize_obs(model, grid, L, T, N, _opts(cfg, grid, L))
+    res = maximize_obs(model, grid, L, T, N, _opts(cfg))
     rep.timing["solve_s"] = time.perf_counter() - t0
     _warn_unconverged(rep, res, T, N)
     rec = {"T": T, "N": N, "value": res.value, "fw_gap": res.fw_gap,
@@ -635,7 +607,6 @@ def run_certify(cfg) -> ExperimentReport:
     rep.checks["value_below_upper"] = res.value <= cert.upper_bound * (1.0 + srtol)
     rep.checks["lower_below_estimate"] = cert.lower_bound <= \
         (res.value + max(res.fw_gap, 0.0)) * (1.0 + srtol)
-    rep.finalize()
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     write_density_csv(out / "density.csv", res.a_star)
@@ -659,7 +630,6 @@ def run_model(cfg) -> ExperimentReport:
     resid = float(np.abs(M - np.eye(model.n_max)).max())
     rep.fit["orthonormality_residual"] = resid
     rep.checks["orthonormal"] = resid <= 1e-8
-    rep.finalize()
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "modes.csv", ["j", "re", "im", "in_J1"],
@@ -677,7 +647,7 @@ def main(argv=None) -> int:
         prog="obsgrid",
         description="observability-constant experiments over relaxed sensor densities")
     sub = parser.add_subparsers(dest="command")
-    for name in EXPERIMENTS:
+    for name in EXPERIMENT_KEYS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)

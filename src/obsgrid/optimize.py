@@ -4,13 +4,13 @@ Frank-Wolfe with the exact bathtub linear oracle is the primary driver:
 iterates stay feasible, the duality gap certifies suboptimality, and the
 oracle is closed-form. Eigenvalue clusters (nonsmooth points) use the
 uniform average of the cluster supergradients; gap stagnation triggers a
-seeded restart from a perturbation of the best iterate. Projected
-supergradient ascent is kept as an optional cross-check mode.
+seeded restart from a perturbation of the best iterate.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +22,7 @@ from .gram import (CLUSTER_ETA, GramForm, get_basis, mass_matrix,
 from .spectral import OVERFLOW_THETA, SpectralModel, gamma_factored
 
 STALL_WINDOW = 50           # iterations of gap stagnation before a restart
+MAX_RESTARTS = 3            # seeded restarts per FW solve
 LINE_SEARCH_ITERS = 60      # golden-section steps per FW line search
 ETA_GAP_FACTOR = 1.5        # eta = factor * gap for the auto nu_T (admissible: (1, 2))
 
@@ -35,9 +36,6 @@ class OptResult:
     history: list[tuple[int, float, float]] = field(default_factory=list)
     degenerate_flag: bool = False
     converged: bool = True
-
-    def history_array(self) -> np.ndarray:
-        return np.array(self.history, dtype=float)
 
     def as_dict(self) -> dict:
         """JSON-ready summary (the density itself ships as CSV)."""
@@ -107,8 +105,12 @@ class OptOptions:
     tol: float = 1e-6
     init: DensityField | None = None
     seed: int = 0
-    max_restarts: int = 3
-    method: str = "frank_wolfe"      # or "projected_ascent" (cross-check mode)
+
+    def __post_init__(self):
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        if not self.tol > 0.0:
+            raise ValueError(f"tol must be > 0, got {self.tol!r}")
 
 
 def _golden_section(h):
@@ -182,7 +184,7 @@ def _frank_wolfe(obj, grid: Grid, L: float, opts: OptOptions) -> OptResult:
                 continue
         # stalled, or the line search cannot improve (nonsmooth point):
         # restart from a seeded perturbation of the best iterate
-        if restarts >= opts.max_restarts:
+        if restarts >= MAX_RESTARTS:
             break
         restarts += 1
         stall_anchor = (it, math.inf)
@@ -191,37 +193,9 @@ def _frank_wolfe(obj, grid: Grid, L: float, opts: OptOptions) -> OptResult:
         Ma = obj.mantissa(a)
         tentative = True
         it += 1
-    if not history:
-        val, f, m = obj.value_and_supergradient(Ma)
-        history.append((0, val, best_gap))
     return OptResult(DensityField(grid, best_a), best_val, best_gap,
                      iterations=it, history=history,
                      degenerate_flag=degenerate, converged=converged)
-
-
-def _projected_ascent(obj, grid: Grid, L: float, opts: OptOptions) -> OptResult:
-    """Projected supergradient ascent cross-check (diminishing steps)."""
-    a = opts.init.values.copy() if opts.init is not None else np.full(grid.ncells, L)
-    Ma = obj.mantissa(a)
-    best_a, best_val = a.copy(), -math.inf
-    history = []
-    for it in range(opts.max_iter):
-        val, f, m = obj.value_and_supergradient(Ma)
-        if val > best_val:
-            best_a, best_val = a.copy(), val
-        s_field, _ = bathtub(grid, f, L)
-        gap = float((s_field.values - a) * f @ grid.cell_measures)
-        history.append((it, best_val, gap))
-        if gap <= opts.tol * max(1.0, abs(val)):
-            break
-        step = 0.5 / (1.0 + it) / max(np.abs(f).max(), 1e-300)
-        a = project_box_mean(grid, a + step * f, L).values
-        Ma = obj.mantissa(a)
-    val, f, _ = obj.value_and_supergradient(obj.mantissa(best_a))
-    s_field, _ = bathtub(grid, f, L)
-    gap = float((s_field.values - best_a) * f @ grid.cell_measures)
-    return OptResult(DensityField(grid, best_a), best_val, gap, len(history),
-                     history, False, True)
 
 
 def maximize_obs(model: SpectralModel, grid: Grid, L: float, T: float, N: int,
@@ -234,8 +208,6 @@ def maximize_obs(model: SpectralModel, grid: Grid, L: float, T: float, N: int,
     """
     opts = opts or OptOptions()
     obj = _GramObjective(model, grid, T, N, theta)
-    if opts.method == "projected_ascent":
-        return _projected_ascent(obj, grid, L, opts)
     return _frank_wolfe(obj, grid, L, opts)
 
 

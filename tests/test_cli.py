@@ -1,14 +1,17 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from obsgrid.cli import (ConfigError, fit_rate, load_config, main,
-                         validate_config)
+from obsgrid.cli import (COMMON_KEYS, EXPERIMENT_KEYS, ConfigError, fit_rate,
+                         load_config, main, validate_config)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def write_config(tmp_path, name="cfg.json", **overrides):
+def write_config(tmp_path, name="cfg.json", drop=(), **overrides):
     cfg = {
         "version": 1,
         "experiment": "solve",
@@ -20,6 +23,8 @@ def write_config(tmp_path, name="cfg.json", **overrides):
         "seed": 0,
     }
     cfg.update(overrides)
+    for key in drop:
+        del cfg[key]
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
@@ -91,7 +96,7 @@ class TestConfigValidation:
             load_config(str(path))
 
     def test_torus_deg_needs_torus(self, tmp_path):
-        path = write_config(tmp_path, experiment="torus-deg")
+        path = write_config(tmp_path, experiment="torus-deg", drop=("T", "N"))
         with pytest.raises(ConfigError, match="torus"):
             load_config(str(path))
 
@@ -104,10 +109,36 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=next(iter(opt))):
             load_config(str(path))
 
-    def test_optimizer_values_accepted(self, tmp_path):
-        for method in ("frank_wolfe", "projected_ascent"):
-            path = write_config(tmp_path, optimizer={"init": "constant", "method": method})
-            assert load_config(str(path))["optimizer"]["method"] == method
+    @pytest.mark.parametrize("opt", [
+        {"max_iter": 0}, {"max_iter": -5}, {"max_iter": 2.5}, {"tol": 0.0},
+        {"init": "constant"}, {"method": "frank_wolfe"},
+        {"method": "projected_ascent"}])
+    def test_optimizer_values_rejected(self, tmp_path, opt):
+        path = write_config(tmp_path, optimizer=opt)
+        with pytest.raises(ValueError, match=next(iter(opt))):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("experiment,overrides,key", [
+        ("sweep", {"T": [1, 2, 3, 4], "sampler": {"n_samples": 10}}, "sampler"),
+        ("limit", {"drop": ("N",)}, "'T'"),
+        ("limit", {"drop": ("T", "N"), "sampler": {"fresh_seed": 1}}, "fresh_seed"),
+        ("limit", {"drop": ("T", "N"), "acceptance": {"require_kkt": False}},
+         "require_kkt"),
+        ("smallt", {"T": [1e-3, 2e-3], "N": [4, 8]}, "one T"),
+        ("smallt", {"T": 1e-3, "N": 8}, "N list"),
+        ("model", {"drop": ("T", "N")}, "'L'"),
+    ])
+    def test_keys_the_runner_does_not_read(self, tmp_path, experiment, overrides, key):
+        # accepting them would echo a setting into report.json that the
+        # run did not use
+        path = write_config(tmp_path, experiment=experiment, **overrides)
+        with pytest.raises(ConfigError, match=key):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+    def test_shipped_configs_take_their_keys(self, path):
+        cfg = load_config(str(path))
+        assert set(cfg) == set(COMMON_KEYS) | set(EXPERIMENT_KEYS[cfg["experiment"]])
 
     def test_smallt_defaults(self):
         cfg = validate_config({"version": 1, "experiment": "smallt",
@@ -167,6 +198,13 @@ class TestMainExitCodes:
     def test_missing_config_exit_1(self, capsys):
         assert main(["solve", "--config", "/nonexistent/x.json"]) == 1
 
+    def test_bad_max_iter_exit_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, optimizer={"max_iter": 0},
+                            out=str(tmp_path / "out"))
+        assert main(["solve", "--config", str(path)]) == 1
+        assert "max_iter" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_acceptance_failure_exit_2(self, tmp_path, capsys):
         # a sweep on a tiny instance cannot meet the default asymptotic
         # thresholds; the run must complete and report FAIL
@@ -201,7 +239,7 @@ class TestReports:
     def test_reports_byte_identical(self, tmp_path, capsys):
         path = write_config(tmp_path, name="limit.json", experiment="limit",
                             model={"name": "dirichlet_1d", "n_max": 4},
-                            sampler={"n_samples": 60})
+                            sampler={"n_samples": 60}, drop=("T", "N"))
         main(["limit", "--config", str(path), "--out", str(tmp_path / "r1")])
         main(["limit", "--config", str(path), "--out", str(tmp_path / "r2")])
         b1 = (tmp_path / "r1" / "report.json").read_bytes()
@@ -211,7 +249,7 @@ class TestReports:
     def test_seed_override_changes_report(self, tmp_path, capsys):
         path = write_config(tmp_path, name="limit.json", experiment="limit",
                             model={"name": "dirichlet_1d", "n_max": 4},
-                            sampler={"n_samples": 60})
+                            sampler={"n_samples": 60}, drop=("T", "N"))
         main(["limit", "--config", str(path), "--out", str(tmp_path / "s1")])
         main(["limit", "--config", str(path), "--out", str(tmp_path / "s2"),
               "--seed", "123"])
@@ -234,7 +272,7 @@ class TestReports:
 
     def test_model_subcommand_prints_spectrum(self, tmp_path, capsys):
         path = write_config(tmp_path, name="model.json", experiment="model",
-                            out=str(tmp_path / "out"))
+                            drop=("L", "T", "N"), out=str(tmp_path / "out"))
         assert main(["model", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         assert "lambda = 1" in out and "lambda = 16" in out

@@ -120,12 +120,14 @@ class TestMaximizeObs:
                            OptOptions(init=a0, max_iter=1000))
         assert res.value >= v0 - 1e-12
 
-    def test_projected_ascent_cross_check(self, d1d, grid512):
-        fw = maximize_obs(d1d, grid512, 0.5, 1.0, 4)
-        pa = maximize_obs(d1d, grid512, 0.5, 1.0, 4,
-                          OptOptions(method="projected_ascent", max_iter=300))
-        assert pa.value <= fw.value + fw.fw_gap + 1e-9
-        assert pa.value >= 0.9 * fw.value
+    @pytest.mark.parametrize("bad", [{"max_iter": 0}, {"max_iter": -5},
+                                     {"max_iter": 2.5}, {"tol": 0.0},
+                                     {"tol": -1e-6}, {"tol": float("nan")}])
+    def test_bad_options_rejected(self, bad):
+        # max_iter 0 would return value -inf and gap +inf, which
+        # report.json cannot carry as strict JSON
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            OptOptions(**bad)
 
 
 class TestMaximizeSigma1:
