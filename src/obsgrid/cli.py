@@ -599,6 +599,7 @@ def run_certify(cfg) -> ExperimentReport:
     rep.timing["solve_s"] = time.perf_counter() - t0
     _warn_unconverged(rep, res, T, N)
     rec = {"T": T, "N": N, "value": res.value, "fw_gap": res.fw_gap,
+           "iterations": res.iterations, "line_search_evals": res.line_search_evals,
            "converged": res.converged, "certificate": cert.as_dict(),
            "bangbang_frac": bang_bang_fraction(res.a_star)}
     rep.records.append(rec)

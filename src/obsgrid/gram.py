@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .geometry import DensityField, Grid, SpatialFunction
 from .spectral import OVERFLOW_THETA, SpectralModel, tau
 
 CLUSTER_ETA = 1e-8          # relative width of the minimal eigenvalue cluster
+TIE_ETA = 1e-12             # relative width of a multiple eigenvalue in line-search slopes
 
 
 class ContractViolation(ValueError):
@@ -198,11 +200,12 @@ def min_eigpair(H: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _factored_spectrum(obs: ObsMatrix):
-    """(lambda_min, eig(C), eigvecs(C), L-block mask) of the Gram form.
+    """(lambda_min, eig(C), eigvecs(C), L-block mask, X) of the Gram form.
 
-    The H-block is removed by a Schur complement S on the mantissa matrix
-    (ridge-regularized when needed); dropping the e^{-2 e_j} constraint
-    weights of stiff modes perturbs the Rayleigh quotient by <= e^{-theta}.
+    The H-block is removed by a Schur complement S = Gll - Glh X on the
+    mantissa matrix, X = Ghh^-1 Ghl (ridge-regularized when needed; None
+    without an H-block); dropping the e^{-2 e_j} constraint weights of
+    stiff modes perturbs the Rayleigh quotient by <= e^{-theta}.
     On the L-block, C = e^{2 e0} D^-1 S^-1 D^-1 with D = diag(e^exps) and
     e0 = min(exps): the eigenvalues of D S D are e^{2 e0} / eig(C) with
     the same eigenvectors, and C is graded downward, so the top of its
@@ -211,7 +214,7 @@ def _factored_spectrum(obs: ObsMatrix):
     lmask = obs.lblock
     if not lmask.any():
         raise OverflowError("T too large for N at this precision; reduce N or T")
-    S = obs.Ghat
+    S, X = obs.Ghat, None
     if not lmask.all():
         hmask = ~lmask
         Gll = obs.Ghat[np.ix_(lmask, lmask)]
@@ -233,7 +236,7 @@ def _factored_spectrum(obs: ObsMatrix):
         Sinv = (U / w) @ U.conj().T
         C = Sinv * np.exp(-(np.add.outer(exps, exps) - 2.0 * e0))
         wc, Uc = np.linalg.eigh(0.5 * (C + C.conj().T))
-    return float(np.exp(2.0 * e0) / wc[-1]), wc, Uc, lmask
+    return float(np.exp(2.0 * e0) / wc[-1]), wc, Uc, lmask, X
 
 
 def reduce_min_eig(obs: ObsMatrix) -> float:
@@ -241,21 +244,63 @@ def reduce_min_eig(obs: ObsMatrix) -> float:
     return _factored_spectrum(obs)[0]
 
 
-def min_eig_cluster(obs: ObsMatrix):
-    """(lambda_min, cluster eigenvector block, L-block mask).
+class EigCluster(NamedTuple):
+    """The smallest eigenvalue of a Hermitian form and its eigen-cluster.
+
+    B holds the m cluster eigenvectors, orthonormal, in the coordinates
+    of the form's eigenproblem (for a Gram form: its L-block), lams their
+    eigenvalues; lmask selects those modes (None: all of them). Z holds
+    the same vectors in the coordinates of the matrix Ghat the form is
+    linear in, scaled so that scale * Z^H Ghat Z = diag(lams): for a Gram
+    form Z_L = e^{-e0} D B and, on the H-block, the Schur-eliminated
+    Z_H = -X Z_L, with scale = e^{2 e0}; no entry overflows for
+    2 e_j <= theta.
+    """
+
+    lam: float
+    lams: np.ndarray
+    B: np.ndarray
+    lmask: np.ndarray | None
+    Z: np.ndarray
+    scale: float = 1.0
+
+    def slopes(self, dGhat: np.ndarray) -> tuple[float, float]:
+        """One-sided derivatives (phi'(0+), phi'(0-)) of lambda_min along Ghat + t dGhat.
+
+        Envelope theorem: at a simple eigenvalue both are scale * z^H dGhat z.
+        Eigenvalues tied within TIE_ETA * (1 + |lambda_min|) are one
+        multiple eigenvalue, whose one-sided derivatives are the smallest
+        and the largest eigenvalue of the projected direction
+        scale * Z^H dGhat Z (Overton, SIAM J. Optim. 1992). The tie is
+        tighter than the cluster so that a line search resolves a crossing
+        of two eigenvalues to TIE_ETA, not to CLUSTER_ETA.
+        """
+        Z = self.Z[:, self.lams <= self.lam + TIE_ETA * (1.0 + abs(self.lam))]
+        P = Z.conj().T @ dGhat @ Z
+        w = np.linalg.eigvalsh(0.5 * (P + P.conj().T))
+        return self.scale * float(w[0]), self.scale * float(w[-1])
+
+
+def min_eig_cluster(obs: ObsMatrix) -> EigCluster:
+    """lambda_min of the Gram form with its eigen-cluster.
 
     The cluster collects eigenvalues within CLUSTER_ETA * (1 + |lambda_min|)
     of the smallest; its eigenvectors (L-block coordinates) come from the
     factored inverse spectrum, so they stay accurate under extreme
     exponent grading.
     """
-    lam, wc, Uc, lmask = _factored_spectrum(obs)
-    lam_cut = lam + CLUSTER_ETA * (1.0 + abs(lam))
-    wc_cut = np.exp(2.0 * float(obs.exps[lmask].min())) / lam_cut
-    members = wc >= wc_cut
+    lam, wc, Uc, lmask, X = _factored_spectrum(obs)
+    e0 = float(obs.exps[lmask].min())
+    scale = float(np.exp(2.0 * e0))
+    members = wc >= scale / (lam + CLUSTER_ETA * (1.0 + abs(lam)))
     if not members.any():
         members[-1] = True
-    return lam, Uc[:, members], lmask
+    B = Uc[:, members]
+    Z = np.empty((len(lmask), B.shape[1]), dtype=np.result_type(B, obs.Ghat))
+    Z[lmask] = B * np.exp(obs.exps[lmask] - e0)[:, None]
+    if X is not None:
+        Z[~lmask] = -X @ Z[lmask]
+    return EigCluster(lam, scale / wc[members], B, lmask, Z, scale)
 
 
 def obs_constant(model: SpectralModel, grid: Grid, a, T: float, N: int,

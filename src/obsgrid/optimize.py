@@ -2,9 +2,15 @@
 
 Frank-Wolfe with the exact bathtub linear oracle is the primary driver:
 iterates stay feasible, the duality gap certifies suboptimality, and the
-oracle is closed-form. Eigenvalue clusters (nonsmooth points) use the
-uniform average of the cluster supergradients; gap stagnation triggers a
-seeded restart from a perturbation of the best iterate.
+oracle is closed-form. Each step ends in a line search on the concave
+objective along the segment to the oracle vertex. One factored eigensolve
+gives the objective there and, through its eigenvectors (envelope
+theorem), the slope, so the search is a safeguarded regula falsi on the
+sign of the slope: about six eigensolves per step. Eigenvalue clusters
+(nonsmooth points) use the uniform average of the cluster supergradients,
+and a multiple eigenvalue the one-sided slopes of the projected direction;
+gap stagnation triggers a seeded restart from a perturbation of the best
+iterate.
 """
 
 from __future__ import annotations
@@ -17,13 +23,14 @@ import numpy as np
 
 from .geometry import (DensityField, Grid, SpatialFunction, bathtub,
                        project_box_mean)
-from .gram import (CLUSTER_ETA, GramForm, get_basis, mass_matrix,
-                   min_eig_cluster, reduce_min_eig)
+from .gram import (CLUSTER_ETA, EigCluster, GramForm, get_basis, mass_matrix,
+                   min_eig_cluster)
+from .gram import reduce_min_eig  # noqa: F401  (a binding perfbench/test_tracer.py checks)
 from .spectral import OVERFLOW_THETA, SpectralModel, gamma_factored
 
 STALL_WINDOW = 50           # iterations of gap stagnation before a restart
 MAX_RESTARTS = 3            # seeded restarts per FW solve
-LINE_SEARCH_ITERS = 60      # golden-section steps per FW line search
+LINE_SEARCH_XTOL = 1e-13    # final bracket width of the FW step size
 ETA_GAP_FACTOR = 1.5        # eta = factor * gap for the auto nu_T (admissible: (1, 2))
 
 
@@ -36,12 +43,14 @@ class OptResult:
     history: list[tuple[int, float, float]] = field(default_factory=list)
     degenerate_flag: bool = False
     converged: bool = True
+    line_search_evals: int = 0       # objective evaluations of all line searches
 
     def as_dict(self) -> dict:
         """JSON-ready summary (the density itself ships as CSV)."""
         return {"value": self.value, "fw_gap": self.fw_gap,
-                "iterations": self.iterations, "converged": self.converged,
-                "degenerate": self.degenerate_flag}
+                "iterations": self.iterations,
+                "line_search_evals": self.line_search_evals,
+                "converged": self.converged, "degenerate": self.degenerate_flag}
 
 
 @dataclass
@@ -60,7 +69,25 @@ class Certificate:
                 "upper_bound": self.upper_bound, "sigma1_a1": self.sigma1_a1}
 
 
-class _GramObjective(GramForm):
+class _LambdaMinObjective:
+    """lambda_min of a Hermitian matrix that is linear in the density.
+
+    Subclasses give mantissa(a), the matrix at a density, cluster(M), its
+    EigCluster from one eigensolve, and supergradient(cluster).
+    """
+
+    def value_and_supergradient(self, M: np.ndarray):
+        """(value, cellwise supergradient averages, cluster size) at one density."""
+        cl = self.cluster(M)
+        return cl.lam, self.supergradient(cl), cl.B.shape[1]
+
+    def value_and_slope(self, M: np.ndarray, dM: np.ndarray):
+        """(phi(0), phi'(0+), phi'(0-)) of phi(t) = lambda_min(M + t dM)."""
+        cl = self.cluster(M)
+        return (cl.lam, *cl.slopes(dM))
+
+
+class _GramObjective(GramForm, _LambdaMinObjective):
     """C_T^{(N)} restricted to the segment structure Frank-Wolfe needs.
 
     The Gram form is linear in the density, so a convex combination of
@@ -78,13 +105,11 @@ class _GramObjective(GramForm):
         E = np.add.outer(self.exps[lmask], self.exps[lmask])
         self.tau_l = np.exp(np.minimum(E, 700.0)) * self.hhat[np.ix_(lmask, lmask)]
 
-    def value_from_mantissa(self, Ghat: np.ndarray) -> float:
-        return reduce_min_eig(self.obs(Ghat))
+    def cluster(self, Ghat: np.ndarray) -> EigCluster:
+        return min_eig_cluster(self.obs(Ghat))
 
-    def value_and_supergradient(self, Ghat: np.ndarray):
-        """(value, cellwise Phi averages, cluster size) at one density."""
-        lam, B, lmask = min_eig_cluster(self.obs(Ghat))
-        return lam, self.basis.cluster_form(B, self.tau_l, lmask), B.shape[1]
+    def supergradient(self, cl: EigCluster) -> np.ndarray:
+        return self.basis.cluster_form(cl.B, self.tau_l, cl.lmask)
 
 
 def supergradient(model: SpectralModel, grid: Grid, a, T: float, N: int,
@@ -113,27 +138,61 @@ class OptOptions:
             raise ValueError(f"tol must be > 0, got {self.tol!r}")
 
 
-def _golden_section(h):
-    """Maximize a concave scalar function on [0, 1]."""
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
+def _golden_section(h, start):
+    """Maximize a concave function phi on [0, 1]; returns (t, phi(t)).
+
+    h(t) returns (phi(t), phi'(t+), phi'(t-)) and start is h(0), which the
+    caller already holds. The search keeps a bracket [lo, hi] with
+    phi'(lo+) > 0 > phi'(hi-) and places each point at the secant root of
+    the two end slopes: Illinois-type regula falsi, where an end that
+    stays twice in a row has its slope scaled down by the Anderson-Bjorck
+    factor 1 - d_new / d_old of the moving end (by 1/2 when that is not
+    positive). It bisects instead when the bracket did not halve over the
+    last four points. It stops at a point whose one-sided slopes straddle
+    0 (a root or a kink), or once the bracket is narrower than
+    LINE_SEARCH_XTOL, and then returns the better end.
+
+    The name is kept only because perfbench/tracer.py wraps this function
+    as optimize.line_search; the rename belongs to ROADMAP item 7.
+    """
+    vlo, dlo, _ = start
+    if not dlo > 0.0:
+        return 0.0, vlo
+    vhi, _, dhi = h(1.0)
+    if not dhi < 0.0:
+        return 1.0, vhi
     lo, hi = 0.0, 1.0
-    c1 = hi - gr * (hi - lo)
-    c2 = lo + gr * (hi - lo)
-    f1, f2 = h(c1), h(c2)
-    for _ in range(LINE_SEARCH_ITERS):
-        if f1 < f2:
-            lo, c1, f1 = c1, c2, f2
-            c2 = lo + gr * (hi - lo)
-            f2 = h(c2)
+    moved = 0                        # +1: lo moved last, -1: hi moved last
+    widths = [math.inf] * 4          # bracket widths one to four points ago
+    while hi - lo > LINE_SEARCH_XTOL:
+        width = hi - lo
+        if width > 0.5 * widths[-4]:
+            t = 0.5 * (lo + hi)
         else:
-            hi, c2, f2 = c2, c1, f1
-            c1 = hi - gr * (hi - lo)
-            f1 = h(c1)
-    return 0.5 * (lo + hi)
+            t = lo + width * dlo / (dlo - dhi)
+        t = min(max(t, lo + 0.5 * LINE_SEARCH_XTOL), hi - 0.5 * LINE_SEARCH_XTOL)
+        v, d_right, d_left = h(t)
+        if d_right > 0.0:
+            if moved > 0:
+                dhi *= _stale_end_factor(d_right, dlo)
+            lo, vlo, dlo, moved = t, v, d_right, 1
+        elif d_left < 0.0:
+            if moved < 0:
+                dlo *= _stale_end_factor(d_left, dhi)
+            hi, vhi, dhi, moved = t, v, d_left, -1
+        else:
+            return t, v
+        widths.append(width)
+    return (lo, vlo) if vlo >= vhi else (hi, vhi)
+
+
+def _stale_end_factor(d_new: float, d_old: float) -> float:
+    m = 1.0 - d_new / d_old
+    return m if m > 0.0 else 0.5
 
 
 def _frank_wolfe(obj, grid: Grid, L: float, opts: OptOptions) -> OptResult:
-    """Generic FW loop over a _GramObjective-like object."""
+    """Generic FW loop over a _LambdaMinObjective."""
     rng = np.random.default_rng(opts.seed)
     a = opts.init.values.copy() if opts.init is not None else np.full(grid.ncells, L)
     Ma = obj.mantissa(a)
@@ -142,11 +201,13 @@ def _frank_wolfe(obj, grid: Grid, L: float, opts: OptOptions) -> OptResult:
     degenerate = False
     converged = False
     restarts = 0
+    ls_evals = 0
     stall_anchor = (0, math.inf)     # (iteration, gap) when stagnation window opened
     tentative = False                # restarted run that has not yet beaten best
     it = 0
     while it < opts.max_iter:
-        val, f, m = obj.value_and_supergradient(Ma)
+        cl = obj.cluster(Ma)
+        val, f, m = cl.lam, obj.supergradient(cl), cl.B.shape[1]
         s_field, _ = bathtub(grid, f, L)
         s = s_field.values
         gap = float((s - a) * f @ grid.cell_measures)
@@ -168,13 +229,19 @@ def _frank_wolfe(obj, grid: Grid, L: float, opts: OptOptions) -> OptResult:
         else:
             stalled = it - anchor_it >= STALL_WINDOW
         if not stalled:
-            Ms = obj.mantissa(s)
-            theta = _golden_section(
-                lambda t: obj.value_from_mantissa(Ma + t * (Ms - Ma)))
-            cand = obj.value_from_mantissa(Ma + theta * (Ms - Ma))
-            if cand >= val:
+            dM = obj.mantissa(s) - Ma
+
+            def phi(t):
+                nonlocal ls_evals
+                ls_evals += 1
+                return obj.value_and_slope(Ma + t * dM, dM)
+
+            # the eigenvectors at t = 0 give the first slope; theta == 0
+            # means the FW direction is no ascent direction (nonsmooth point)
+            theta, cand = _golden_section(phi, (val, *cl.slopes(dM)))
+            if theta > 0.0 and cand >= val:
                 a = a + theta * (s - a)
-                Ma = Ma + theta * (Ms - Ma)
+                Ma = Ma + theta * dM
                 it += 1
                 continue
             if tentative:            # failed tentative run: go back to best
@@ -195,7 +262,8 @@ def _frank_wolfe(obj, grid: Grid, L: float, opts: OptOptions) -> OptResult:
         it += 1
     return OptResult(DensityField(grid, best_a), best_val, best_gap,
                      iterations=it, history=history,
-                     degenerate_flag=degenerate, converged=converged)
+                     degenerate_flag=degenerate, converged=converged,
+                     line_search_evals=ls_evals)
 
 
 def maximize_obs(model: SpectralModel, grid: Grid, L: float, T: float, N: int,
@@ -211,7 +279,7 @@ def maximize_obs(model: SpectralModel, grid: Grid, L: float, T: float, N: int,
     return _frank_wolfe(obj, grid, L, opts)
 
 
-class _Sigma1Objective:
+class _Sigma1Objective(_LambdaMinObjective):
     """lambda_min of the J1 mass matrix as a FW objective."""
 
     def __init__(self, model: SpectralModel, grid: Grid):
@@ -220,15 +288,14 @@ class _Sigma1Objective:
     def mantissa(self, a) -> np.ndarray:
         return self.basis.mass(a)
 
-    def value_from_mantissa(self, M: np.ndarray) -> float:
-        w = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
-        return float(w[0])
-
-    def value_and_supergradient(self, M: np.ndarray):
+    def cluster(self, M: np.ndarray) -> EigCluster:
         w, U = np.linalg.eigh(0.5 * (M + M.conj().T))
         lam = float(w[0])
-        B = U[:, w <= lam + CLUSTER_ETA * (1.0 + abs(lam))]
-        return lam, self.basis.cluster_form(B), B.shape[1]
+        members = w <= lam + CLUSTER_ETA * (1.0 + abs(lam))
+        return EigCluster(lam, w[members], U[:, members], None, U[:, members])
+
+    def supergradient(self, cl: EigCluster) -> np.ndarray:
+        return self.basis.cluster_form(cl.B)
 
 
 def maximize_sigma1(model: SpectralModel, grid: Grid, L: float,
@@ -248,8 +315,7 @@ def maximize_sigma1(model: SpectralModel, grid: Grid, L: float,
         return OptResult(a, val, 0.0, 1, [(0, val, 0.0)], False, True)
     res = _frank_wolfe(obj, grid, L, opts)
     # repeated minimal eigenvalue at the optimum marks degeneracy
-    w = np.linalg.eigvalsh(obj.mantissa(res.a_star.values))
-    if w[1] <= w[0] + CLUSTER_ETA * (1.0 + abs(w[0])):
+    if obj.cluster(obj.mantissa(res.a_star.values)).B.shape[1] > 1:
         res.degenerate_flag = True
     return res
 

@@ -229,6 +229,17 @@ class TestReports:
             assert (tmp_path / "out" / f"density_T{T:g}.csv").exists()
             assert (tmp_path / "out" / f"history_T{T:g}.csv").exists()
 
+    @pytest.mark.parametrize("experiment", ["solve", "certify"])
+    def test_records_count_solver_work(self, tmp_path, capsys, experiment):
+        extra = {"certificate": {"nu": 0.99}} if experiment == "certify" else {}
+        path = write_config(tmp_path, experiment=experiment,
+                            out=str(tmp_path / "out"), **extra)
+        main([experiment, "--config", str(path)])
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        rec = report["records"][0]
+        assert rec["iterations"] >= 1
+        assert 1 <= rec["line_search_evals"] <= 12 * rec["iterations"]
+
     def test_history_csv_schema(self, tmp_path, capsys):
         path = write_config(tmp_path, out=str(tmp_path / "out"))
         main(["solve", "--config", str(path)])

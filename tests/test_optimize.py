@@ -321,3 +321,137 @@ class TestScalingInvariance:
         a2, mu2 = bathtub(grid512, 5.0 * f, 0.3)
         assert (a1.values == a2.values).all()
         assert mu2 == pytest.approx(5.0 * mu1, rel=1e-12)
+
+
+def _fd_slope(f, h=1e-5):
+    return (f(h) - f(-h)) / (2 * h)
+
+
+class TestValueAndSlope:
+    # (T, N, H-block size) on 1024 cells: the L-only path and the three
+    # Schur (H-block) cases, where the slope needs the eliminated components
+    @pytest.mark.parametrize("T,N,nh", [(2.0, 8, 0), (2.0, 16, 4), (2.5, 12, 2),
+                                        (5.0, 16, 9)])
+    def test_matches_central_difference(self, d1d, grid1024, T, N, nh):
+        from obsgrid.gram import reduce_min_eig
+        from obsgrid.optimize import _GramObjective
+        obj = _GramObjective(d1d, grid1024, T, N)
+        rng = np.random.default_rng(int(10 * T) + N)
+        for _ in range(3):
+            Ga = obj.mantissa(random_feasible(grid1024, 0.5, rng))
+            dG = obj.mantissa(random_feasible(grid1024, 0.5, rng)) - Ga
+            assert obj.obs(Ga).hblock.sum() == nh
+            val, right, left = obj.value_and_slope(Ga, dG)
+            assert val == reduce_min_eig(obj.obs(Ga))
+            assert right == left
+            fd = _fd_slope(lambda h: reduce_min_eig(obj.obs(Ga + h * dG)))
+            assert right == pytest.approx(fd, rel=1e-6)
+
+    def test_sigma1_objective_on_torus(self, torus, torus_grid):
+        from obsgrid.optimize import _Sigma1Objective
+        obj = _Sigma1Objective(torus, torus_grid)
+        assert len(torus.J1) == 2
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            M = obj.mantissa(random_feasible(torus_grid, 0.5, rng).values)
+            dM = obj.mantissa(random_feasible(torus_grid, 0.5, rng).values) - M
+            val, right, left = obj.value_and_slope(M, dM)
+            assert right == left
+            fd = _fd_slope(lambda h: np.linalg.eigvalsh(M + h * dM)[0])
+            assert right == pytest.approx(fd, rel=1e-6)
+
+    def test_multiple_eigenvalue_gives_one_sided_slopes(self, torus, torus_grid):
+        # at the constant density M_1 = L I: lambda_min(M + t dM) = L + t
+        # lambda_min(dM) for t > 0 and L + t lambda_max(dM) for t < 0
+        from obsgrid.optimize import _Sigma1Objective
+        obj = _Sigma1Objective(torus, torus_grid)
+        M = obj.mantissa(np.full(torus_grid.ncells, 0.5))
+        b = random_feasible(torus_grid, 0.5, np.random.default_rng(6)).values
+        dM = obj.mantissa(b) - M
+        _, right, left = obj.value_and_slope(M, dM)
+        w = np.linalg.eigvalsh(dM)
+        assert right == pytest.approx(w[0], rel=1e-9)
+        assert left == pytest.approx(w[-1], rel=1e-9)
+        assert right < left
+
+
+class TestLineSearch:
+    """The FW line search on concave functions with known maximizers."""
+
+    @staticmethod
+    def _search(phi, dphi):
+        # h(t) = (phi, phi'(t+), phi'(t-)) from one-sided slope functions
+        calls = []
+
+        def h(t):
+            calls.append(t)
+            return phi(t), dphi(t, +1), dphi(t, -1)
+
+        from obsgrid.optimize import _golden_section
+        t, v = _golden_section(h, h(0.0))
+        return t, v, len(calls)
+
+    @pytest.mark.parametrize("phi,dphi,t_star", [
+        (lambda t: -np.cosh(3 * (t - 0.37)), lambda t: -3 * np.sinh(3 * (t - 0.37)), 0.37),
+        (lambda t: np.log1p(4 * t) - 2 * t, lambda t: 4 / (1 + 4 * t) - 2, 0.25),
+        (lambda t: np.sqrt(t + 0.01) - t, lambda t: 0.5 / np.sqrt(t + 0.01) - 1, 0.24),
+        # a short FW step: the maximizer ln(1.001) sits near t = 0
+        (lambda t: 1.001 * t - np.expm1(t), lambda t: 1.001 - np.exp(t), np.log(1.001)),
+    ])
+    def test_smooth_interior_maximum(self, phi, dphi, t_star):
+        t, v, n = self._search(phi, lambda t, side: dphi(t))
+        assert abs(t - t_star) <= 1e-12
+        assert v == phi(t)
+        assert n <= 12
+
+    def test_maximum_at_zero(self):
+        t, v, n = self._search(lambda t: -t - t * t, lambda t, side: -1 - 2 * t)
+        assert (t, v) == (0.0, 0.0)
+        assert n == 1              # the start value only
+
+    def test_maximum_at_one(self):
+        t, v, n = self._search(lambda t: 2 * t - t * t / 4, lambda t, side: 2 - t / 2)
+        assert (t, v) == (1.0, 1.75)
+        assert n == 2
+
+    def test_kink(self):
+        # min(2t, 1 - t): the one-sided slopes jump from 2 to -1 at 1/3
+        def dphi(t, side):
+            if t == 1 / 3:
+                return -1.0 if side > 0 else 2.0
+            return 2.0 if t < 1 / 3 else -1.0
+
+        t, v, _ = self._search(lambda t: min(2 * t, 1 - t), dphi)
+        assert abs(t - 1 / 3) <= 1e-12
+        assert v == min(2 * t, 1 - t)
+
+    def test_crossing_eigenvalues_of_a_hermitian_pencil(self):
+        # A + t B with eigenvalues 2t and 1 - t in a complex eigenbasis:
+        # lambda_min crosses over at t = 1/3 with one-sided slopes 2 and -1
+        from obsgrid.gram import CLUSTER_ETA, EigCluster
+        Q = np.linalg.qr(np.array([[1, 2j], [3, 1 - 1j]]))[0]
+        A = Q @ np.diag([0.0, 1.0]) @ Q.conj().T
+        B = Q @ np.diag([2.0, -1.0]) @ Q.conj().T
+
+        def h(t):
+            w, U = np.linalg.eigh(A + t * B)
+            members = w <= w[0] + CLUSTER_ETA * (1 + abs(w[0]))
+            cl = EigCluster(w[0], w[members], U[:, members], None, U[:, members])
+            return (w[0], *cl.slopes(B))
+
+        from obsgrid.optimize import _golden_section
+        t, v = _golden_section(h, h(0.0))
+        assert abs(t - 1 / 3) <= 1e-12
+        assert v == pytest.approx(2 / 3, abs=1e-12)
+
+
+class TestLineSearchWork:
+    def test_dirichlet_1d_regression(self, d1d, grid1024):
+        # the search returns the value at its step, so no extra eigensolve
+        # follows it; a smooth step takes about 7 evaluations
+        res = maximize_obs(d1d, grid1024, 0.5, 2.0, 8)
+        assert res.converged
+        assert res.iterations == 84
+        assert res.value == pytest.approx(18.7248761988238, rel=1e-10)
+        assert res.line_search_evals / res.iterations <= 12
+        assert res.as_dict()["line_search_evals"] == res.line_search_evals
