@@ -63,21 +63,17 @@ class ModeBasis:
         vals = self.form_cells(W) / self.grid.cell_measures
         return SpatialFunction(self.grid, vals)
 
-    def cluster_form(self, B: np.ndarray, weights=None, mask=None) -> np.ndarray:
-        """Cellwise max(Re form(conj(B B^H) / m * weights), 0) of an eigen-cluster.
+    def cluster_form(self, Z: np.ndarray, weights=None) -> np.ndarray:
+        """Cellwise max(Re form(conj(Z Z^H) / m * weights), 0) of an eigen-cluster.
 
-        B holds the m cluster eigenvectors of a Hermitian matrix in this
-        basis (or in the modes selected by mask). The Rayleigh weights of
-        an eigenvector v are b = conj(v), so this is the uniform average
-        of the member forms: a supergradient of lambda_min at the cluster.
+        Z holds the m cluster eigenvectors of a Hermitian matrix in this
+        basis, each column scaled alike. The Rayleigh weights of an
+        eigenvector v are conj(v), so this is the uniform average of the
+        member forms: a supergradient of lambda_min at the cluster.
         """
-        W = (B @ B.conj().T).conj() / B.shape[1]
+        W = (Z @ Z.conj().T).conj() / Z.shape[1]
         if weights is not None:
             W = W * weights
-        if mask is not None:
-            full = np.zeros((len(self.modes), len(self.modes)), dtype=complex)
-            full[np.ix_(mask, mask)] = W
-            W = full
         return np.maximum(self.form_cell_average(W).values.real, 0.0)
 
 
@@ -247,20 +243,19 @@ def reduce_min_eig(obs: ObsMatrix) -> float:
 class EigCluster(NamedTuple):
     """The smallest eigenvalue of a Hermitian form and its eigen-cluster.
 
-    B holds the m cluster eigenvectors, orthonormal, in the coordinates
-    of the form's eigenproblem (for a Gram form: its L-block), lams their
-    eigenvalues; lmask selects those modes (None: all of them). Z holds
-    the same vectors in the coordinates of the matrix Ghat the form is
-    linear in, scaled so that scale * Z^H Ghat Z = diag(lams): for a Gram
-    form Z_L = e^{-e0} D B and, on the H-block, the Schur-eliminated
-    Z_H = -X Z_L, with scale = e^{2 e0}; no entry overflows for
-    2 e_j <= theta.
+    lams holds the eigenvalues of the m cluster members (m = len(lams)),
+    lams[0] == lam. Z holds their eigenvectors in the coordinates of the
+    matrix Ghat the form is linear in, scaled so that
+    scale * Z^H Ghat Z = diag(lams); it gives both the line-search slopes
+    (`slopes`) and the supergradient form (`ModeBasis.cluster_form`). For
+    a Gram form G = D Ghat D the L-block rows are Z_L = e^{-e0} D B, with
+    B the orthonormal eigenvectors of the factored L-block problem, and
+    the H-block rows are the Schur-eliminated Z_H = -X Z_L, with
+    scale = e^{2 e0}; no entry overflows for 2 e_j <= theta.
     """
 
     lam: float
     lams: np.ndarray
-    B: np.ndarray
-    lmask: np.ndarray | None
     Z: np.ndarray
     scale: float = 1.0
 
@@ -285,9 +280,8 @@ def min_eig_cluster(obs: ObsMatrix) -> EigCluster:
     """lambda_min of the Gram form with its eigen-cluster.
 
     The cluster collects eigenvalues within CLUSTER_ETA * (1 + |lambda_min|)
-    of the smallest; its eigenvectors (L-block coordinates) come from the
-    factored inverse spectrum, so they stay accurate under extreme
-    exponent grading.
+    of the smallest; its eigenvectors come from the factored inverse
+    spectrum, so they stay accurate under extreme exponent grading.
     """
     lam, wc, Uc, lmask, X = _factored_spectrum(obs)
     e0 = float(obs.exps[lmask].min())
@@ -300,7 +294,7 @@ def min_eig_cluster(obs: ObsMatrix) -> EigCluster:
     Z[lmask] = B * np.exp(obs.exps[lmask] - e0)[:, None]
     if X is not None:
         Z[~lmask] = -X @ Z[lmask]
-    return EigCluster(lam, scale / wc[members], B, lmask, Z, scale)
+    return EigCluster(lam, scale / wc[members], Z, scale)
 
 
 def obs_constant(model: SpectralModel, grid: Grid, a, T: float, N: int,

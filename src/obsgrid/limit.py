@@ -13,8 +13,8 @@ import numpy as np
 from .geometry import (DensityField, Grid, SpatialFunction, bathtub,
                        cell_average, l1_distance, level_threshold,
                        project_box_mean, tube_measure)
-from .gram import CLUSTER_ETA, get_basis, mass_matrix
-from .optimize import OptOptions, maximize_sigma1
+from .gram import mass_matrix
+from .optimize import OptOptions, _Sigma1Objective, maximize_sigma1
 from .spectral import SpectralModel
 
 
@@ -43,27 +43,23 @@ def limit_set(model: SpectralModel, grid: Grid, L: float,
     of M_1(a1) with uniform weights, re-bathtub, and flag degeneracy when
     that changes sigma_1 or the optimum has a repeated eigenvalue.
     """
-    basis = get_basis(model, grid, model.J1)
-    if len(model.J1) == 1:
-        psi = basis.form_cell_average(np.ones((1, 1)))
-        psi = SpatialFunction(grid, psi.values.real)
-        a1, _ = bathtub(grid, psi.values, L)
-        mu = level_threshold(grid, psi, L)   # sub-cell refinement of the quantile
-        val = float(a1.values * psi.values @ grid.cell_measures)
-        return LimitSolution(a1, mu, psi, np.ones(1), False, val)
-
     res = maximize_sigma1(model, grid, L, opts)
-    M = mass_matrix(model, grid, res.a_star, model.J1).matrix
-    w, U = np.linalg.eigh(M)
-    B = U[:, w <= w[0] + CLUSTER_ETA * (1.0 + abs(w[0]))]
-    m = B.shape[1]
+    obj = _Sigma1Objective(model, grid)
+    if len(model.J1) == 1:
+        psi = obj.basis.form_cell_average(np.ones((1, 1)))
+        psi = SpatialFunction(grid, psi.values.real)
+        mu = level_threshold(grid, psi, L)   # sub-cell refinement of the quantile
+        return LimitSolution(res.a_star, mu, psi, np.ones(1), False, res.value)
+
+    cl = obj.cluster(obj.mantissa(res.a_star.values))
+    m = len(cl.lams)
     alphas = np.full(m, 1.0 / m)
-    psi = SpatialFunction(grid, basis.cluster_form(B))
+    psi = SpatialFunction(grid, obj.supergradient(cl))
     a_re, _ = bathtub(grid, psi.values, L)
     rng_psi = float(psi.values.max() - psi.values.min())
     mu = level_threshold(grid, psi, L) if rng_psi > 1e-12 else float(psi.values.mean())
     degenerate = bool(res.degenerate_flag or m > 1)
-    s_orig = float(np.linalg.eigvalsh(M)[0])
+    s_orig = cl.lam
     s_re = sigma1(model, grid, a_re)
     if abs(s_re - s_orig) > 1e-8 * (1.0 + abs(s_orig)):
         degenerate = True

@@ -4,13 +4,17 @@ Frank-Wolfe with the exact bathtub linear oracle is the primary driver:
 iterates stay feasible, the duality gap certifies suboptimality, and the
 oracle is closed-form. Each step ends in a line search on the concave
 objective along the segment to the oracle vertex. One factored eigensolve
-gives the objective there and, through its eigenvectors (envelope
-theorem), the slope, so the search is a safeguarded regula falsi on the
-sign of the slope: about six eigensolves per step. Eigenvalue clusters
-(nonsmooth points) use the uniform average of the cluster supergradients,
-and a multiple eigenvalue the one-sided slopes of the projected direction;
-gap stagnation triggers a seeded restart from a perturbation of the best
-iterate.
+gives the objective there and its eigen-cluster (`gram.EigCluster`). The
+cluster's scaled eigenvectors Z, which include the Schur-eliminated
+H-block components, give both the slope along the segment (envelope
+theorem) and the supergradient form the oracle reads, so
+integral(a * Phi) equals the objective in every regime. The search is a
+safeguarded regula falsi on the sign of the slope, about six eigensolves
+per step, and the cluster of the accepted step serves the next iterate.
+Eigenvalue clusters (nonsmooth points) use the uniform average of the
+cluster supergradients, and a multiple eigenvalue the one-sided slopes of
+the projected direction; gap stagnation triggers a seeded restart from a
+perturbation of the best iterate.
 """
 
 from __future__ import annotations
@@ -69,47 +73,23 @@ class Certificate:
                 "upper_bound": self.upper_bound, "sigma1_a1": self.sigma1_a1}
 
 
-class _LambdaMinObjective:
-    """lambda_min of a Hermitian matrix that is linear in the density.
-
-    Subclasses give mantissa(a), the matrix at a density, cluster(M), its
-    EigCluster from one eigensolve, and supergradient(cluster).
-    """
-
-    def value_and_supergradient(self, M: np.ndarray):
-        """(value, cellwise supergradient averages, cluster size) at one density."""
-        cl = self.cluster(M)
-        return cl.lam, self.supergradient(cl), cl.B.shape[1]
-
-    def value_and_slope(self, M: np.ndarray, dM: np.ndarray):
-        """(phi(0), phi'(0+), phi'(0-)) of phi(t) = lambda_min(M + t dM)."""
-        cl = self.cluster(M)
-        return (cl.lam, *cl.slopes(dM))
-
-
-class _GramObjective(GramForm, _LambdaMinObjective):
+class _GramObjective(GramForm):
     """C_T^{(N)} restricted to the segment structure Frank-Wolfe needs.
 
     The Gram form is linear in the density, so a convex combination of
     densities maps to the same combination of mantissa matrices; the
     line search only ever re-solves the small factored eigenproblem.
+    A FW objective gives mantissa(a), cluster(M), the EigCluster of one
+    eigensolve, and supergradient(cluster).
     """
-
-    def __init__(self, model: SpectralModel, grid: Grid, T: float, N: int,
-                 theta: float = OVERFLOW_THETA):
-        super().__init__(model, grid, T, N, theta)
-        # weight matrix of the supergradient form on the L-block:
-        # Phi_b(x) = sum_ij b_i conj(b_j) tau_ij phi_i(x) conj(phi_j(x));
-        # H-block weights underflow (< e^-theta) and are dropped.
-        lmask = 2.0 * self.exps <= theta
-        E = np.add.outer(self.exps[lmask], self.exps[lmask])
-        self.tau_l = np.exp(np.minimum(E, 700.0)) * self.hhat[np.ix_(lmask, lmask)]
 
     def cluster(self, Ghat: np.ndarray) -> EigCluster:
         return min_eig_cluster(self.obs(Ghat))
 
     def supergradient(self, cl: EigCluster) -> np.ndarray:
-        return self.basis.cluster_form(cl.B, self.tau_l, cl.lmask)
+        # Phi(x) = scale * sum_ij conj(z_i) z_j hhat_ij phi_i(x) conj(phi_j(x))
+        # over the full (L and H) eigenvector z, so integral(a Phi) = lam
+        return cl.scale * self.basis.cluster_form(cl.Z, self.hhat)
 
 
 def supergradient(model: SpectralModel, grid: Grid, a, T: float, N: int,
@@ -120,8 +100,7 @@ def supergradient(model: SpectralModel, grid: Grid, a, T: float, N: int,
     forms is returned (a valid supergradient of the concave objective).
     """
     obj = _GramObjective(model, grid, T, N, theta)
-    _, vals, _ = obj.value_and_supergradient(obj.mantissa(a))
-    return SpatialFunction(grid, vals)
+    return SpatialFunction(grid, obj.supergradient(obj.cluster(obj.mantissa(a))))
 
 
 @dataclass
@@ -192,7 +171,13 @@ def _stale_end_factor(d_new: float, d_old: float) -> float:
 
 
 def _frank_wolfe(obj, grid: Grid, L: float, opts: OptOptions) -> OptResult:
-    """Generic FW loop over a _LambdaMinObjective."""
+    """Generic FW loop over a lambda_min objective (see _GramObjective).
+
+    Every iterate needs the EigCluster of its matrix. The line search
+    already solved the eigenproblem at the step it accepts, so that
+    cluster is reused; only a restart or a return to the best iterate
+    solves again.
+    """
     rng = np.random.default_rng(opts.seed)
     a = opts.init.values.copy() if opts.init is not None else np.full(grid.ncells, L)
     Ma = obj.mantissa(a)
@@ -204,10 +189,12 @@ def _frank_wolfe(obj, grid: Grid, L: float, opts: OptOptions) -> OptResult:
     ls_evals = 0
     stall_anchor = (0, math.inf)     # (iteration, gap) when stagnation window opened
     tentative = False                # restarted run that has not yet beaten best
+    cl = None                        # EigCluster of Ma, once known
     it = 0
     while it < opts.max_iter:
-        cl = obj.cluster(Ma)
-        val, f, m = cl.lam, obj.supergradient(cl), cl.B.shape[1]
+        if cl is None:
+            cl = obj.cluster(Ma)
+        val, f, m = cl.lam, obj.supergradient(cl), len(cl.lams)
         s_field, _ = bathtub(grid, f, L)
         s = s_field.values
         gap = float((s - a) * f @ grid.cell_measures)
@@ -230,22 +217,25 @@ def _frank_wolfe(obj, grid: Grid, L: float, opts: OptOptions) -> OptResult:
             stalled = it - anchor_it >= STALL_WINDOW
         if not stalled:
             dM = obj.mantissa(s) - Ma
+            clusters = {}                # t -> EigCluster of Ma + t dM
 
             def phi(t):
                 nonlocal ls_evals
                 ls_evals += 1
-                return obj.value_and_slope(Ma + t * dM, dM)
+                c = clusters[t] = obj.cluster(Ma + t * dM)
+                return (c.lam, *c.slopes(dM))
 
             # the eigenvectors at t = 0 give the first slope; theta == 0
             # means the FW direction is no ascent direction (nonsmooth point)
             theta, cand = _golden_section(phi, (val, *cl.slopes(dM)))
             if theta > 0.0 and cand >= val:
                 a = a + theta * (s - a)
-                Ma = Ma + theta * dM
+                Ma = Ma + theta * dM     # bitwise the matrix clusters[theta] solved
+                cl = clusters[theta]
                 it += 1
                 continue
             if tentative:            # failed tentative run: go back to best
-                a, Ma = best_a.copy(), obj.mantissa(best_a)
+                a, Ma, cl = best_a.copy(), obj.mantissa(best_a), None
                 tentative = False
                 it += 1
                 continue
@@ -257,7 +247,7 @@ def _frank_wolfe(obj, grid: Grid, L: float, opts: OptOptions) -> OptResult:
         stall_anchor = (it, math.inf)
         noise = rng.uniform(-0.5, 0.5, size=grid.ncells)
         a = project_box_mean(grid, best_a + noise, L).values
-        Ma = obj.mantissa(a)
+        Ma, cl = obj.mantissa(a), None
         tentative = True
         it += 1
     return OptResult(DensityField(grid, best_a), best_val, best_gap,
@@ -279,7 +269,7 @@ def maximize_obs(model: SpectralModel, grid: Grid, L: float, T: float, N: int,
     return _frank_wolfe(obj, grid, L, opts)
 
 
-class _Sigma1Objective(_LambdaMinObjective):
+class _Sigma1Objective:
     """lambda_min of the J1 mass matrix as a FW objective."""
 
     def __init__(self, model: SpectralModel, grid: Grid):
@@ -292,10 +282,10 @@ class _Sigma1Objective(_LambdaMinObjective):
         w, U = np.linalg.eigh(0.5 * (M + M.conj().T))
         lam = float(w[0])
         members = w <= lam + CLUSTER_ETA * (1.0 + abs(lam))
-        return EigCluster(lam, w[members], U[:, members], None, U[:, members])
+        return EigCluster(lam, w[members], U[:, members])
 
     def supergradient(self, cl: EigCluster) -> np.ndarray:
-        return self.basis.cluster_form(cl.B)
+        return self.basis.cluster_form(cl.Z)
 
 
 def maximize_sigma1(model: SpectralModel, grid: Grid, L: float,
@@ -313,11 +303,7 @@ def maximize_sigma1(model: SpectralModel, grid: Grid, L: float,
         a, _ = bathtub(grid, f.values.real, L)
         val = float(a.values * f.values.real @ grid.cell_measures)
         return OptResult(a, val, 0.0, 1, [(0, val, 0.0)], False, True)
-    res = _frank_wolfe(obj, grid, L, opts)
-    # repeated minimal eigenvalue at the optimum marks degeneracy
-    if obj.cluster(obj.mantissa(res.a_star.values)).B.shape[1] > 1:
-        res.degenerate_flag = True
-    return res
+    return _frank_wolfe(obj, grid, L, opts)
 
 
 def bang_bang_fraction(a: DensityField, tol: float = 0.01) -> float:

@@ -229,6 +229,20 @@ class TestReports:
             assert (tmp_path / "out" / f"density_T{T:g}.csv").exists()
             assert (tmp_path / "out" / f"history_T{T:g}.csv").exists()
 
+    def test_shipped_sweep_values(self, tmp_path, capsys):
+        # FW values of configs/dirichlet1d_sweep.json at T = 0.5 ... 2.5;
+        # each lies within its fw_gap (<= 1e-6 relative) below the optimum
+        path = CONFIGS / "dirichlet1d_sweep.json"
+        main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        expected = {0.5: 0.5795248941058156, 1.0: 2.2062603244030137,
+                    1.5: 6.647127142704895, 2.0: 18.724876198915027,
+                    2.5: 51.55652869308769}
+        assert [r["T"] for r in report["records"]] == list(expected)
+        for rec in report["records"]:
+            assert rec["converged"]
+            assert rec["value"] == pytest.approx(expected[rec["T"]], rel=1e-9)
+
     @pytest.mark.parametrize("experiment", ["solve", "certify"])
     def test_records_count_solver_work(self, tmp_path, capsys, experiment):
         extra = {"certificate": {"nu": 0.99}} if experiment == "certify" else {}
