@@ -8,7 +8,7 @@ so they are reduced once per mode basis and stored as the packed upper
 triangle, one row of ncells values per mode pair i <= j (shape
 (n(n+1)/2, ncells)), in real dtype when every mode value is real. Then
 
-    M(a)_ij         = sum_c a_c K_c[i, j]           (one GEMV, K @ a)
+    M(a)_ij         = sum_c a_c K_c[i, j]           (one GEMV, K @ a, dtype of K)
     form_cells(W)_c = Re sum_ij W_ij K_c[i, j]      (one GEMV, w @ K)
 
 with w_ii = W_ii and w_ij = W_ij + conj(W_ji) for i < j; the two maps are
@@ -56,10 +56,14 @@ class CellGram:
         self._off = np.flatnonzero(iu != ju)
 
     def mass(self, a: np.ndarray) -> np.ndarray:
-        """Exactly Hermitian M_ij = sum_c a_c K_c[i, j] (complex dtype)."""
+        """Exactly Hermitian M_ij = sum_c a_c K_c[i, j], in the dtype of K.
+
+        Real symmetric (float64) when every mode value is real, complex
+        Hermitian otherwise.
+        """
         mp = self.K @ a
-        M = np.empty(self.n * self.n, dtype=complex)
-        M[self._lo] = np.conj(mp)
+        M = np.empty(self.n * self.n, dtype=mp.dtype)
+        M[self._lo] = mp.conj()
         M[self._up] = mp
         return M.reshape(self.n, self.n)
 

@@ -160,7 +160,8 @@ def project_box_mean(grid: Grid, v, L: float) -> DensityField:
     """Measure-weighted Euclidean projection onto {0 <= a <= 1, mean = L}.
 
     KKT form a = clip(v + s, 0, 1) with the scalar shift s found by
-    bisection to 1e-12 on the mean residual.
+    bisection, stopped once the mean residual is at most 1e-13 (or the
+    bracket is down to rounding).
     """
     if not 0.0 < L < 1.0:
         raise ValueError("L must be in (0,1)")
@@ -266,12 +267,13 @@ def write_density_csv(path, field: DensityField) -> None:
     """CSV layout shared by all density outputs: index, center coords, value."""
     g = field.grid
     cols = ["cell"] + [f"center_{ax}" for ax in ("x", "y", "z")[:g.dim]] + ["value"]
+    # csv.writer's dialect: comma-separated, \r\n line ends, numbers unquoted;
+    # rows are formatted as they are written, so no copy of the file is held
+    row = "%d" + ",%.16g" * (g.dim + 1) + "\r\n"
+    cells = zip(range(g.ncells), *g.centers.T, field.values)
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(cols)
-        for i in range(g.ncells):
-            wr.writerow([i, *(f"{c:.16g}" for c in g.centers[i]),
-                         f"{field.values[i]:.16g}"])
+        fh.write(",".join(cols) + "\r\n")
+        fh.writelines(row % c for c in cells)
 
 
 def read_density_csv(path, grid: Grid) -> DensityField:

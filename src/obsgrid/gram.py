@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -35,10 +35,11 @@ class ContractViolation(ValueError):
 class ModeBasis:
     """Eigenfunction values of a mode subset at the grid's Gauss nodes.
 
-    Keeps V (nmodes, npts, q) and reduces it once into the per-cell Gram
-    tensor (`_kernels.CellGram`), through which every density-dependent
-    quantity is one matrix-vector product; reused across all assemblies
-    on one (model, grid, modes) triple.
+    V (nmodes, npts, q) holds the values as the model returns them
+    (complex dtype); it is reduced once into the per-cell Gram tensor
+    (`_kernels.CellGram`), through which every density-dependent quantity
+    is one matrix-vector product, real when every value of V is real.
+    Reused across all assemblies on one (model, grid, modes) triple.
     """
 
     def __init__(self, model: SpectralModel, grid: Grid, modes):
@@ -96,7 +97,7 @@ def get_basis(model: SpectralModel, grid: Grid, modes) -> ModeBasis:
 @dataclass
 class MassMatrix:
     indices: tuple[int, ...]
-    matrix: np.ndarray   # complex Hermitian
+    matrix: np.ndarray   # Hermitian; real symmetric when the modes are real
 
 
 def mass_matrix(model: SpectralModel, grid: Grid, a, I) -> MassMatrix:
@@ -107,6 +108,27 @@ def mass_matrix(model: SpectralModel, grid: Grid, a, I) -> MassMatrix:
     return MassMatrix(I, get_basis(model, grid, I).mass(a))
 
 
+class _Grading:
+    """Constants of the factored eigensolve that depend on (exps, theta) only.
+
+    The L-block mask (2 e_j <= theta) and, for a nonempty L-block,
+    e0 = min e_l, scale = e^{2 e0}, the grading matrix
+    e^{-(e_i + e_j - 2 e0)} of the factored inverse and the row scaling
+    e^{e_l - e0} of the eigenvectors, all on the L-block.
+    """
+
+    def __init__(self, exps: np.ndarray, theta: float):
+        self.lmask = 2.0 * exps <= theta
+        self.lempty = not self.lmask.any()
+        self.lfull = bool(self.lmask.all())
+        if not self.lempty:
+            el = exps[self.lmask]
+            self.e0 = float(el.min())
+            self.scale = float(np.exp(2.0 * self.e0))
+            self.grade = np.exp(-(np.add.outer(el, el) - 2.0 * self.e0))
+            self.zrow = np.exp(el - self.e0)[:, None]
+
+
 @dataclass
 class ObsMatrix:
     """Factored truncated Gram form G_ij = e^{e_i + e_j} Ghat_ij."""
@@ -115,14 +137,22 @@ class ObsMatrix:
     Ghat: np.ndarray          # bounded Hermitian mantissa matrix
     exps: np.ndarray          # per-mode real exponents e_j = Re(lambda_j) T
     theta: float
+    # shared by every ObsMatrix of one GramForm; built on first use otherwise
+    _grading: _Grading | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def grading(self) -> _Grading:
+        if self._grading is None:
+            self._grading = _Grading(self.exps, self.theta)
+        return self._grading
 
     @property
     def lblock(self) -> np.ndarray:
-        return 2.0 * self.exps <= self.theta
+        return self.grading.lmask
 
     @property
     def hblock(self) -> np.ndarray:
-        return 2.0 * self.exps > self.theta
+        return ~self.grading.lmask
 
     def reconstruct(self) -> np.ndarray:
         """Plain G; raises OverflowError if any entry exceeds the double range."""
@@ -137,8 +167,10 @@ class GramForm:
 
     G(a) = D mantissa(a) D with D = diag(e^{e_j}), e_j = Re(lambda_j) T,
     and mantissa(a) = sym(hhat * M(a)), where hhat holds the bounded tau
-    mantissas. Built once per (model, grid, T, N); every density then
-    costs one mass assembly.
+    mantissas. Built once per (model, grid, T, N), together with the
+    grading constants of the factored eigensolve; every density then
+    costs one mass assembly. hhat is real when the spectrum is (every
+    imaginary part zero), so with real modes every matrix is real.
     """
 
     def __init__(self, model: SpectralModel, grid: Grid, T: float, N: int,
@@ -154,16 +186,17 @@ class GramForm:
             for j in range(i + 1):
                 hhat[i, j] = tau(lams[i], lams[j], T).mantissa
                 hhat[j, i] = np.conj(hhat[i, j])
-        self.hhat = hhat
+        self.hhat = hhat if hhat.imag.any() else hhat.real.copy()
         self.exps = lams.real * T
         self.theta = theta
+        self.grading = _Grading(self.exps, theta)
 
     def mantissa(self, a) -> np.ndarray:
         Ghat = self.hhat * self.basis.mass(a)
         return 0.5 * (Ghat + Ghat.conj().T)
 
     def obs(self, Ghat: np.ndarray) -> ObsMatrix:
-        return ObsMatrix(self.basis.modes, Ghat, self.exps, self.theta)
+        return ObsMatrix(self.basis.modes, Ghat, self.exps, self.theta, self.grading)
 
 
 def assemble(model: SpectralModel, grid: Grid, a, T: float, N: int,
@@ -196,7 +229,7 @@ def min_eigpair(H: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _factored_spectrum(obs: ObsMatrix):
-    """(lambda_min, eig(C), eigvecs(C), L-block mask, X) of the Gram form.
+    """(lambda_min, eig(C), eigvecs(C), X) of the Gram form.
 
     The H-block is removed by a Schur complement S = Gll - Glh X on the
     mantissa matrix, X = Ghh^-1 Ghl (ridge-regularized when needed; None
@@ -206,13 +239,14 @@ def _factored_spectrum(obs: ObsMatrix):
     e0 = min(exps): the eigenvalues of D S D are e^{2 e0} / eig(C) with
     the same eigenvectors, and C is graded downward, so the top of its
     spectrum (the bottom of the Gram form's) carries full relative accuracy.
+    The constants of D and e0 come from `obs.grading`.
     """
-    lmask = obs.lblock
-    if not lmask.any():
+    g = obs.grading
+    if g.lempty:
         raise OverflowError("T too large for N at this precision; reduce N or T")
     S, X = obs.Ghat, None
-    if not lmask.all():
-        hmask = ~lmask
+    if not g.lfull:
+        lmask, hmask = g.lmask, ~g.lmask
         Gll = obs.Ghat[np.ix_(lmask, lmask)]
         Glh = obs.Ghat[np.ix_(lmask, hmask)]
         Ghh = obs.Ghat[np.ix_(hmask, hmask)]
@@ -222,17 +256,15 @@ def _factored_spectrum(obs: ObsMatrix):
             ridge = 1e-14 * max(np.trace(Ghh).real, 1e-300)
             X = np.linalg.solve(Ghh + ridge * np.eye(Ghh.shape[0]), Glh.conj().T)
         S = Gll - Glh @ X
-    exps = obs.exps[lmask]
-    e0 = float(exps.min())
     w, U = np.linalg.eigh(0.5 * (S + S.conj().T))
     if w[-1] <= 0.0:                 # vanishing form (e.g. a == 0): lambda_min ~ 0
         wc, Uc = np.full(len(w), np.inf), np.eye(len(w), dtype=S.dtype)
     else:
         w = np.maximum(w, w[-1] * 1e-300)  # clamp: singular directions give lambda_min ~ 0
         Sinv = (U / w) @ U.conj().T
-        C = Sinv * np.exp(-(np.add.outer(exps, exps) - 2.0 * e0))
+        C = Sinv * g.grade
         wc, Uc = np.linalg.eigh(0.5 * (C + C.conj().T))
-    return float(np.exp(2.0 * e0) / wc[-1]), wc, Uc, lmask, X
+    return float(g.scale / wc[-1]), wc, Uc, X
 
 
 def reduce_min_eig(obs: ObsMatrix) -> float:
@@ -272,6 +304,9 @@ class EigCluster(NamedTuple):
         """
         Z = self.Z[:, self.lams <= self.lam + TIE_ETA * (1.0 + abs(self.lam))]
         P = Z.conj().T @ dGhat @ Z
+        if len(P) == 1:      # bitwise eigvalsh of the 1x1 sym(P)
+            d = self.scale * float(P[0, 0].real)
+            return d, d
         w = np.linalg.eigvalsh(0.5 * (P + P.conj().T))
         return self.scale * float(w[0]), self.scale * float(w[-1])
 
@@ -283,18 +318,19 @@ def min_eig_cluster(obs: ObsMatrix) -> EigCluster:
     of the smallest; its eigenvectors come from the factored inverse
     spectrum, so they stay accurate under extreme exponent grading.
     """
-    lam, wc, Uc, lmask, X = _factored_spectrum(obs)
-    e0 = float(obs.exps[lmask].min())
-    scale = float(np.exp(2.0 * e0))
-    members = wc >= scale / (lam + CLUSTER_ETA * (1.0 + abs(lam)))
+    lam, wc, Uc, X = _factored_spectrum(obs)
+    g = obs.grading
+    members = wc >= g.scale / (lam + CLUSTER_ETA * (1.0 + abs(lam)))
     if not members.any():
         members[-1] = True
-    B = Uc[:, members]
-    Z = np.empty((len(lmask), B.shape[1]), dtype=np.result_type(B, obs.Ghat))
-    Z[lmask] = B * np.exp(obs.exps[lmask] - e0)[:, None]
-    if X is not None:
-        Z[~lmask] = -X @ Z[lmask]
-    return EigCluster(lam, scale / wc[members], Z, scale)
+    ZL = Uc[:, members] * g.zrow
+    if X is None:
+        Z = ZL
+    else:
+        Z = np.empty((len(g.lmask), ZL.shape[1]), dtype=np.result_type(ZL, obs.Ghat))
+        Z[g.lmask] = ZL
+        Z[~g.lmask] = -X @ ZL
+    return EigCluster(lam, g.scale / wc[members], Z, g.scale)
 
 
 def obs_constant(model: SpectralModel, grid: Grid, a, T: float, N: int,

@@ -1,3 +1,4 @@
+import csv
 import itertools
 
 import numpy as np
@@ -275,3 +276,21 @@ class TestDensityCSV:
         assert header == "cell,center_x,value"
         b = read_density_csv(path, grid512)
         assert np.abs(a.values - b.values).max() <= 1e-15
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bytes_match_csv_writer(self, tmp_path, dim):
+        if dim == 1:
+            grid = make_grid(DomainSpec("interval", ((0.0, PI),)), 37, 2)
+        else:
+            grid = make_grid(DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0))), (7, 5), 2)
+        rng = np.random.default_rng(dim)
+        vals = rng.uniform(0.0, 1.0, grid.ncells)
+        vals[:4] = (0.0, 1.0, 1e-300, 1.0 / 3.0)   # integral, tiny and repeating values
+        path, ref = tmp_path / "density.csv", tmp_path / "reference.csv"
+        write_density_csv(path, DensityField(grid, vals))
+        with open(ref, "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(["cell"] + [f"center_{ax}" for ax in "xy"[:dim]] + ["value"])
+            for i in range(grid.ncells):
+                wr.writerow([i, *(f"{c:.16g}" for c in grid.centers[i]), f"{vals[i]:.16g}"])
+        assert path.read_bytes() == ref.read_bytes()

@@ -350,6 +350,22 @@ class TestValueAndSlope:
             fd = _fd_slope(lambda h: reduce_min_eig(obj.obs(Ga + h * dG)))
             assert right == pytest.approx(fd, rel=1e-6)
 
+    @pytest.mark.parametrize("T,N", [(2.0, 8), (2.0, 16)])
+    def test_simple_eigenvalue_slope_is_bitwise_eigvalsh(self, d1d, grid1024, T, N):
+        # a 1-member tie skips eigvalsh; on the real and on the complex
+        # matrix that must give bitwise its value on the 1x1 projection
+        from obsgrid.optimize import _GramObjective
+        obj = _GramObjective(d1d, grid1024, T, N)
+        rng = np.random.default_rng(N)
+        Ga = obj.mantissa(random_feasible(grid1024, 0.5, rng))
+        dG = obj.mantissa(random_feasible(grid1024, 0.5, rng)) - Ga
+        for G, D in ((Ga, dG), (Ga.astype(complex), dG.astype(complex))):
+            cl = obj.cluster(G)
+            assert len(cl.lams) == 1
+            P = cl.Z.conj().T @ D @ cl.Z
+            ref = cl.scale * float(np.linalg.eigvalsh(0.5 * (P + P.conj().T))[0])
+            assert cl.slopes(D) == (ref, ref)
+
     def test_sigma1_objective_on_torus(self, torus, torus_grid):
         from obsgrid.optimize import _Sigma1Objective
         obj = _Sigma1Objective(torus, torus_grid)
@@ -376,6 +392,29 @@ class TestValueAndSlope:
         assert right == pytest.approx(w[0], rel=1e-9)
         assert left == pytest.approx(w[-1], rel=1e-9)
         assert right < left
+
+
+class TestRealArithmetic:
+    # real modes and a real spectrum make every matrix of the factored
+    # eigensolve real; the complex solve of the same matrix is the reference.
+    # (T, N): the L-only path and the three Schur (H-block) cases
+    @pytest.mark.parametrize("T,N", [(2.0, 8), (2.0, 16), (2.5, 12), (5.0, 16)])
+    def test_real_solve_matches_complex_solve(self, d1d, grid1024, T, N):
+        from obsgrid.gram import min_eig_cluster
+        from obsgrid.optimize import _GramObjective
+        obj = _GramObjective(d1d, grid1024, T, N)
+        rng = np.random.default_rng(int(10 * T) + N)
+        Ga = obj.mantissa(random_feasible(grid1024, 0.5, rng))
+        dG = obj.mantissa(random_feasible(grid1024, 0.5, rng)) - Ga
+        assert np.isrealobj(obj.hhat) and np.isrealobj(Ga)
+        re = min_eig_cluster(obj.obs(Ga))
+        cx = min_eig_cluster(obj.obs(Ga.astype(complex)))
+        assert np.isrealobj(re.Z) and np.iscomplexobj(cx.Z)
+        assert re.lam == pytest.approx(cx.lam, rel=1e-13, abs=0)
+        assert re.lams == pytest.approx(cx.lams, rel=1e-13, abs=0)
+        assert re.slopes(dG) == pytest.approx(cx.slopes(dG.astype(complex)), rel=1e-13, abs=0)
+        f_re, f_cx = obj.supergradient(re), obj.supergradient(cx)
+        assert np.abs(f_re - f_cx).max() <= 1e-13 * np.abs(f_cx).max()
 
 
 class TestLineSearch:
@@ -457,10 +496,12 @@ class TestLineSearchWork:
         from obsgrid import optimize
         solve = optimize.min_eig_cluster
         eigensolves = 0
+        complex_matrices = 0
 
         def counted(obs):
-            nonlocal eigensolves
+            nonlocal eigensolves, complex_matrices
             eigensolves += 1
+            complex_matrices += not np.isrealobj(obs.Ghat)
             return solve(obs)
 
         monkeypatch.setattr(optimize, "min_eig_cluster", counted)
@@ -470,6 +511,8 @@ class TestLineSearchWork:
         assert res.value == pytest.approx(18.7248761988238, rel=1e-10)
         assert res.line_search_evals / res.iterations <= 12
         assert eigensolves == res.line_search_evals + 1
+        # real modes and spectrum: no eigensolve runs in complex arithmetic
+        assert complex_matrices == 0
         assert res.as_dict()["line_search_evals"] == res.line_search_evals
 
 
