@@ -19,6 +19,7 @@ import copy
 import csv
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field
@@ -28,8 +29,8 @@ import numpy as np
 
 from .geometry import DensityField, l1_distance, make_grid, write_density_csv
 from .gram import get_basis
-from .limit import (cesaro_mean, estimate_bathtub_constant, kkt_check,
-                    limit_set, sigma1, sliding_ratio, tube_linearity)
+from .limit import (SAMPLER_FAMILIES, cesaro_mean, estimate_bathtub_constant,
+                    kkt_check, limit_set, sigma1, sliding_ratio, tube_linearity)
 from .optimize import (OptOptions, bang_bang_fraction, lower_bound_certificate,
                        maximize_obs, maximize_sigma1)
 from .spectral import build_model, gamma_factored
@@ -68,7 +69,7 @@ BLOCK_DEFAULTS = {
     "grid": {"cells": 1024, "gauss_order": 3},
     "optimizer": {"max_iter": 2000, "tol": 1e-6},
     "certificate": {"nu": None},
-    "sampler": {"n_samples": 1000, "families": ["slide", "bathtub", "project"],
+    "sampler": {"n_samples": 1000, "families": list(SAMPLER_FAMILIES),
                 "h_list": [0.01, 0.03, 0.05]},
     "torus_family": {"eta": 0.1, "m": 5, "n_members": 8},
 }
@@ -112,6 +113,23 @@ def _block(given, name: str, defaults: dict) -> dict:
     return block
 
 
+def _check_sampler(smp: dict) -> None:
+    """Reject sampler settings the k_hat run would only fail on later."""
+    n = smp["n_samples"]
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ConfigError(f"sampler.n_samples must be an integer >= 1, got {n!r}")
+    fam = smp["families"]
+    if not isinstance(fam, list) or not fam or any(f not in SAMPLER_FAMILIES for f in fam):
+        raise ConfigError(f"sampler.families must be a nonempty list drawn from "
+                          f"{list(SAMPLER_FAMILIES)}, got {fam!r}")
+    hs = smp["h_list"]
+    if not isinstance(hs, list) or not hs or not all(
+            isinstance(h, numbers.Real) and not isinstance(h, bool)
+            and math.isfinite(h) and h > 0 for h in hs):
+        raise ConfigError(f"sampler.h_list must be a nonempty list of finite "
+                          f"numbers > 0, got {hs!r}")
+
+
 def validate_config(raw: dict) -> dict:
     """Strict validation; returns the config with defaults filled in."""
     if not isinstance(raw, dict):
@@ -153,6 +171,8 @@ def validate_config(raw: dict) -> dict:
         cfg["N"] = N
     if "optimizer" in cfg:
         OptOptions(**cfg["optimizer"])      # rejects max_iter < 1 and tol <= 0
+    if "sampler" in cfg:
+        _check_sampler(cfg["sampler"])
     if kind == "torus-deg" and cfg["model"]["name"] != "torus_1d":
         raise ConfigError("torus-deg requires model.name == 'torus_1d'")
     return cfg

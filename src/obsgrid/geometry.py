@@ -17,13 +17,26 @@ from .spectral import DomainSpec
 
 @dataclass(frozen=True)
 class Grid:
+    """Uniform tensor grid (build it with `make_grid`).
+
+    Every cell has the same measure, and construction rejects anything
+    else: the bathtub oracle reads its quantile by selection, which is
+    exact only when the measure of the k largest cells does not depend on
+    which cells they are.
+    """
+
     domain: DomainSpec
     shape: tuple[int, ...]        # cells per axis
     gauss_order: int
     centers: np.ndarray           # (ncells, dim), cell-major C order
-    cell_measures: np.ndarray     # (ncells,)
+    cell_measures: np.ndarray     # (ncells,), all equal
     quad_x: np.ndarray            # (npts, dim), cell-major blocks of pts_per_cell
     quad_w: np.ndarray            # (npts,)
+
+    def __post_init__(self):
+        w = self.cell_measures
+        if not (w == w[0]).all():
+            raise ValueError("Grid needs equal cell measures")
 
     @property
     def ncells(self) -> int:
@@ -136,16 +149,20 @@ def bathtub(grid: Grid, f, L: float) -> tuple[DensityField, float]:
     Returns the superlevel-set density (1 above the threshold, 0 below,
     a uniform fraction on the tie set {f == mu}) and the threshold mu,
     the L-quantile of f under the cell measure.
+
+    The cells have equal measure (see Grid), so the k largest values fill
+    cumsum(w)[k-1] whichever cells hold them: the threshold index k comes
+    from cumsum(w) alone, and mu, the (k+1)-th largest value, by selection
+    (np.partition, introselect) instead of a sort.
     """
     if not 0.0 < L < 1.0:
         raise ValueError("L must be in (0,1)")
     f = f.values if isinstance(f, SpatialFunction) else np.asarray(f, dtype=float)
     w = grid.cell_measures
     target = L * grid.measure
-    order = np.argsort(-f, kind="stable")
-    cum = np.cumsum(w[order])
-    k = int(np.searchsorted(cum, target * (1 - 1e-15)))
-    mu = float(f[order[k]]) if k < grid.ncells else float(f[order[-1]])
+    k = int(np.searchsorted(np.cumsum(w), target * (1 - 1e-15)))
+    j = max(grid.ncells - 1 - k, 0)         # k == ncells: the smallest value
+    mu = float(np.partition(f, j)[j])
     a = np.zeros(grid.ncells)
     a[f > mu] = 1.0
     filled = float(w[f > mu].sum())
@@ -162,26 +179,71 @@ def project_box_mean(grid: Grid, v, L: float) -> DensityField:
     KKT form a = clip(v + s, 0, 1) with the scalar shift s found by
     bisection, stopped once the mean residual is at most 1e-13 (or the
     bracket is down to rounding).
+
+    The bisection is replayed rather than evaluated step by step. The mean
+    is nondecreasing in s, so once mean(a) < L - 1e-13 < L + 1e-13 < mean(b)
+    is known, a midpoint <= a only moves the lower end and one >= b only
+    the upper end, and just the midpoints inside (a, b) need the mean. A
+    safeguarded Newton iteration (slope: the measure of the cells strictly
+    inside (0, 1)) finds the root, and a bracket around it, widened 4x at
+    a time, gives a and b. The shift, hence the output, is bit for bit that
+    of the plain bisection, at about a quarter of its evaluations.
     """
     if not 0.0 < L < 1.0:
         raise ValueError("L must be in (0,1)")
     v = v.values if isinstance(v, DensityField) else np.asarray(v, dtype=float)
     w = grid.cell_measures
     vol = grid.measure
+    tol = 1e-13
+    memo = {}
 
     def mean_at(s):
-        return float(np.clip(v + s, 0.0, 1.0) @ w) / vol
+        if s not in memo:
+            memo[s] = float(np.clip(v + s, 0.0, 1.0) @ w) / vol
+        return memo[s]
 
     lo, hi = float(-v.max()), float(1.0 - v.min())
     if mean_at(lo) > L or mean_at(hi) < L:      # safety; cannot happen for L in (0,1)
         raise ValueError("projection bracket failed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        m = mean_at(mid)
-        if abs(m - L) <= 1e-13:
-            lo = hi = mid
+
+    a, b = -np.inf, np.inf      # mean_at(a) < L - tol, mean_at(b) > L + tol
+    nlo, nhi = lo, hi           # Newton safeguard: mean_at(nlo) <= L <= mean_at(nhi)
+    s = 0.5 * (lo + hi)         # the bisection's first midpoint
+    for _ in range(100):
+        c = np.clip(v + s, 0.0, 1.0)
+        m = memo[s] = float(c @ w) / vol
+        # equal cell measures: the active measure is a cell count times w[0]
+        slope = np.count_nonzero((c > 0.0) & (c < 1.0)) * float(w[0]) / vol
+        if abs(m - L) <= tol:
             break
         if m < L:
+            nlo = a = s
+        else:
+            nhi = b = s
+        step = s + (L - m) / slope if slope > 0.0 else np.nan    # nan: bisect
+        s = step if nlo < step < nhi else 0.5 * (nlo + nhi)
+    for side in (-1.0, 1.0):
+        d = 4.0 * tol / slope if slope > 0.0 else np.inf
+        while max(a, lo) < s + side * d < min(b, hi):
+            p = s + side * d
+            m = mean_at(p)
+            if m < L - tol:
+                a = p
+            elif m > L + tol:
+                b = p
+            d *= 4.0
+
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if a < mid < b:
+            m = mean_at(mid)
+            if abs(m - L) <= tol:
+                lo = hi = mid
+                break
+            below = m < L
+        else:
+            below = mid <= a
+        if below:
             lo = mid
         else:
             hi = mid

@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (DensityField, Grid, SpatialFunction, bathtub,
-                       cell_average, l1_distance, level_threshold,
-                       project_box_mean, tube_measure)
+from .geometry import (DensityField, Grid, SpatialFunction, _cell_value_ranges,
+                       _measure_below, bathtub, cell_average, l1_distance,
+                       level_threshold, project_box_mean)
 from .gram import mass_matrix
 from .optimize import OptOptions, _Sigma1Objective, maximize_sigma1
 from .spectral import SpectralModel
@@ -87,8 +87,6 @@ def kkt_check(model: SpectralModel, grid: Grid, sol: LimitSolution,
     a solution without any decided inside/outside cells (no level
     structure, e.g. a == L) fails.
     """
-    from .geometry import _cell_value_ranges
-
     psi = sol.psi.values
     if tol_kkt is None:
         tol_kkt = 1e-6 * max(float(psi.max() - psi.min()), 1e-300)
@@ -123,6 +121,9 @@ def _shift_density(grid: Grid, vals: np.ndarray, h: float, axis: int = 0) -> np.
     return ((1.0 - frac) * a_k + frac * a_k1).reshape(-1)
 
 
+SAMPLER_FAMILIES = ("slide", "bathtub", "project")
+
+
 @dataclass
 class KEstimate:
     k_hat: float
@@ -133,7 +134,7 @@ class KEstimate:
 
 def estimate_bathtub_constant(model: SpectralModel, grid: Grid, sol: LimitSolution,
                               n_samples: int = 1000, seed: int = 0,
-                              families: tuple[str, ...] = ("slide", "bathtub", "project"),
+                              families: tuple[str, ...] = SAMPLER_FAMILIES,
                               ) -> KEstimate:
     """Sampled lower envelope of (sigma1(a1) - sigma1(a)) / ||a - a1||_1^2.
 
@@ -149,6 +150,14 @@ def estimate_bathtub_constant(model: SpectralModel, grid: Grid, sol: LimitSoluti
     s1 = sol.sigma1_value
     a1 = sol.a1.values
     diam = min(hi - lo for lo, hi in grid.domain.bounds)
+    # per-axis cell coordinates scaled to [0, 1], shaped to broadcast along
+    # their axis of a grid.shape array (C order: neighbours along axis d
+    # are prod(shape[d+1:]) cells apart)
+    axes = []
+    for d, (lo, hi) in enumerate(grid.domain.bounds):
+        step = int(np.prod(grid.shape[d + 1:]))
+        x = grid.centers[:step * grid.shape[d]:step, d]
+        axes.append(((x - lo) / (hi - lo)).reshape((-1,) + (1,) * (grid.dim - 1 - d)))
 
     def sample(kind: str):
         if kind == "slide":
@@ -156,16 +165,18 @@ def estimate_bathtub_constant(model: SpectralModel, grid: Grid, sol: LimitSoluti
             h = float(rng.uniform(0.2, 30.0)) * (diam / grid.shape[axis])
             return _shift_density(grid, a1, h, axis)
         if kind == "bathtub":
-            # random low-frequency score: a few modes with random weights
+            # random low-frequency score: a few modes with random weights.
+            # Each term depends on one coordinate, so it is evaluated on
+            # that axis and added by broadcasting; every cell gets the same
+            # values, draws and order of additions as a per-cell evaluation
             nmodes = 4
             coef = rng.standard_normal(nmodes)
-            score = np.zeros(grid.ncells)
+            score = np.zeros(grid.shape)
             for k in range(nmodes):
                 for d in range(grid.dim):
-                    lo, hi = grid.domain.bounds[d]
-                    x = (grid.centers[:, d] - lo) / (hi - lo)
-                    score += coef[k] * np.cos((k + 1) * np.pi * x + rng.uniform(0, 2 * np.pi))
-            return bathtub(grid, score, L)[0].values
+                    score += coef[k] * np.cos((k + 1) * np.pi * axes[d]
+                                              + rng.uniform(0, 2 * np.pi))
+            return bathtub(grid, score.reshape(-1), L)[0].values
         if kind == "project":
             scale = float(rng.uniform(0.05, 0.8))
             noise = rng.standard_normal(grid.ncells) * scale
@@ -223,7 +234,12 @@ def tube_linearity(model: SpectralModel, grid: Grid, sol: LimitSolution,
             lo_d = hi_d / 10.0
         deltas = np.geomspace(lo_d, hi_d, 12)
     deltas = np.asarray(deltas, dtype=float)
-    meas = np.array([tube_measure(grid, sol.psi, sol.mu_star, d) for d in deltas])
+    if (deltas <= 0).any():
+        raise ValueError("delta must be positive")
+    # tube_measure per delta, with the cell ranges of Psi computed once
+    lo, hi = _cell_value_ranges(grid, psi)
+    meas = np.array([_measure_below(grid, lo, hi, sol.mu_star + d)
+                     - _measure_below(grid, lo, hi, sol.mu_star - d) for d in deltas])
     m_hat = float((meas @ deltas) / (deltas @ deltas))   # through-origin LS
     resid = float(np.max(np.abs(meas - m_hat * deltas) / (m_hat * deltas)))
     return m_hat, resid

@@ -135,6 +135,34 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=key):
             load_config(str(path))
 
+    @pytest.mark.parametrize("sampler,match", [
+        ({"n_samples": 0}, "n_samples"),
+        ({"n_samples": -3}, "n_samples"),
+        ({"n_samples": 2.5}, "n_samples"),
+        ({"n_samples": True}, "n_samples"),
+        ({"families": []}, "families"),
+        ({"families": "slide"}, "families"),
+        ({"families": ["slide", "mirror"]}, "families"),
+        ({"h_list": []}, "h_list"),
+        ({"h_list": [0.0]}, "h_list"),
+        ({"h_list": [0.01, -0.02]}, "h_list"),
+        ({"h_list": [0.01, "0.02"]}, "h_list"),
+        ({"h_list": 0.01}, "h_list"),
+    ])
+    def test_sampler_values_rejected(self, tmp_path, sampler, match):
+        # each of these used to fail only after limit_set had run, with a
+        # message that did not name the key
+        path = write_config(tmp_path, experiment="limit", drop=("T", "N"),
+                            sampler=sampler)
+        with pytest.raises(ConfigError, match=match):
+            load_config(str(path))
+
+    def test_sampler_subset_accepted(self, tmp_path):
+        path = write_config(tmp_path, experiment="limit", drop=("T", "N"),
+                            sampler={"n_samples": 1, "families": ["project"],
+                                     "h_list": [0.5]})
+        assert load_config(str(path))["sampler"]["families"] == ["project"]
+
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
     def test_shipped_configs_take_their_keys(self, path):
         cfg = load_config(str(path))
@@ -203,6 +231,13 @@ class TestMainExitCodes:
                             out=str(tmp_path / "out"))
         assert main(["solve", "--config", str(path)]) == 1
         assert "max_iter" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_sampler_exit_1_before_any_work(self, tmp_path, capsys):
+        path = write_config(tmp_path, experiment="limit", drop=("T", "N"),
+                            sampler={"n_samples": 0}, out=str(tmp_path / "out"))
+        assert main(["limit", "--config", str(path)]) == 1
+        assert "n_samples" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_acceptance_failure_exit_2(self, tmp_path, capsys):

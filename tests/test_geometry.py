@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 
 import numpy as np
@@ -40,6 +41,15 @@ class TestMakeGrid:
         assert g.quad_w.sum() == pytest.approx(6.0, rel=1e-12)
         assert g.cell_measures.sum() == pytest.approx(6.0, rel=1e-12)
 
+    def test_unequal_cell_measures_rejected(self):
+        # the bathtub oracle reads its quantile by selection, which needs
+        # equal cells
+        g = make_grid(DomainSpec("interval", ((0.0, 1.0),)), 4, 2)
+        w = g.cell_measures.copy()
+        w[1] = np.nextafter(w[1], 1.0)
+        with pytest.raises(ValueError, match="equal cell measures"):
+            dataclasses.replace(g, cell_measures=w)
+
     def test_bad_args(self):
         dom = DomainSpec("interval", ((0.0, 1.0),))
         with pytest.raises(ValueError):
@@ -69,7 +79,78 @@ class TestIntegrate:
         assert vals @ w == pytest.approx(-0.5, abs=1e-8)
 
 
+def bathtub_by_sort(grid, f, L):
+    """The bathtub oracle by a stable sort of -f and the sorted cumulative
+    measure: the definition the selection-based oracle must match."""
+    w = grid.cell_measures
+    target = L * grid.measure
+    order = np.argsort(-f, kind="stable")
+    cum = np.cumsum(w[order])
+    k = int(np.searchsorted(cum, target * (1 - 1e-15)))
+    mu = float(f[order[k]]) if k < grid.ncells else float(f[order[-1]])
+    a = np.zeros(grid.ncells)
+    a[f > mu] = 1.0
+    filled = float(w[f > mu].sum())
+    tie = f == mu
+    tie_meas = float(w[tie].sum())
+    if tie_meas > 0:
+        a[tie] = (target - filled) / tie_meas
+    return a, mu
+
+
+def project_by_bisection(grid, v, L):
+    """The box/mean projection by plain bisection on the shift: the
+    definition the bracketed projection must match."""
+    w = grid.cell_measures
+
+    def mean_at(s):
+        return float(np.clip(v + s, 0.0, 1.0) @ w) / grid.measure
+
+    lo, hi = float(-v.max()), float(1.0 - v.min())
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        m = mean_at(mid)
+        if abs(m - L) <= 1e-13:
+            lo = hi = mid
+            break
+        if m < L:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-16 * max(1.0, abs(lo)):
+            break
+    return np.clip(v + 0.5 * (lo + hi), 0.0, 1.0)
+
+
+SMALL_GRIDS = {
+    "1d-7": (DomainSpec("interval", ((0.0, PI),)), 7),
+    "1d-512": (DomainSpec("interval", ((0.0, PI),)), 512),
+    "2d-5x4": (DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0))), (5, 4)),
+    "2d-48x40": (DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0))), (48, 40)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SMALL_GRIDS))
+def any_grid(request):
+    dom, cells = SMALL_GRIDS[request.param]
+    return make_grid(dom, cells, 2)
+
+
 class TestBathtub:
+    @pytest.mark.parametrize("kind", ["random", "ties", "few_levels", "constant"])
+    def test_bitwise_equal_to_sort(self, any_grid, kind):
+        rng = np.random.default_rng(11)
+        n = any_grid.ncells
+        for L in (1e-9, 0.01, 0.3, 0.5, 0.77, 0.99, 1 - 1e-9):
+            f = {"random": lambda: rng.standard_normal(n),
+                 "ties": lambda: np.round(rng.standard_normal(n), 1),
+                 "few_levels": lambda: rng.integers(0, 3, n).astype(float),
+                 "constant": lambda: np.full(n, 2.5)}[kind]()
+            a, mu = bathtub(any_grid, f, L)
+            a_ref, mu_ref = bathtub_by_sort(any_grid, f, L)
+            assert mu == mu_ref
+            assert np.array_equal(a.values, a_ref)
+
     def test_three_cells(self, unit3):
         a, mu = bathtub(unit3, np.array([3.0, 1.0, 2.0]), 1 / 3)
         assert np.allclose(a.values, [1, 0, 0])
@@ -153,6 +234,26 @@ class TestBathtub:
 
 
 class TestProjectBoxMean:
+    @pytest.mark.parametrize("kind", ["normal", "wide", "near_feasible"])
+    def test_bitwise_equal_to_bisection(self, any_grid, kind):
+        rng = np.random.default_rng(12)
+        n = any_grid.ncells
+        for L in (1e-9, 0.05, 0.3, 0.5, 0.9, 1 - 1e-9):
+            v = {"normal": lambda: rng.standard_normal(n),
+                 "wide": lambda: rng.uniform(-50.0, 50.0, n),
+                 "near_feasible": lambda: (rng.uniform(size=n) < L)
+                 + 0.3 * rng.standard_normal(n)}[kind]()
+            a = project_box_mean(any_grid, v, L)
+            assert np.array_equal(a.values, project_by_bisection(any_grid, v, L))
+
+    def test_bitwise_on_a_flat_mean(self, any_grid):
+        # +-5 on alternating cells: the mean is flat in the shift over
+        # [-4, 5], at 1/2 on an even cell count
+        v = np.where(np.arange(any_grid.ncells) % 2 == 0, 5.0, -5.0)
+        for L in (0.25, 0.5, 0.75):
+            a = project_box_mean(any_grid, v, L)
+            assert np.array_equal(a.values, project_by_bisection(any_grid, v, L))
+
     def test_idempotent(self, grid512):
         rng = np.random.default_rng(2)
         a = random_feasible(grid512, 0.5, rng)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from obsgrid.geometry import DensityField, l1_distance, make_grid
+from obsgrid.geometry import DensityField, l1_distance, make_grid, tube_measure
 from obsgrid.limit import (cesaro_mean, estimate_bathtub_constant, kkt_check,
                            limit_set, sigma1, sliding_ratio, tube_linearity)
 from obsgrid.optimize import OptOptions
@@ -186,6 +186,19 @@ class TestBathtubConstant:
         ke = estimate_bathtub_constant(m, g, sol, n_samples=120, seed=1)
         assert ke.k_hat > 0
 
+    def test_family_mins_pinned_2d(self):
+        # recorded from the per-cell score evaluation, the sorting bathtub
+        # and the plain bisection projection; a non-square grid on a
+        # non-square domain, so each separable score axis is exercised
+        m = build_model("dirichlet_rect_2d", 4)
+        g = make_grid(m.domain, (20, 16), 2)
+        sol = limit_set(m, g, 0.3)
+        ke = estimate_bathtub_constant(m, g, sol, n_samples=24, seed=7)
+        assert ke.family_mins == {"bathtub": 2.2301209644957876,
+                                  "project": 4.328210227765389,
+                                  "slide": 2.1901862001408134}
+        assert ke.n_used == 24
+
     def test_degenerate_rejected(self, torus, torus_grid):
         sol = limit_set(torus, torus_grid, 0.5)
         with pytest.raises(ValueError):
@@ -197,6 +210,25 @@ class TestTubeLinearity:
         m_hat, resid = tube_linearity(d1d, grid2048, sol05)
         assert m_hat == pytest.approx(2 * PI, rel=0.05)
         assert resid <= 0.05
+
+    @pytest.mark.parametrize("case", ["1d", "2d"])
+    def test_bitwise_equal_to_tube_measure(self, d1d, grid2048, sol05, case):
+        if case == "1d":
+            model, grid, sol = d1d, grid2048, sol05
+        else:
+            model = build_model("dirichlet_rect_2d", 4)
+            grid = make_grid(model.domain, (40, 32), 2)
+            sol = limit_set(model, grid, 0.3)
+        rng_psi = float(sol.psi.values.max() - sol.psi.values.min())
+        deltas = np.geomspace(1e-3, 0.1, 12) * rng_psi
+        meas = np.array([tube_measure(grid, sol.psi, sol.mu_star, d) for d in deltas])
+        m_ref = float((meas @ deltas) / (deltas @ deltas))
+        resid_ref = float(np.max(np.abs(meas - m_ref * deltas) / (m_ref * deltas)))
+        assert tube_linearity(model, grid, sol, deltas) == (m_ref, resid_ref)
+
+    def test_nonpositive_delta_rejected(self, d1d, grid2048, sol05):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            tube_linearity(d1d, grid2048, sol05, [0.01, 0.0, 0.02])
 
     def test_constant_psi_rejected(self, d1d, grid512, sol05):
         from obsgrid.limit import LimitSolution
