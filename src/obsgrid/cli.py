@@ -122,12 +122,16 @@ def _check_sampler(smp: dict) -> None:
     if not isinstance(fam, list) or not fam or any(f not in SAMPLER_FAMILIES for f in fam):
         raise ConfigError(f"sampler.families must be a nonempty list drawn from "
                           f"{list(SAMPLER_FAMILIES)}, got {fam!r}")
-    hs = smp["h_list"]
-    if not isinstance(hs, list) or not hs or not all(
-            isinstance(h, numbers.Real) and not isinstance(h, bool)
-            and math.isfinite(h) and h > 0 for h in hs):
+    if not _positive_list(smp["h_list"]):
         raise ConfigError(f"sampler.h_list must be a nonempty list of finite "
-                          f"numbers > 0, got {hs!r}")
+                          f"numbers > 0, got {smp['h_list']!r}")
+
+
+def _positive_list(xs) -> bool:
+    """A nonempty list of finite numbers > 0 (bools are not numbers here)."""
+    return isinstance(xs, list) and bool(xs) and all(
+        isinstance(x, numbers.Real) and not isinstance(x, bool)
+        and math.isfinite(x) and x > 0 for x in xs)
 
 
 def validate_config(raw: dict) -> dict:
@@ -143,8 +147,11 @@ def validate_config(raw: dict) -> dict:
     keys = COMMON_KEYS + EXPERIMENT_KEYS[kind]
     _reject_unknown(raw, keys, "")
 
+    seed = raw.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     cfg = {"version": SCHEMA_VERSION, "experiment": kind,
-           "seed": int(raw.get("seed", 0)), "out": raw.get("out", "runs/" + kind)}
+           "seed": int(seed), "out": raw.get("out", "runs/" + kind)}
     for key in keys:
         if key == "acceptance":
             cfg[key] = _block(raw.get(key), key, ACCEPTANCE_DEFAULTS[kind])
@@ -173,6 +180,9 @@ def validate_config(raw: dict) -> dict:
         OptOptions(**cfg["optimizer"])      # rejects max_iter < 1 and tol <= 0
     if "sampler" in cfg:
         _check_sampler(cfg["sampler"])
+    if cfg.get("deltas") is not None and not _positive_list(cfg["deltas"]):
+        raise ConfigError(f"deltas must be null or a nonempty list of finite "
+                          f"numbers > 0, got {cfg['deltas']!r}")
     if kind == "torus-deg" and cfg["model"]["name"] != "torus_1d":
         raise ConfigError("torus-deg requires model.name == 'torus_1d'")
     return cfg

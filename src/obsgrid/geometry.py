@@ -275,9 +275,6 @@ def _corner_values(grid: Grid, vals: np.ndarray) -> np.ndarray:
 
 def _cell_value_ranges(grid: Grid, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell (min, max) of the corner-interpolated profile."""
-    if grid.dim == 1:
-        c = _corner_values(grid, vals)
-        return np.minimum(c[:-1], c[1:]), np.maximum(c[:-1], c[1:])
     arr = _corner_values(grid, vals)
     slices = np.stack([arr[tuple(slice(o, o + s) for o, s in zip(off, grid.shape))]
                        for off in np.ndindex(*(2,) * grid.dim)], axis=-1)

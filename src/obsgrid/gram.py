@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -108,51 +108,29 @@ def mass_matrix(model: SpectralModel, grid: Grid, a, I) -> MassMatrix:
     return MassMatrix(I, get_basis(model, grid, I).mass(a))
 
 
-class _Grading:
-    """Constants of the factored eigensolve that depend on (exps, theta) only.
-
-    The L-block mask (2 e_j <= theta) and, for a nonempty L-block,
-    e0 = min e_l, scale = e^{2 e0}, the grading matrix
-    e^{-(e_i + e_j - 2 e0)} of the factored inverse and the row scaling
-    e^{e_l - e0} of the eigenvectors, all on the L-block.
-    """
-
-    def __init__(self, exps: np.ndarray, theta: float):
-        self.lmask = 2.0 * exps <= theta
-        self.lempty = not self.lmask.any()
-        self.lfull = bool(self.lmask.all())
-        if not self.lempty:
-            el = exps[self.lmask]
-            self.e0 = float(el.min())
-            self.scale = float(np.exp(2.0 * self.e0))
-            self.grade = np.exp(-(np.add.outer(el, el) - 2.0 * self.e0))
-            self.zrow = np.exp(el - self.e0)[:, None]
-
-
 @dataclass
 class ObsMatrix:
-    """Factored truncated Gram form G_ij = e^{e_i + e_j} Ghat_ij."""
+    """Factored truncated Gram form G_ij = e^{e_i + e_j} Ghat_ij of one GramForm."""
 
-    modes: tuple[int, ...]
+    form: GramForm
     Ghat: np.ndarray          # bounded Hermitian mantissa matrix
-    exps: np.ndarray          # per-mode real exponents e_j = Re(lambda_j) T
-    theta: float
-    # shared by every ObsMatrix of one GramForm; built on first use otherwise
-    _grading: _Grading | None = field(default=None, repr=False, compare=False)
 
     @property
-    def grading(self) -> _Grading:
-        if self._grading is None:
-            self._grading = _Grading(self.exps, self.theta)
-        return self._grading
+    def modes(self) -> tuple[int, ...]:
+        return self.form.basis.modes
+
+    @property
+    def exps(self) -> np.ndarray:
+        """Per-mode real exponents e_j = Re(lambda_j) T."""
+        return self.form.exps
 
     @property
     def lblock(self) -> np.ndarray:
-        return self.grading.lmask
+        return self.form.lmask
 
     @property
     def hblock(self) -> np.ndarray:
-        return ~self.grading.lmask
+        return ~self.form.lmask
 
     def reconstruct(self) -> np.ndarray:
         """Plain G; raises OverflowError if any entry exceeds the double range."""
@@ -167,10 +145,18 @@ class GramForm:
 
     G(a) = D mantissa(a) D with D = diag(e^{e_j}), e_j = Re(lambda_j) T,
     and mantissa(a) = sym(hhat * M(a)), where hhat holds the bounded tau
-    mantissas. Built once per (model, grid, T, N), together with the
-    grading constants of the factored eigensolve; every density then
-    costs one mass assembly. hhat is real when the spectrum is (every
-    imaginary part zero), so with real modes every matrix is real.
+    mantissas. hhat is real when the spectrum is (every imaginary part
+    zero), so with real modes every matrix is real.
+
+    Built once per (model, grid, T, N, theta), together with the constants
+    of the factored eigensolve: the L-block mask (2 e_j <= theta) and, for
+    a nonempty L-block, scale = e^{2 e0} with e0 = min e_l, the grading
+    matrix e^{-(e_i + e_j - 2 e0)} of the factored inverse and the row
+    scaling e^{e_l - e0} of the eigenvectors. Every density then costs one
+    mass assembly. The form is also the Frank-Wolfe objective C_T^{(N)}:
+    being linear in the density, it maps a convex combination of densities
+    to the same combination of mantissa matrices, so a line search only
+    re-solves the small factored eigenproblem (`cluster`).
     """
 
     def __init__(self, model: SpectralModel, grid: Grid, T: float, N: int,
@@ -188,15 +174,30 @@ class GramForm:
                 hhat[j, i] = np.conj(hhat[i, j])
         self.hhat = hhat if hhat.imag.any() else hhat.real.copy()
         self.exps = lams.real * T
-        self.theta = theta
-        self.grading = _Grading(self.exps, theta)
+        self.lmask = 2.0 * self.exps <= theta
+        self.lempty = not self.lmask.any()
+        self.lfull = bool(self.lmask.all())
+        if not self.lempty:
+            el = self.exps[self.lmask]
+            e0 = float(el.min())
+            self.scale = float(np.exp(2.0 * e0))
+            self.grade = np.exp(-(np.add.outer(el, el) - 2.0 * e0))
+            self.zrow = np.exp(el - e0)[:, None]
 
     def mantissa(self, a) -> np.ndarray:
         Ghat = self.hhat * self.basis.mass(a)
         return 0.5 * (Ghat + Ghat.conj().T)
 
     def obs(self, Ghat: np.ndarray) -> ObsMatrix:
-        return ObsMatrix(self.basis.modes, Ghat, self.exps, self.theta, self.grading)
+        return ObsMatrix(self, Ghat)
+
+    def cluster(self, Ghat: np.ndarray) -> EigCluster:
+        return min_eig_cluster(self.obs(Ghat))
+
+    def supergradient(self, cl: EigCluster) -> np.ndarray:
+        # Phi(x) = scale * sum_ij conj(z_i) z_j hhat_ij phi_i(x) conj(phi_j(x))
+        # over the full (L and H) eigenvector z, so integral(a Phi) = lam
+        return cl.scale * self.basis.cluster_form(cl.Z, self.hhat)
 
 
 def assemble(model: SpectralModel, grid: Grid, a, T: float, N: int,
@@ -239,14 +240,14 @@ def _factored_spectrum(obs: ObsMatrix):
     e0 = min(exps): the eigenvalues of D S D are e^{2 e0} / eig(C) with
     the same eigenvectors, and C is graded downward, so the top of its
     spectrum (the bottom of the Gram form's) carries full relative accuracy.
-    The constants of D and e0 come from `obs.grading`.
+    The constants of D and e0 come from `obs.form`.
     """
-    g = obs.grading
-    if g.lempty:
+    form = obs.form
+    if form.lempty:
         raise OverflowError("T too large for N at this precision; reduce N or T")
     S, X = obs.Ghat, None
-    if not g.lfull:
-        lmask, hmask = g.lmask, ~g.lmask
+    if not form.lfull:
+        lmask, hmask = form.lmask, ~form.lmask
         Gll = obs.Ghat[np.ix_(lmask, lmask)]
         Glh = obs.Ghat[np.ix_(lmask, hmask)]
         Ghh = obs.Ghat[np.ix_(hmask, hmask)]
@@ -262,9 +263,9 @@ def _factored_spectrum(obs: ObsMatrix):
     else:
         w = np.maximum(w, w[-1] * 1e-300)  # clamp: singular directions give lambda_min ~ 0
         Sinv = (U / w) @ U.conj().T
-        C = Sinv * g.grade
+        C = Sinv * form.grade
         wc, Uc = np.linalg.eigh(0.5 * (C + C.conj().T))
-    return float(g.scale / wc[-1]), wc, Uc, X
+    return float(form.scale / wc[-1]), wc, Uc, X
 
 
 def reduce_min_eig(obs: ObsMatrix) -> float:
@@ -319,18 +320,18 @@ def min_eig_cluster(obs: ObsMatrix) -> EigCluster:
     spectrum, so they stay accurate under extreme exponent grading.
     """
     lam, wc, Uc, X = _factored_spectrum(obs)
-    g = obs.grading
-    members = wc >= g.scale / (lam + CLUSTER_ETA * (1.0 + abs(lam)))
+    form = obs.form
+    members = wc >= form.scale / (lam + CLUSTER_ETA * (1.0 + abs(lam)))
     if not members.any():
         members[-1] = True
-    ZL = Uc[:, members] * g.zrow
+    ZL = Uc[:, members] * form.zrow
     if X is None:
         Z = ZL
     else:
-        Z = np.empty((len(g.lmask), ZL.shape[1]), dtype=np.result_type(ZL, obs.Ghat))
-        Z[g.lmask] = ZL
-        Z[~g.lmask] = -X @ ZL
-    return EigCluster(lam, g.scale / wc[members], Z, g.scale)
+        Z = np.empty((len(form.lmask), ZL.shape[1]), dtype=np.result_type(ZL, obs.Ghat))
+        Z[form.lmask] = ZL
+        Z[~form.lmask] = -X @ ZL
+    return EigCluster(lam, form.scale / wc[members], Z, form.scale)
 
 
 def obs_constant(model: SpectralModel, grid: Grid, a, T: float, N: int,

@@ -13,8 +13,7 @@ import numpy as np
 from .geometry import (DensityField, Grid, SpatialFunction, _cell_value_ranges,
                        _measure_below, bathtub, cell_average, l1_distance,
                        level_threshold, project_box_mean)
-from .gram import mass_matrix
-from .optimize import OptOptions, _Sigma1Objective, maximize_sigma1
+from .optimize import OptOptions, _Sigma1Objective, maximize_sigma1, sigma1
 from .spectral import SpectralModel
 
 
@@ -28,29 +27,18 @@ class LimitSolution:
     sigma1_value: float
 
 
-def sigma1(model: SpectralModel, grid: Grid, a) -> float:
-    """Smallest eigenvalue of the J1-block mass matrix."""
-    M = mass_matrix(model, grid, a, model.J1)
-    return float(np.linalg.eigvalsh(M.matrix)[0])
-
-
 def limit_set(model: SpectralModel, grid: Grid, L: float,
               opts: OptOptions | None = None) -> LimitSolution:
     """Solve the limit problem and reconstruct its level-set structure.
 
-    #J1 = 1: Psi = |phi_1|^2 and one bathtub step is the exact solution.
-    #J1 > 1: maximize sigma_1, rebuild Psi from the minimal eigen-cluster
-    of M_1(a1) with uniform weights, re-bathtub, and flag degeneracy when
-    that changes sigma_1 or the optimum has a repeated eigenvalue.
+    Maximize sigma_1, rebuild Psi from the minimal eigen-cluster of
+    M_1(a1) with uniform weights, re-bathtub, and flag degeneracy when
+    that changes sigma_1 or the optimum has a repeated eigenvalue. With
+    #J1 = 1 the cluster is phi_1 alone, so Psi = |phi_1|^2 (cell
+    averages) and its bathtub set is the maximizer itself.
     """
     res = maximize_sigma1(model, grid, L, opts)
     obj = _Sigma1Objective(model, grid)
-    if len(model.J1) == 1:
-        psi = obj.basis.form_cell_average(np.ones((1, 1)))
-        psi = SpatialFunction(grid, psi.values.real)
-        mu = level_threshold(grid, psi, L)   # sub-cell refinement of the quantile
-        return LimitSolution(res.a_star, mu, psi, np.ones(1), False, res.value)
-
     cl = obj.cluster(obj.mantissa(res.a_star.values))
     m = len(cl.lams)
     alphas = np.full(m, 1.0 / m)

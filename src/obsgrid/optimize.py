@@ -27,9 +27,10 @@ import numpy as np
 
 from .geometry import (DensityField, Grid, SpatialFunction, bathtub,
                        project_box_mean)
-from .gram import (CLUSTER_ETA, EigCluster, GramForm, get_basis, mass_matrix,
-                   min_eig_cluster)
-from .gram import reduce_min_eig  # noqa: F401  (a binding perfbench/test_tracer.py checks)
+from .gram import CLUSTER_ETA, EigCluster, GramForm, get_basis
+# bindings perfbench/test_tracer.py checks; the benchmark harness under
+# perfbench/ stays fixed so that its runs compare across library changes
+from .gram import min_eig_cluster, reduce_min_eig  # noqa: F401
 from .spectral import OVERFLOW_THETA, SpectralModel, gamma_factored
 
 STALL_WINDOW = 50           # iterations of gap stagnation before a restart
@@ -73,25 +74,6 @@ class Certificate:
                 "upper_bound": self.upper_bound, "sigma1_a1": self.sigma1_a1}
 
 
-class _GramObjective(GramForm):
-    """C_T^{(N)} restricted to the segment structure Frank-Wolfe needs.
-
-    The Gram form is linear in the density, so a convex combination of
-    densities maps to the same combination of mantissa matrices; the
-    line search only ever re-solves the small factored eigenproblem.
-    A FW objective gives mantissa(a), cluster(M), the EigCluster of one
-    eigensolve, and supergradient(cluster).
-    """
-
-    def cluster(self, Ghat: np.ndarray) -> EigCluster:
-        return min_eig_cluster(self.obs(Ghat))
-
-    def supergradient(self, cl: EigCluster) -> np.ndarray:
-        # Phi(x) = scale * sum_ij conj(z_i) z_j hhat_ij phi_i(x) conj(phi_j(x))
-        # over the full (L and H) eigenvector z, so integral(a Phi) = lam
-        return cl.scale * self.basis.cluster_form(cl.Z, self.hhat)
-
-
 def supergradient(model: SpectralModel, grid: Grid, a, T: float, N: int,
                   theta: float = OVERFLOW_THETA) -> SpatialFunction:
     """Nonnegative spatial density Phi with integral(a * Phi) = C_T^{(N)}(a).
@@ -99,8 +81,8 @@ def supergradient(model: SpectralModel, grid: Grid, a, T: float, N: int,
     At an eigenvalue cluster the uniform average of the cluster member
     forms is returned (a valid supergradient of the concave objective).
     """
-    obj = _GramObjective(model, grid, T, N, theta)
-    return SpatialFunction(grid, obj.supergradient(obj.cluster(obj.mantissa(a))))
+    form = GramForm(model, grid, T, N, theta)
+    return SpatialFunction(grid, form.supergradient(form.cluster(form.mantissa(a))))
 
 
 @dataclass
@@ -171,12 +153,14 @@ def _stale_end_factor(d_new: float, d_old: float) -> float:
 
 
 def _frank_wolfe(obj, grid: Grid, L: float, opts: OptOptions) -> OptResult:
-    """Generic FW loop over a lambda_min objective (see _GramObjective).
+    """Generic FW loop over a lambda_min objective.
 
-    Every iterate needs the EigCluster of its matrix. The line search
-    already solved the eigenproblem at the step it accepts, so that
-    cluster is reused; only a restart or a return to the best iterate
-    solves again.
+    The objective (`gram.GramForm` or `_Sigma1Objective`) gives
+    mantissa(a), the matrix it is linear in; cluster(M), the EigCluster
+    of one eigensolve; and supergradient(cluster). Every iterate needs
+    the EigCluster of its matrix. The line search already solved the
+    eigenproblem at the step it accepts, so that cluster is reused; only
+    a restart or a return to the best iterate solves again.
     """
     rng = np.random.default_rng(opts.seed)
     a = opts.init.values.copy() if opts.init is not None else np.full(grid.ncells, L)
@@ -265,8 +249,12 @@ def maximize_obs(model: SpectralModel, grid: Grid, L: float, T: float, N: int,
     optimum and value + fw_gap an upper estimate (concavity).
     """
     opts = opts or OptOptions()
-    obj = _GramObjective(model, grid, T, N, theta)
-    return _frank_wolfe(obj, grid, L, opts)
+    return _frank_wolfe(GramForm(model, grid, T, N, theta), grid, L, opts)
+
+
+def sigma1(model: SpectralModel, grid: Grid, a) -> float:
+    """sigma_1(a): smallest eigenvalue of the J1-block mass matrix."""
+    return float(np.linalg.eigvalsh(get_basis(model, grid, model.J1).mass(a))[0])
 
 
 class _Sigma1Objective:
@@ -351,8 +339,7 @@ def lower_bound_certificate(model: SpectralModel, grid: Grid, a1: DensityField,
             raise ValueError("nu must be in (0,1)")
         one_minus_nu = 1.0 - nu
 
-    M1 = mass_matrix(model, grid, a1, model.J1)
-    sigma1_a1 = float(np.linalg.eigvalsh(M1.matrix)[0])
+    sigma1_a1 = sigma1(model, grid, a1)
 
     c = (L * one_minus_nu) ** 2
     nu_eff = 1.0 - one_minus_nu

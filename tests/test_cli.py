@@ -157,6 +157,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=match):
             load_config(str(path))
 
+    @pytest.mark.parametrize("seed", [2.7, "x", True])
+    def test_non_integer_seed_rejected(self, tmp_path, seed):
+        # 2.7 used to run as seed 2 and True as seed 1
+        with pytest.raises(ConfigError, match="seed"):
+            load_config(str(write_config(tmp_path, seed=seed)))
+
+    def test_integer_seed_echoed(self, tmp_path):
+        assert load_config(str(write_config(tmp_path, seed=12345)))["seed"] == 12345
+
+    @pytest.mark.parametrize("deltas", [[], [0.0], [-1], [float("nan")], [float("inf")], "x"])
+    def test_bad_deltas_exit_1_before_any_work(self, tmp_path, capsys, deltas):
+        # [] and [0.0] used to fail only after limit_set and the k_hat
+        # sampler had run, leaving a partial density_a1.csv behind
+        path = write_config(tmp_path, experiment="limit", drop=("T", "N"),
+                            deltas=deltas, out=str(tmp_path / "out"))
+        assert main(["limit", "--config", str(path)]) == 1
+        assert "deltas" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sampler_subset_accepted(self, tmp_path):
         path = write_config(tmp_path, experiment="limit", drop=("T", "N"),
                             sampler={"n_samples": 1, "families": ["project"],

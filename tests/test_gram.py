@@ -192,20 +192,6 @@ class TestObsConstant:
         assert obs.hblock.sum() == (theta < 64.0)
         assert reduce_min_eig(obs) == min_eig_cluster(obs)[0]
 
-    @pytest.mark.parametrize("theta", [600.0, 50.0])
-    def test_form_constants_match_a_bare_obs_matrix(self, d1d, grid512, theta):
-        # GramForm.obs hands its grading constants on; an ObsMatrix built
-        # without them computes the same constants on first use
-        from obsgrid.gram import GramForm, ObsMatrix
-        form = GramForm(d1d, grid512, 0.5, 8, theta)
-        M = form.mantissa(random_feasible(grid512, 0.5, np.random.default_rng(8)))
-        obs = form.obs(M)
-        bare = ObsMatrix(form.basis.modes, M, form.exps, theta)
-        assert obs.grading is form.grading
-        assert bare.hblock.sum() == (theta < 64.0)
-        assert reduce_min_eig(obs) == reduce_min_eig(bare)
-        assert (min_eig_cluster(obs).Z == min_eig_cluster(bare).Z).all()
-
     def test_empty_lblock_error(self, d1d, grid512):
         a = np.full(grid512.ncells, 0.5)
         with pytest.raises(OverflowError):

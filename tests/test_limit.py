@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from obsgrid.geometry import DensityField, l1_distance, make_grid, tube_measure
+from obsgrid.geometry import (DensityField, l1_distance, level_threshold,
+                              make_grid, tube_measure)
+from obsgrid.gram import get_basis
 from obsgrid.limit import (cesaro_mean, estimate_bathtub_constant, kkt_check,
                            limit_set, sigma1, sliding_ratio, tube_linearity)
-from obsgrid.optimize import OptOptions
+from obsgrid.optimize import OptOptions, maximize_sigma1
 from obsgrid.spectral import build_model
 
 from conftest import interval_indicator, random_feasible
@@ -83,6 +85,24 @@ class TestLimitSet:
         exact = DensityField(g, (psi_exact > sol.mu_star).astype(float))
         # the blob at L=0.3 has perimeter ~ 2, cell size 1/96
         assert l1_distance(sol.a1, exact) <= 2.5 * (1 / 96)
+
+    @pytest.mark.parametrize("L", [0.1, 0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("name,cells", [("dirichlet_1d", 1024),
+                                            ("dirichlet_rect_2d", (96, 96))])
+    def test_single_mode_head_is_the_bathtub_solution(self, name, cells, L):
+        # #J1 = 1: the cluster reconstruction gives Psi = |phi_1|^2 (cell
+        # averages) and the maximizer as its own bathtub set, bit for bit
+        m = build_model(name, 4)
+        g = make_grid(m.domain, cells, 3)
+        assert len(m.J1) == 1
+        sol = limit_set(m, g, L)
+        psi = get_basis(m, g, m.J1).form_cell_average(np.ones((1, 1))).values.real
+        assert (sol.a1.values == maximize_sigma1(m, g, L).a_star.values).all()
+        assert (sol.psi.values == psi).all()
+        assert sol.mu_star == level_threshold(g, psi, L)
+        assert sol.sigma1_value == sigma1(m, g, sol.a1)
+        assert sol.alphas.tolist() == [1.0]
+        assert not sol.degenerate
 
     def test_torus_degenerate(self, torus, torus_grid):
         sol = limit_set(torus, torus_grid, 0.5)

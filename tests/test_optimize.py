@@ -335,9 +335,8 @@ class TestValueAndSlope:
     @pytest.mark.parametrize("T,N,nh", [(2.0, 8, 0), (2.0, 16, 4), (2.5, 12, 2),
                                         (5.0, 16, 9)])
     def test_matches_central_difference(self, d1d, grid1024, T, N, nh):
-        from obsgrid.gram import reduce_min_eig
-        from obsgrid.optimize import _GramObjective
-        obj = _GramObjective(d1d, grid1024, T, N)
+        from obsgrid.gram import GramForm, reduce_min_eig
+        obj = GramForm(d1d, grid1024, T, N)
         rng = np.random.default_rng(int(10 * T) + N)
         for _ in range(3):
             Ga = obj.mantissa(random_feasible(grid1024, 0.5, rng))
@@ -354,8 +353,8 @@ class TestValueAndSlope:
     def test_simple_eigenvalue_slope_is_bitwise_eigvalsh(self, d1d, grid1024, T, N):
         # a 1-member tie skips eigvalsh; on the real and on the complex
         # matrix that must give bitwise its value on the 1x1 projection
-        from obsgrid.optimize import _GramObjective
-        obj = _GramObjective(d1d, grid1024, T, N)
+        from obsgrid.gram import GramForm
+        obj = GramForm(d1d, grid1024, T, N)
         rng = np.random.default_rng(N)
         Ga = obj.mantissa(random_feasible(grid1024, 0.5, rng))
         dG = obj.mantissa(random_feasible(grid1024, 0.5, rng)) - Ga
@@ -400,9 +399,8 @@ class TestRealArithmetic:
     # (T, N): the L-only path and the three Schur (H-block) cases
     @pytest.mark.parametrize("T,N", [(2.0, 8), (2.0, 16), (2.5, 12), (5.0, 16)])
     def test_real_solve_matches_complex_solve(self, d1d, grid1024, T, N):
-        from obsgrid.gram import min_eig_cluster
-        from obsgrid.optimize import _GramObjective
-        obj = _GramObjective(d1d, grid1024, T, N)
+        from obsgrid.gram import GramForm, min_eig_cluster
+        obj = GramForm(d1d, grid1024, T, N)
         rng = np.random.default_rng(int(10 * T) + N)
         Ga = obj.mantissa(random_feasible(grid1024, 0.5, rng))
         dG = obj.mantissa(random_feasible(grid1024, 0.5, rng)) - Ga
@@ -493,8 +491,8 @@ class TestLineSearchWork:
         # eigen-cluster solved there, so beyond the search's own
         # evaluations only the first iterate costs an eigensolve; a smooth
         # step takes about 6 evaluations
-        from obsgrid import optimize
-        solve = optimize.min_eig_cluster
+        from obsgrid import gram
+        solve = gram.min_eig_cluster
         eigensolves = 0
         complex_matrices = 0
 
@@ -504,7 +502,7 @@ class TestLineSearchWork:
             complex_matrices += not np.isrealobj(obs.Ghat)
             return solve(obs)
 
-        monkeypatch.setattr(optimize, "min_eig_cluster", counted)
+        monkeypatch.setattr(gram, "min_eig_cluster", counted)
         res = maximize_obs(d1d, grid1024, 0.5, 2.0, 8)
         assert res.converged
         assert res.iterations == 84
