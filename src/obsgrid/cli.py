@@ -134,6 +134,13 @@ def _positive_list(xs) -> bool:
         and math.isfinite(x) and x > 0 for x in xs)
 
 
+def _check_seed(seed) -> int:
+    """The seed as an int; numpy's generators take integers >= 0 only."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
+
+
 def validate_config(raw: dict) -> dict:
     """Strict validation; returns the config with defaults filled in."""
     if not isinstance(raw, dict):
@@ -147,11 +154,8 @@ def validate_config(raw: dict) -> dict:
     keys = COMMON_KEYS + EXPERIMENT_KEYS[kind]
     _reject_unknown(raw, keys, "")
 
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
     cfg = {"version": SCHEMA_VERSION, "experiment": kind,
-           "seed": int(seed), "out": raw.get("out", "runs/" + kind)}
+           "seed": _check_seed(raw.get("seed", 0)), "out": raw.get("out", "runs/" + kind)}
     for key in keys:
         if key == "acceptance":
             cfg[key] = _block(raw.get(key), key, ACCEPTANCE_DEFAULTS[kind])
@@ -699,7 +703,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg["out"] = args.out
         if args.seed is not None:
-            cfg["seed"] = args.seed
+            cfg["seed"] = _check_seed(args.seed)
         t0 = time.perf_counter()
         rep = RUNNERS[cfg["experiment"]](cfg)
         rep.timing["total_s"] = time.perf_counter() - t0

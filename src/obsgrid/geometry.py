@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,7 @@ class Grid:
         if not (w == w[0]).all():
             raise ValueError("Grid needs equal cell measures")
 
-    @property
+    @cached_property
     def ncells(self) -> int:
         return int(np.prod(self.shape))
 
@@ -164,8 +165,9 @@ def bathtub(grid: Grid, f, L: float) -> tuple[DensityField, float]:
     j = max(grid.ncells - 1 - k, 0)         # k == ncells: the smallest value
     mu = float(np.partition(f, j)[j])
     a = np.zeros(grid.ncells)
-    a[f > mu] = 1.0
-    filled = float(w[f > mu].sum())
+    above = f > mu
+    a[above] = 1.0
+    filled = float(w[above].sum())
     tie = f == mu
     tie_meas = float(w[tie].sum())
     if tie_meas > 0:

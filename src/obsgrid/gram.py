@@ -229,23 +229,41 @@ def min_eigpair(H: np.ndarray) -> tuple[float, np.ndarray]:
     return float(w[0]), v
 
 
-def _factored_spectrum(obs: ObsMatrix):
-    """(lambda_min, eig(C), eigvecs(C), X) of the Gram form.
+class _Factors(NamedTuple):
+    """The parts of one factored eigensolve that a cluster keeps.
+
+    C = grade * S^-1 has the ascending eigenvalues wc and eigenvectors Uc;
+    X = Ghh^-1 Ghl eliminates the H-block with the Ghh it was solved with
+    (both None without an H-block). Sinv is S^-1, None for a vanishing form.
+    """
+
+    form: GramForm
+    wc: np.ndarray
+    Uc: np.ndarray
+    X: np.ndarray | None
+    Ghh: np.ndarray | None
+    Sinv: np.ndarray | None
+
+
+def _factored_spectrum(obs: ObsMatrix) -> tuple[float, _Factors]:
+    """lambda_min of the Gram form and the factors it came from.
 
     The H-block is removed by a Schur complement S = Gll - Glh X on the
-    mantissa matrix, X = Ghh^-1 Ghl (ridge-regularized when needed; None
-    without an H-block); dropping the e^{-2 e_j} constraint weights of
-    stiff modes perturbs the Rayleigh quotient by <= e^{-theta}.
-    On the L-block, C = e^{2 e0} D^-1 S^-1 D^-1 with D = diag(e^exps) and
-    e0 = min(exps): the eigenvalues of D S D are e^{2 e0} / eig(C) with
-    the same eigenvectors, and C is graded downward, so the top of its
-    spectrum (the bottom of the Gram form's) carries full relative accuracy.
+    mantissa matrix, X = Ghh^-1 Ghl (ridge-regularized when needed);
+    dropping the e^{-2 e_j} constraint weights of stiff modes perturbs the
+    Rayleigh quotient by <= e^{-theta}. Without an H-block S is the
+    mantissa matrix itself, exactly Hermitian, as `GramForm.mantissa` and
+    every combination of such matrices are. On the L-block,
+    C = e^{2 e0} D^-1 S^-1 D^-1 with D = diag(e^exps) and e0 = min(exps):
+    the eigenvalues of D S D are e^{2 e0} / eig(C) with the same
+    eigenvectors, and C is graded downward, so the top of its spectrum
+    (the bottom of the Gram form's) carries full relative accuracy.
     The constants of D and e0 come from `obs.form`.
     """
     form = obs.form
     if form.lempty:
         raise OverflowError("T too large for N at this precision; reduce N or T")
-    S, X = obs.Ghat, None
+    S, X, Ghh = obs.Ghat, None, None
     if not form.lfull:
         lmask, hmask = form.lmask, ~form.lmask
         Gll = obs.Ghat[np.ix_(lmask, lmask)]
@@ -255,17 +273,19 @@ def _factored_spectrum(obs: ObsMatrix):
             X = np.linalg.solve(Ghh, Glh.conj().T)
         except np.linalg.LinAlgError:
             ridge = 1e-14 * max(np.trace(Ghh).real, 1e-300)
-            X = np.linalg.solve(Ghh + ridge * np.eye(Ghh.shape[0]), Glh.conj().T)
+            Ghh = Ghh + ridge * np.eye(Ghh.shape[0])
+            X = np.linalg.solve(Ghh, Glh.conj().T)
         S = Gll - Glh @ X
-    w, U = np.linalg.eigh(0.5 * (S + S.conj().T))
+        S = 0.5 * (S + S.conj().T)
+    w, U = np.linalg.eigh(S)
     if w[-1] <= 0.0:                 # vanishing form (e.g. a == 0): lambda_min ~ 0
-        wc, Uc = np.full(len(w), np.inf), np.eye(len(w), dtype=S.dtype)
+        wc, Uc, Sinv = np.full(len(w), np.inf), np.eye(len(w), dtype=S.dtype), None
     else:
         w = np.maximum(w, w[-1] * 1e-300)  # clamp: singular directions give lambda_min ~ 0
         Sinv = (U / w) @ U.conj().T
         C = Sinv * form.grade
         wc, Uc = np.linalg.eigh(0.5 * (C + C.conj().T))
-    return float(form.scale / wc[-1]), wc, Uc, X
+    return float(form.scale / wc[-1]), _Factors(form, wc, Uc, X, Ghh, Sinv)
 
 
 def reduce_min_eig(obs: ObsMatrix) -> float:
@@ -277,39 +297,83 @@ class EigCluster(NamedTuple):
     """The smallest eigenvalue of a Hermitian form and its eigen-cluster.
 
     lams holds the eigenvalues of the m cluster members (m = len(lams)),
-    lams[0] == lam. Z holds their eigenvectors in the coordinates of the
+    one of them lam. Z holds their eigenvectors in the coordinates of the
     matrix Ghat the form is linear in, scaled so that
-    scale * Z^H Ghat Z = diag(lams); it gives both the line-search slopes
-    (`slopes`) and the supergradient form (`ModeBasis.cluster_form`). For
-    a Gram form G = D Ghat D the L-block rows are Z_L = e^{-e0} D B, with
-    B the orthonormal eigenvectors of the factored L-block problem, and
-    the H-block rows are the Schur-eliminated Z_H = -X Z_L, with
-    scale = e^{2 e0}; no entry overflows for 2 e_j <= theta.
+    scale * Z^H Ghat Z = diag(lams); it gives both the line-search
+    derivatives (`derivatives`) and the supergradient form
+    (`ModeBasis.cluster_form`). For a Gram form G = D Ghat D the L-block
+    rows are Z_L = e^{-e0} D B, with B the orthonormal eigenvectors of the
+    factored L-block problem, and the H-block rows are the Schur-eliminated
+    Z_H = -X Z_L, with scale = e^{2 e0}; no entry overflows for
+    2 e_j <= theta. parts holds the factors of that eigensolve, which give
+    the curvature; None for other forms.
     """
 
     lam: float
     lams: np.ndarray
     Z: np.ndarray
     scale: float = 1.0
+    parts: _Factors | None = None
 
-    def slopes(self, dGhat: np.ndarray) -> tuple[float, float]:
-        """One-sided derivatives (phi'(0+), phi'(0-)) of lambda_min along Ghat + t dGhat.
+    def derivatives(self, dGhat: np.ndarray) -> tuple[float, float, float | None]:
+        """(phi'(0+), phi'(0-), phi''(0)) of phi(t) = lambda_min(Ghat + t dGhat).
 
-        Envelope theorem: at a simple eigenvalue both are scale * z^H dGhat z.
-        Eigenvalues tied within TIE_ETA * (1 + |lambda_min|) are one
-        multiple eigenvalue, whose one-sided derivatives are the smallest
-        and the largest eigenvalue of the projected direction
-        scale * Z^H dGhat Z (Overton, SIAM J. Optim. 1992). The tie is
-        tighter than the cluster so that a line search resolves a crossing
-        of two eigenvalues to TIE_ETA, not to CLUSTER_ETA.
+        Envelope theorem: at a simple eigenvalue both slopes are
+        scale * z^H dGhat z. Eigenvalues tied within
+        TIE_ETA * (1 + |lambda_min|) are one multiple eigenvalue, whose
+        one-sided derivatives are the smallest and the largest eigenvalue
+        of the projected direction scale * Z^H dGhat Z (Overton, SIAM J.
+        Optim. 1992). The tie is tighter than the cluster so that a line
+        search resolves a crossing of two eigenvalues to TIE_ETA, not to
+        CLUSTER_ETA. phi'' is None at a multiple eigenvalue, where phi
+        has a kink, and without the factors of a factored eigensolve.
         """
-        Z = self.Z[:, self.lams <= self.lam + TIE_ETA * (1.0 + abs(self.lam))]
-        P = Z.conj().T @ dGhat @ Z
+        Z = self.Z
+        if len(self.lams) > 1:
+            Z = Z[:, self.lams <= self.lam + TIE_ETA * (1.0 + abs(self.lam))]
+        r = Z.conj().T @ dGhat
+        P = r @ Z
         if len(P) == 1:      # bitwise eigvalsh of the 1x1 sym(P)
-            d = self.scale * float(P[0, 0].real)
-            return d, d
+            p = float(P[0, 0].real)
+            d = self.scale * p
+            return d, d, None if self.parts is None else self._curvature(p, r[0].conj())
         w = np.linalg.eigvalsh(0.5 * (P + P.conj().T))
-        return self.scale * float(w[0]), self.scale * float(w[-1])
+        return self.scale * float(w[0]), self.scale * float(w[-1]), None
+
+    def _curvature(self, p: float, h: np.ndarray) -> float | None:
+        """phi''(0) at a simple eigenvalue, from the factors of its eigensolve.
+
+        phi = scale / mu with mu = wc[-1], the top eigenvalue of
+        C = E S^-1 E, E = diag(e^{-(e_l - e0)}) = 1 / zrow. Let z be the
+        full cluster vector, h = dGhat z and g = h_L - X^H h_H, the
+        first-order change of S applied to z_L. Second-order perturbation
+        of mu (Lancaster, Numer. Math. 6, 1964) gives mu' = -mu^2 p with
+        p = z^H h, and
+            mu'' = 2 mu^2 q + 2 sum_{k < top} |u_k^H y|^2 / (mu - mu_k),
+            q = g^H S^-1 g + h_H^H Ghh^-1 h_H,   y = mu E S^-1 g,
+        where the Ghh term is the second derivative of the Schur
+        complement. So
+            phi'' = scale (2 mu'^2 / mu^3 - mu'' / mu^2)
+                  = 2 scale (mu p^2 - q - sum_{k < top} |u_k^H E S^-1 g|^2 / (mu - mu_k)).
+        Every term lives in the coordinates of C, which keep the exponent
+        grading out; the same sum in the coordinates of G loses it.
+        """
+        f = self.parts
+        if f.Sinv is None:
+            return None
+        form = f.form
+        if f.X is None:
+            g, q = h, 0.0
+        else:
+            hh = h[~form.lmask]
+            g = h[form.lmask] - f.X.conj().T @ hh
+            q = (hh.conj() @ np.linalg.solve(f.Ghh, hh)).real
+        Sg = f.Sinv @ g
+        q += (g.conj() @ Sg).real
+        c = (Sg / form.zrow[:, 0]).conj() @ f.Uc[:, :-1]      # conj(u_k^H E S^-1 g)
+        mu = f.wc[-1]
+        cross = (c.conj() @ (c / (mu - f.wc[:-1]))).real
+        return 2.0 * self.scale * float(mu * p * p - q - cross)
 
 
 def min_eig_cluster(obs: ObsMatrix) -> EigCluster:
@@ -319,19 +383,19 @@ def min_eig_cluster(obs: ObsMatrix) -> EigCluster:
     of the smallest; its eigenvectors come from the factored inverse
     spectrum, so they stay accurate under extreme exponent grading.
     """
-    lam, wc, Uc, X = _factored_spectrum(obs)
+    lam, f = _factored_spectrum(obs)
     form = obs.form
-    members = wc >= form.scale / (lam + CLUSTER_ETA * (1.0 + abs(lam)))
-    if not members.any():
-        members[-1] = True
-    ZL = Uc[:, members] * form.zrow
-    if X is None:
+    # wc ascends, so the cluster (wc >= scale / (lam + width), at least the top) is a suffix
+    k = int(np.searchsorted(f.wc, form.scale / (lam + CLUSTER_ETA * (1.0 + abs(lam)))))
+    members = slice(min(k, len(f.wc) - 1), None)
+    ZL = f.Uc[:, members] * form.zrow
+    if f.X is None:
         Z = ZL
     else:
         Z = np.empty((len(form.lmask), ZL.shape[1]), dtype=np.result_type(ZL, obs.Ghat))
         Z[form.lmask] = ZL
-        Z[~form.lmask] = -X @ ZL
-    return EigCluster(lam, form.scale / wc[members], Z, form.scale)
+        Z[~form.lmask] = -f.X @ ZL
+    return EigCluster(lam, form.scale / f.wc[members], Z, form.scale, f)
 
 
 def obs_constant(model: SpectralModel, grid: Grid, a, T: float, N: int,

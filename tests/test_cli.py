@@ -163,6 +163,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="seed"):
             load_config(str(write_config(tmp_path, seed=seed)))
 
+    def test_negative_seed_exit_1_before_any_work(self, tmp_path, capsys):
+        # used to fail in the k_hat sampler only after limit_set had run,
+        # with a message that did not name the key, leaving density_a1.csv
+        path = write_config(tmp_path, experiment="limit", drop=("T", "N"),
+                            seed=-1, out=str(tmp_path / "out"))
+        assert main(["limit", "--config", str(path)]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "density_a1.csv").exists()
+
+    def test_negative_seed_flag_exit_1_before_any_work(self, tmp_path, capsys):
+        # --seed used to replace the validated seed without a check
+        path = write_config(tmp_path, experiment="limit", drop=("T", "N"),
+                            out=str(tmp_path / "out"))
+        assert main(["limit", "--config", str(path), "--seed", "-1"]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "density_a1.csv").exists()
+
     def test_integer_seed_echoed(self, tmp_path):
         assert load_config(str(write_config(tmp_path, seed=12345)))["seed"] == 12345
 
