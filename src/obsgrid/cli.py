@@ -115,9 +115,7 @@ def _block(given, name: str, defaults: dict) -> dict:
 
 def _check_sampler(smp: dict) -> None:
     """Reject sampler settings the k_hat run would only fail on later."""
-    n = smp["n_samples"]
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ConfigError(f"sampler.n_samples must be an integer >= 1, got {n!r}")
+    _check_int(smp["n_samples"], "sampler.n_samples")
     fam = smp["families"]
     if not isinstance(fam, list) or not fam or any(f not in SAMPLER_FAMILIES for f in fam):
         raise ConfigError(f"sampler.families must be a nonempty list drawn from "
@@ -134,11 +132,52 @@ def _positive_list(xs) -> bool:
         and math.isfinite(x) and x > 0 for x in xs)
 
 
-def _check_seed(seed) -> int:
-    """The seed as an int; numpy's generators take integers >= 0 only."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    return int(seed)
+def _check_int(value, key: str, lo: int = 1, hi: int | None = None) -> int:
+    """value as an int in lo..hi; bools and floats are not integers here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < lo or (hi is not None and value > hi):
+        want = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ConfigError(f"{key} must be an integer {want}, got {value!r}")
+    return int(value)
+
+
+def _check_ints(value, key: str, lo: int = 1, hi: int | None = None) -> None:
+    """value, or each entry of a nonempty list value, is an integer in lo..hi."""
+    for x in value if isinstance(value, list) and value else [value]:
+        _check_int(x, key, lo, hi)
+
+
+def _check_T(T, kind: str):
+    """One finite horizon > 0, or for sweep a list of >= 4 distinct ones."""
+    if kind == "sweep" and not (isinstance(T, list) and len(T) >= 4):
+        raise ConfigError("sweep needs a T list with >= 4 values")
+    if kind != "sweep" and isinstance(T, list):
+        raise ConfigError(f"{kind} takes one T, not a list")
+    Ts = T if kind == "sweep" else [T]
+    if not _positive_list(Ts) or len(set(Ts)) < len(Ts):
+        raise ConfigError(f"T must be a finite number > 0, and distinct in a "
+                          f"sweep, got {T!r}")
+    return T
+
+
+def _check_N(raw: dict, kind: str, model: dict):
+    """The N of a run, or its N list, with model.n_max defaulted to fit a list."""
+    N = raw.get("N", _N_LISTS.get(kind, model["n_max"]))
+    if isinstance(N, list) != (kind in _N_LISTS):
+        want = "an N list" if kind in _N_LISTS else "one N, not a list"
+        raise ConfigError(f"{kind} takes {want}")
+    _check_ints(N, "N")
+    if kind in _N_LISTS and "n_max" not in (raw.get("model") or {}):
+        model["n_max"] = max(N)     # the modes the largest N needs
+    _check_ints(N, "N", 1, model["n_max"])
+    return N
+
+
+def _check_sizes(model: dict, grid: dict) -> None:
+    """model.n_max and the grid sizes are integers in range."""
+    _check_int(model["n_max"], "model.n_max")
+    _check_ints(grid["cells"], "grid.cells", 2)
+    _check_int(grid["gauss_order"], "grid.gauss_order", 1, 5)
 
 
 def validate_config(raw: dict) -> dict:
@@ -155,7 +194,8 @@ def validate_config(raw: dict) -> dict:
     _reject_unknown(raw, keys, "")
 
     cfg = {"version": SCHEMA_VERSION, "experiment": kind,
-           "seed": _check_seed(raw.get("seed", 0)), "out": raw.get("out", "runs/" + kind)}
+           "seed": _check_int(raw.get("seed", 0), "seed", 0),
+           "out": raw.get("out", "runs/" + kind)}
     for key in keys:
         if key == "acceptance":
             cfg[key] = _block(raw.get(key), key, ACCEPTANCE_DEFAULTS[kind])
@@ -163,23 +203,16 @@ def validate_config(raw: dict) -> dict:
             cfg[key] = _block(raw.get(key), key, BLOCK_DEFAULTS[key])
         elif key in _SCALAR_DEFAULTS:
             cfg[key] = raw.get(key, _SCALAR_DEFAULTS[key])
-    if "name" not in cfg["model"]:
+    model = cfg["model"]
+    if "name" not in model:
         raise ConfigError("model.name is required")
+    _check_sizes(model, cfg["grid"])
     if "L" in cfg and not 0.0 < cfg["L"] < 1.0:
         raise ConfigError("L must be in (0,1)")
     if "T" in keys:
-        T = raw.get("T", 1e-3 if kind == "smallt" else 1.0)
-        if kind == "sweep" and not (isinstance(T, list) and len(T) >= 4):
-            raise ConfigError("sweep needs a T list with >= 4 values")
-        if kind != "sweep" and isinstance(T, list):
-            raise ConfigError(f"{kind} takes one T, not a list")
-        cfg["T"] = T
+        cfg["T"] = _check_T(raw.get("T", 1e-3 if kind == "smallt" else 1.0), kind)
     if "N" in keys:
-        N = raw.get("N", _N_LISTS.get(kind, cfg["model"]["n_max"]))
-        if isinstance(N, list) != (kind in _N_LISTS):
-            want = "an N list" if kind in _N_LISTS else "one N, not a list"
-            raise ConfigError(f"{kind} takes {want}")
-        cfg["N"] = N
+        cfg["N"] = _check_N(raw, kind, model)
     if "optimizer" in cfg:
         OptOptions(**cfg["optimizer"])      # rejects max_iter < 1 and tol <= 0
     if "sampler" in cfg:
@@ -187,7 +220,7 @@ def validate_config(raw: dict) -> dict:
     if cfg.get("deltas") is not None and not _positive_list(cfg["deltas"]):
         raise ConfigError(f"deltas must be null or a nonempty list of finite "
                           f"numbers > 0, got {cfg['deltas']!r}")
-    if kind == "torus-deg" and cfg["model"]["name"] != "torus_1d":
+    if kind == "torus-deg" and model["name"] != "torus_1d":
         raise ConfigError("torus-deg requires model.name == 'torus_1d'")
     return cfg
 
@@ -212,24 +245,14 @@ def _model_params(cfg) -> dict:
     return params
 
 
-def _build(cfg, n_max: int | None = None):
-    mp = cfg["model"]
-    model = build_model(mp["name"], n_max or mp["n_max"], **_model_params(cfg))
-    cells = cfg["grid"]["cells"]
-    grid = make_grid(model.domain, cells, cfg["grid"]["gauss_order"])
-    return model, grid
+def _build(cfg):
+    mp, gp = cfg["model"], cfg["grid"]
+    model = build_model(mp["name"], mp["n_max"], **_model_params(cfg))
+    return model, make_grid(model.domain, gp["cells"], gp["gauss_order"])
 
 
 def _opts(cfg, init=None) -> OptOptions:
     return OptOptions(**cfg["optimizer"], init=init, seed=cfg["seed"])
-
-
-def _warn_unconverged(rep, res, T, N) -> None:
-    """One warning per FW solve that stopped before its gap tolerance."""
-    if not res.converged:
-        rel = res.fw_gap / abs(res.value) if res.value else math.inf
-        rep.warnings.append(f"FW solve at T={T:g}, N={N} stopped unconverged: "
-                            f"gap/value = {rel:.3g}")
 
 
 def _max_axis_index(model, N: int) -> int:
@@ -281,15 +304,10 @@ class ExperimentReport:
                 "pass": self.passed}
 
     def write(self, outdir: Path) -> None:
-        outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "report.json", "w") as fh:
-            json.dump(self.core_dict(), fh, indent=2, sort_keys=True,
-                      default=_json_default)
-            fh.write("\n")
-        with open(outdir / "timing.json", "w") as fh:
-            json.dump(self.timing, fh, indent=2, sort_keys=True,
-                      default=_json_default)
-            fh.write("\n")
+        for name, obj in (("report.json", self.core_dict()), ("timing.json", self.timing)):
+            with open(outdir / name, "w") as fh:
+                json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
+                fh.write("\n")
 
 
 def _json_default(o):
@@ -304,12 +322,50 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
+def _outdir(cfg) -> Path:
+    """The run's output directory, created if missing."""
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(header)
         for row in rows:
             wr.writerow([f"{v:.16g}" if isinstance(v, float) else v for v in row])
+
+
+def _write_records_csv(path, header, records) -> None:
+    """One row per record: the values of the header keys, None as nan."""
+    _write_csv(path, header, ([math.nan if r[k] is None else r[k] for k in header]
+                              for r in records))
+
+
+def _write_solution(out: Path, res, suffix: str = "") -> None:
+    """A FW solve's density{suffix}.csv and history{suffix}.csv."""
+    write_density_csv(out / f"density{suffix}.csv", res.a_star)
+    _write_csv(out / f"history{suffix}.csv", ["iter", "value", "gap"], res.history)
+
+
+def _solve_record(rep, model, grid, T: float, N: int, res, **fields) -> None:
+    """Append the record of one FW solve to rep.
+
+    Every solve record holds T, N, res.as_dict() and bangbang_frac, then
+    the runner's own fields. The grid's resolution warning for N is added
+    once per report, and a solve that stopped before its gap tolerance
+    adds one warning.
+    """
+    warning = resolution_warning(model, grid, N)
+    if warning and warning not in rep.warnings:
+        rep.warnings.append(warning)
+    if not res.converged:
+        rel = res.fw_gap / abs(res.value) if res.value else math.inf
+        rep.warnings.append(f"FW solve at T={T:g}, N={N} stopped unconverged: "
+                            f"gap/value = {rel:.3g}")
+    rep.records.append({"T": T, "N": N, **res.as_dict(),
+                        "bangbang_frac": bang_bang_fraction(res.a_star), **fields})
 
 
 def fit_rate(points, floor: float):
@@ -333,31 +389,21 @@ def fit_rate(points, floor: float):
 def run_solve(cfg) -> ExperimentReport:
     model, grid = _build(cfg)
     rep = ExperimentReport("solve", cfg)
-    T, N, L = float(cfg["T"]), int(cfg["N"]), cfg["L"]
-    w = resolution_warning(model, grid, N)
-    if w:
-        rep.warnings.append(w)
+    T, N = float(cfg["T"]), cfg["N"]
     t0 = time.perf_counter()
-    res = maximize_obs(model, grid, L, T, N, _opts(cfg))
+    res = maximize_obs(model, grid, cfg["L"], T, N, _opts(cfg))
     rep.timing["solve_s"] = time.perf_counter() - t0
-    _warn_unconverged(rep, res, T, N)
-    rec = {"T": T, "N": N, **res.as_dict(),
-           "bangbang_frac": bang_bang_fraction(res.a_star)}
-    rep.records.append(rec)
+    _solve_record(rep, model, grid, T, N, res)
     rep.checks["gap_nonnegative"] = res.fw_gap >= -1e-12
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    write_density_csv(out / "density.csv", res.a_star)
-    _write_csv(out / "history.csv", ["iter", "value", "gap"], res.history)
+    _write_solution(_outdir(cfg), res)
     return rep
 
 
 def _sweep_point(model, grid, cfg, T, a1, sigma1_max):
-    L, N = cfg["L"], int(cfg["N"])
-    res = maximize_obs(model, grid, L, T, N, _opts(cfg))
+    res = maximize_obs(model, grid, cfg["L"], T, cfg["N"], _opts(cfg))
     try:
         cert = lower_bound_certificate(model, grid, a1, T,
-                                       cfg["certificate"]["nu"], L=L)
+                                       cfg["certificate"]["nu"], L=cfg["L"])
         lower, upper = cert.lower_bound, cert.upper_bound
     except (ValueError, OverflowError):
         lower = upper = None
@@ -370,49 +416,29 @@ def _sweep_point(model, grid, cfg, T, a1, sigma1_max):
 def run_sweep(cfg) -> ExperimentReport:
     model, grid = _build(cfg)
     rep = ExperimentReport("sweep", cfg)
-    L, N = cfg["L"], int(cfg["N"])
-    Ts = [float(t) for t in cfg["T"]]
     acc = cfg["acceptance"]
-    w = resolution_warning(model, grid, N)
-    if w:
-        rep.warnings.append(w)
+    s1 = maximize_sigma1(model, grid, cfg["L"], _opts(cfg))
+    out = _outdir(cfg)
 
-    s1 = maximize_sigma1(model, grid, L, _opts(cfg))
-
+    # one pass in ascending T: each point is solved, recorded and written
+    # before the next, so no earlier solution stays alive
     t0 = time.perf_counter()
-    failures = []
-    results = {}
-    for T in Ts:
+    for T in sorted(float(t) for t in cfg["T"]):
         try:
-            results[T] = _sweep_point(model, grid, cfg, T, s1.a_star, s1.value)
+            res, lower, upper, ratio, d = _sweep_point(model, grid, cfg, T,
+                                                       s1.a_star, s1.value)
         except Exception as e:           # noqa: BLE001 - per-point diagnostics
-            failures.append(f"T={T}: {e}")
+            rep.warnings.append(f"T={T}: {e}")
+            continue
+        _solve_record(rep, model, grid, T, cfg["N"], res, lower_bound=lower,
+                      upper_bound=upper, l1_dist=d, ratio=ratio)
+        _write_solution(out, res, f"_T{T:g}")
     rep.timing["sweep_s"] = time.perf_counter() - t0
-    if not results:
-        raise RuntimeError("all sweep points failed: " + "; ".join(failures))
-    rep.warnings.extend(failures)
-
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for T in sorted(results):
-        res, lower, upper, ratio, d = results[T]
-        _warn_unconverged(rep, res, T, N)
-        rec = {"T": T, "value": res.value, "fw_gap": res.fw_gap,
-               "lower_bound": lower, "upper_bound": upper,
-               "l1_dist": d, "ratio": ratio,
-               "bangbang_frac": bang_bang_fraction(res.a_star),
-               "converged": res.converged}
-        rep.records.append(rec)
-        rows.append([T, res.value, res.fw_gap,
-                     lower if lower is not None else math.nan,
-                     upper if upper is not None else math.nan,
-                     d, ratio, rec["bangbang_frac"]])
-        write_density_csv(out / f"density_T{T:g}.csv", res.a_star)
-        _write_csv(out / f"history_T{T:g}.csv", ["iter", "value", "gap"], res.history)
-    _write_csv(out / "sweep.csv",
-               ["T", "value", "fw_gap", "lower_bound", "upper_bound",
-                "l1_dist", "ratio", "bangbang_frac"], rows)
+    if not rep.records:                  # the warnings are the failures
+        raise RuntimeError("all sweep points failed: " + "; ".join(rep.warnings))
+    _write_records_csv(out / "sweep.csv",
+                       ["T", "value", "fw_gap", "lower_bound", "upper_bound",
+                        "l1_dist", "ratio", "bangbang_frac"], rep.records)
 
     ratios = [r["ratio"] for r in rep.records]
     dists = [r["l1_dist"] for r in rep.records]
@@ -459,9 +485,7 @@ def run_limit(cfg) -> ExperimentReport:
     rec["kkt_pass"] = kk.passed
     rec["kkt_margins"] = [kk.min_inside_minus_mu, kk.mu_minus_max_outside]
 
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    write_density_csv(out / "density_a1.csv", sol.a1)
+    write_density_csv(_outdir(cfg) / "density_a1.csv", sol.a1)
 
     if not sol.degenerate:
         t0 = time.perf_counter()
@@ -492,7 +516,7 @@ def run_smallt(cfg) -> ExperimentReport:
     rep = ExperimentReport("smallt", cfg)
     L = cfg["L"]
     T = float(cfg["T"])
-    Ns = sorted(int(n) for n in cfg["N"])
+    Ns = sorted(cfg["N"])
     acc = cfg["acceptance"]
 
     # descending-N warm starts keep the reported chain consistent with
@@ -505,19 +529,12 @@ def run_smallt(cfg) -> ExperimentReport:
         init = results[N].a_star
     rep.timing["smallt_s"] = time.perf_counter() - t0
 
-    rows = []
     for N in Ns:
-        res = results[N]
-        v, gap = res.value, res.fw_gap
-        _warn_unconverged(rep, res, T, N)
-        rep.records.append({"N": N, "v": v / T, "value": v, "fw_gap": gap,
-                            "converged": res.converged})
-        rows.append([N, v / T, v, gap])
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "smallt.csv", ["N", "v", "value", "fw_gap"], rows)
+        _solve_record(rep, model, grid, T, N, results[N], v=results[N].value / T)
+    _write_records_csv(_outdir(cfg) / "smallt.csv", ["N", "v", "value", "fw_gap"],
+                       rep.records)
 
-    vs = [results[N].value / T for N in Ns]
+    vs = [r["v"] for r in rep.records]
     rep.checks["value_floor"] = all(v >= L - acc["value_floor_slack"] for v in vs)
     rep.checks["v_nonincreasing_in_N"] = all(
         b <= a + 1e-12 for a, b in zip(vs, vs[1:]))
@@ -553,14 +570,11 @@ def _cesaro_deviations(model, grid, Ns, compact_fraction):
 def run_cesaro(cfg) -> ExperimentReport:
     model, grid = _build(cfg)
     rep = ExperimentReport("cesaro", cfg)
-    Ns = [int(n) for n in cfg["N"]]
-    devs = _cesaro_deviations(model, grid, Ns, cfg["compact_fraction"])
-    for N, dev in zip(Ns, devs):
+    devs = _cesaro_deviations(model, grid, cfg["N"], cfg["compact_fraction"])
+    for N, dev in zip(cfg["N"], devs):
         rep.records.append({"N": N, "compact_l1_dev": dev})
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "cesaro.csv", ["N", "compact_l1_dev"],
-               [[n, d] for n, d in zip(Ns, devs)])
+    _write_records_csv(_outdir(cfg) / "cesaro.csv", ["N", "compact_l1_dev"],
+                       rep.records)
     rep.checks["deviation_decreasing"] = all(
         b < a for a, b in zip(devs, devs[1:]))
     return rep
@@ -612,8 +626,7 @@ def run_torus_deg(cfg) -> ExperimentReport:
     rep.checks["nonbangbang_maximizer"] = bang_bang_fraction(base) > 0.5 \
         and abs(s_base - res.value) <= acc["attain_tol"] + res.fw_gap
     rep.checks["degenerate_detected"] = res.degenerate_flag
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _outdir(cfg)
     write_density_csv(out / "density_constant.csv", base)
     write_density_csv(out / "density_member0.csv", members[0])
     return rep
@@ -622,7 +635,7 @@ def run_torus_deg(cfg) -> ExperimentReport:
 def run_certify(cfg) -> ExperimentReport:
     model, grid = _build(cfg)
     rep = ExperimentReport("certify", cfg)
-    L, N = cfg["L"], int(cfg["N"])
+    L, N = cfg["L"], cfg["N"]
     T = float(cfg["T"])
     acc = cfg["acceptance"]
     s1 = maximize_sigma1(model, grid, L, _opts(cfg))
@@ -631,21 +644,13 @@ def run_certify(cfg) -> ExperimentReport:
     t0 = time.perf_counter()
     res = maximize_obs(model, grid, L, T, N, _opts(cfg))
     rep.timing["solve_s"] = time.perf_counter() - t0
-    _warn_unconverged(rep, res, T, N)
-    rec = {"T": T, "N": N, "value": res.value, "fw_gap": res.fw_gap,
-           "iterations": res.iterations, "line_search_evals": res.line_search_evals,
-           "converged": res.converged, "certificate": cert.as_dict(),
-           "bangbang_frac": bang_bang_fraction(res.a_star)}
-    rep.records.append(rec)
+    _solve_record(rep, model, grid, T, N, res, certificate=cert.as_dict())
     srtol = acc["sandwich_rtol"]
     rep.checks["rel_gap"] = res.fw_gap <= acc["max_rel_gap"] * max(res.value, 1e-300)
     rep.checks["value_below_upper"] = res.value <= cert.upper_bound * (1.0 + srtol)
     rep.checks["lower_below_estimate"] = cert.lower_bound <= \
         (res.value + max(res.fw_gap, 0.0)) * (1.0 + srtol)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    write_density_csv(out / "density.csv", res.a_star)
-    _write_csv(out / "history.csv", ["iter", "value", "gap"], res.history)
+    _write_solution(_outdir(cfg), res)
     return rep
 
 
@@ -665,9 +670,7 @@ def run_model(cfg) -> ExperimentReport:
     resid = float(np.abs(M - np.eye(model.n_max)).max())
     rep.fit["orthonormality_residual"] = resid
     rep.checks["orthonormal"] = resid <= 1e-8
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "modes.csv", ["j", "re", "im", "in_J1"],
+    _write_csv(_outdir(cfg) / "modes.csv", ["j", "re", "im", "in_J1"],
                [[r["j"], r["re"], r["im"], int(r["in_J1"])] for r in rep.records])
     return rep
 
@@ -703,11 +706,11 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg["out"] = args.out
         if args.seed is not None:
-            cfg["seed"] = _check_seed(args.seed)
+            cfg["seed"] = _check_int(args.seed, "seed", 0)
         t0 = time.perf_counter()
         rep = RUNNERS[cfg["experiment"]](cfg)
         rep.timing["total_s"] = time.perf_counter() - t0
-        rep.write(Path(cfg["out"]))
+        rep.write(_outdir(cfg))
         if cfg["experiment"] == "model":
             for r in rep.records:
                 tag = " J1" if r["in_J1"] else ""

@@ -124,10 +124,11 @@ def estimate_bathtub_constant(model: SpectralModel, grid: Grid, sol: LimitSoluti
                               n_samples: int = 1000, seed: int = 0,
                               families: tuple[str, ...] = SAMPLER_FAMILIES,
                               ) -> KEstimate:
-    """Sampled lower envelope of (sigma1(a1) - sigma1(a)) / ||a - a1||_1^2.
+    """Sampled upper estimate of k = inf (sigma1(a1) - sigma1(a)) / ||a - a1||_1^2.
 
-    Families: slid level sets, bathtub sets of random smooth score
-    functions, and feasibility-projected random perturbations of a1.
+    k_hat is the smallest ratio over the samples, so k_hat >= k. Families:
+    slid level sets, bathtub sets of random smooth score functions, and
+    feasibility-projected random perturbations of a1.
     Deterministic given the seed; degenerate solutions are rejected
     (the quantitative inequality has no content there).
     """

@@ -104,10 +104,10 @@ class OptOptions:
 def _golden_section(h, start):
     """Maximize a concave function phi on [0, 1]; returns (t, phi(t)).
 
-    h(t) returns (phi(t), phi'(t+), phi'(t-)) or (phi(t), phi'(t+),
-    phi'(t-), phi''(t)), with phi''(t) None where it is unknown (a kink);
-    start is h(0), which the caller already holds. The search keeps a
-    bracket [lo, hi] with phi'(lo+) > 0 > phi'(hi-). Its next point is the
+    h(t) returns (phi(t), phi'(t+), phi'(t-), phi''(t)), with phi''(t)
+    None where it is unknown (a kink); start is h(0), which the caller
+    already holds. The search keeps a bracket [lo, hi] with
+    phi'(lo+) > 0 > phi'(hi-). Its next point is the
     Newton step t - phi'(t) / phi''(t) from the last evaluated point t when
     that lands inside the bracket; the right end t = 1 is evaluated only
     when it does not. Otherwise the next point is the secant root of the
@@ -127,7 +127,7 @@ def _golden_section(h, start):
     The name is kept only because perfbench/tracer.py wraps this function
     as optimize.line_search; the rename belongs to ROADMAP item 7.
     """
-    vlo, dlo, _, dd = _point(start)
+    vlo, dlo, _, dd = start
     if not dlo > 0.0:
         return 0.0, vlo
     t, d_right = 0.0, dlo
@@ -140,7 +140,7 @@ def _golden_section(h, start):
         newton = t - d_right / dd if dd is not None and dd < 0.0 else math.nan
         if vhi is None and not lo < newton < hi:
             t = 1.0
-            vhi, d_right, dhi, dd = _point(h(t))
+            vhi, d_right, dhi, dd = h(t)
             if not dhi < 0.0:
                 return t, vhi
             continue
@@ -151,7 +151,7 @@ def _golden_section(h, start):
         else:
             t = lo + width * dlo / (dlo - dhi)
         t = min(max(t, lo + 0.5 * LINE_SEARCH_XTOL), hi - 0.5 * LINE_SEARCH_XTOL)
-        v, d_right, d_left, dd = _point(h(t))
+        v, d_right, d_left, dd = h(t)
         if d_right > 0.0:
             if moved > 0:
                 dhi *= _stale_end_factor(d_right, dlo)
@@ -166,11 +166,6 @@ def _golden_section(h, start):
             return t, v
         widths.append(width)
     return (lo, vlo) if vhi is None or vlo >= vhi else (hi, vhi)
-
-
-def _point(values):
-    """(phi, phi'(t+), phi'(t-), phi'' or None) of one line-search evaluation."""
-    return (*values, None) if len(values) == 3 else values
 
 
 def _stale_end_factor(d_new: float, d_old: float) -> float:

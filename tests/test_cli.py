@@ -193,6 +193,54 @@ class TestConfigValidation:
         assert "deltas" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("experiment,overrides,key", [
+        # 4.7 used to solve N=4 while the report echoed 4.7, and True N=1
+        ("solve", {"N": 4.7}, "N"),
+        ("solve", {"N": True}, "N"),
+        ("solve", {"N": 0}, "N"),
+        ("solve", {"N": 5}, "N"),                   # model.n_max is 4
+        # True used to solve T=1.0, and NaN failed only after the model
+        # and grid were built, with an OverflowError
+        ("solve", {"T": True}, "T"),
+        ("solve", {"T": float("nan")}, "T"),
+        ("solve", {"T": float("inf")}, "T"),
+        ("solve", {"T": 0}, "T"),
+        ("solve", {"T": "1"}, "T"),
+        ("sweep", {"T": [0.4, 0.8, 0.8, 1.6]}, "T"),
+        ("sweep", {"T": [0.4, 0.8, 1.2, -1.6]}, "T"),
+        ("sweep", {"T": [0.4, 0.8, 1.2, True]}, "T"),
+        ("smallt", {"T": 1e-3, "N": [2.5, 4]}, "N"),  # used to solve N=2
+        ("smallt", {"T": 1e-3, "N": []}, "N"),
+        ("smallt", {"T": 1e-3, "N": [2, 8]}, "N"),
+        ("cesaro", {"drop": ("L", "T"), "N": [2, 4.0]}, "N"),
+        ("solve", {"grid": {"cells": 128.9}}, "grid.cells"),   # used to run 128
+        ("solve", {"grid": {"cells": True}}, "grid.cells"),
+        ("solve", {"grid": {"cells": 1}}, "grid.cells"),
+        ("solve", {"grid": {"cells": []}}, "grid.cells"),
+        ("solve", {"model": {"name": "dirichlet_rect_2d", "n_max": 4},
+                   "grid": {"cells": [16, 16.5]}}, "grid.cells"),
+        ("solve", {"grid": {"gauss_order": 2.0}}, "grid.gauss_order"),
+        ("solve", {"grid": {"gauss_order": 6}}, "grid.gauss_order"),
+        ("solve", {"model": {"name": "dirichlet_1d", "n_max": 4.0}}, "model.n_max"),
+        ("limit", {"drop": ("T", "N"), "model": {"name": "dirichlet_1d", "n_max": 0}},
+         "model.n_max"),
+    ])
+    def test_bad_horizons_and_sizes_exit_1_before_any_work(self, tmp_path, capsys,
+                                                           experiment, overrides, key):
+        path = write_config(tmp_path, experiment=experiment,
+                            out=str(tmp_path / "out"), **overrides)
+        assert main([experiment, "--config", str(path)]) == 1
+        assert f"{key} must" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_n_lists_default_n_max_to_largest_N(self):
+        # n_max 8 used to make the default smallt and cesaro configs fail
+        # with "N must be in 1..8" after the grid was built
+        for kind, n_max in (("smallt", 16), ("cesaro", 64)):
+            cfg = validate_config({"version": 1, "experiment": kind,
+                                   "model": {"name": "dirichlet_1d"}})
+            assert cfg["model"]["n_max"] == max(cfg["N"]) == n_max
+
     def test_sampler_subset_accepted(self, tmp_path):
         path = write_config(tmp_path, experiment="limit", drop=("T", "N"),
                             sampler={"n_samples": 1, "families": ["project"],
@@ -314,16 +362,28 @@ class TestReports:
             assert rec["converged"]
             assert rec["value"] == pytest.approx(expected[rec["T"]], rel=1e-9)
 
-    @pytest.mark.parametrize("experiment", ["solve", "certify"])
+    @pytest.mark.parametrize("experiment", ["solve", "certify", "sweep", "smallt"])
     def test_records_count_solver_work(self, tmp_path, capsys, experiment):
-        extra = {"certificate": {"nu": 0.99}} if experiment == "certify" else {}
+        # every FW solve record has one schema: T, N, OptResult.as_dict()
+        # and bangbang_frac, then the runner's own fields
+        from obsgrid.optimize import OptResult
+        extra = {"certify": {"certificate": {"nu": 0.99}},
+                 "sweep": {"T": [0.4, 0.8, 1.2, 1.6]},
+                 "smallt": {"T": 1e-3, "N": [2, 4], "optimizer": {"max_iter": 20}},
+                 }.get(experiment, {})
         path = write_config(tmp_path, experiment=experiment,
                             out=str(tmp_path / "out"), **extra)
         main([experiment, "--config", str(path)])
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        rec = report["records"][0]
-        assert rec["iterations"] >= 1
-        assert 1 <= rec["line_search_evals"] <= 12 * rec["iterations"]
+        keys = {"T", "N", "bangbang_frac"} | set(OptResult(None, 0.0, 0.0, 0).as_dict())
+        # small-time steps meet kinks, where the search bisects: up to
+        # about log2(1 / LINE_SEARCH_XTOL) = 43 evaluations a step
+        per_step = 64 if experiment == "smallt" else 12
+        assert report["records"]
+        for rec in report["records"]:
+            assert keys <= set(rec)
+            assert rec["iterations"] >= 1
+            assert 1 <= rec["line_search_evals"] <= per_step * rec["iterations"]
 
     def test_history_csv_schema(self, tmp_path, capsys):
         path = write_config(tmp_path, out=str(tmp_path / "out"))
@@ -333,14 +393,25 @@ class TestReports:
         assert len(lines) >= 2
 
     def test_reports_byte_identical(self, tmp_path, capsys):
-        path = write_config(tmp_path, name="limit.json", experiment="limit",
-                            model={"name": "dirichlet_1d", "n_max": 4},
-                            sampler={"n_samples": 60}, drop=("T", "N"))
-        main(["limit", "--config", str(path), "--out", str(tmp_path / "r1")])
-        main(["limit", "--config", str(path), "--out", str(tmp_path / "r2")])
-        b1 = (tmp_path / "r1" / "report.json").read_bytes()
-        b2 = (tmp_path / "r2" / "report.json").read_bytes()
-        assert b1 == b2
+        # the smallt solves stop unconverged and take the seeded restarts
+        configs = {
+            "limit": {"sampler": {"n_samples": 60}, "drop": ("T", "N")},
+            "sweep": {"T": [0.4, 0.8, 1.2, 1.6]},
+            "smallt": {"T": 1e-3, "N": [2, 4], "seed": 7,
+                       "optimizer": {"max_iter": 60}},
+        }
+        for kind, overrides in configs.items():
+            path = write_config(tmp_path, name=f"{kind}.json", experiment=kind,
+                                **overrides)
+            runs = [tmp_path / kind / r for r in ("r1", "r2")]
+            for out in runs:
+                main([kind, "--config", str(path), "--out", str(out)])
+            files = sorted(p.name for p in runs[0].iterdir() if p.name != "timing.json")
+            assert "report.json" in files
+            assert files == sorted(p.name for p in runs[1].iterdir()
+                                   if p.name != "timing.json")
+            for name in files:
+                assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
     def test_seed_override_changes_report(self, tmp_path, capsys):
         path = write_config(tmp_path, name="limit.json", experiment="limit",

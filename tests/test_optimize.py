@@ -462,12 +462,13 @@ class TestLineSearch:
 
     @staticmethod
     def _search(phi, dphi):
-        # h(t) = (phi, phi'(t+), phi'(t-)) from one-sided slope functions
+        # h(t) = (phi, phi'(t+), phi'(t-), None) from one-sided slope
+        # functions; the unknown curvature leaves the regula falsi to work
         calls = []
 
         def h(t):
             calls.append(t)
-            return phi(t), dphi(t, +1), dphi(t, -1)
+            return phi(t), dphi(t, +1), dphi(t, -1), None
 
         from obsgrid.optimize import _golden_section
         t, v = _golden_section(h, h(0.0))
