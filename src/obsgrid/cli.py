@@ -29,8 +29,8 @@ import numpy as np
 
 from .geometry import DensityField, l1_distance, make_grid, write_density_csv
 from .gram import get_basis
-from .limit import (SAMPLER_FAMILIES, cesaro_mean, estimate_bathtub_constant,
-                    kkt_check, limit_set, sigma1, sliding_ratio, tube_linearity)
+from .limit import (cesaro_mean, estimate_bathtub_constant, kkt_check, limit_set,
+                    sigma1, sliding_ratio, tube_linearity)
 from .optimize import (OptOptions, bang_bang_fraction, lower_bound_certificate,
                        maximize_obs, maximize_sigma1)
 from .spectral import build_model, gamma_factored
@@ -46,13 +46,19 @@ COMMON_KEYS = ("version", "experiment", "model", "grid", "seed", "out")
 EXPERIMENT_KEYS = {
     "solve": ("L", "T", "N", "optimizer"),
     "sweep": ("L", "T", "N", "optimizer", "certificate", "acceptance"),
-    "limit": ("L", "optimizer", "sampler", "deltas", "acceptance"),
-    "smallt": ("L", "T", "N", "optimizer", "compact_fraction", "acceptance"),
-    "torus-deg": ("L", "optimizer", "torus_family", "acceptance"),
+    "limit": ("L", "optimizer", "sampler", "acceptance"),
+    "smallt": ("L", "T", "N", "optimizer", "acceptance"),
+    "torus-deg": ("L", "optimizer", "acceptance"),
     "certify": ("L", "T", "N", "optimizer", "certificate", "acceptance"),
-    "cesaro": ("N", "compact_fraction"),
+    "cesaro": ("N",),
     "model": (),
 }
+
+
+# Fixed settings of the runners.
+SLIDE_SHIFTS = (0.01, 0.03, 0.05)   # limit: shifts h of the slid level set
+COMPACT_FRACTION = 0.5              # Cesaro deviation box side / domain side
+TORUS_ETA, TORUS_M, TORUS_MEMBERS = 0.5, 5, 8   # torus-deg density family
 
 
 class ConfigError(ValueError):
@@ -69,9 +75,7 @@ BLOCK_DEFAULTS = {
     "grid": {"cells": 1024, "gauss_order": 3},
     "optimizer": {"max_iter": 2000, "tol": 1e-6},
     "certificate": {"nu": None},
-    "sampler": {"n_samples": 1000, "families": list(SAMPLER_FAMILIES),
-                "h_list": [0.01, 0.03, 0.05]},
-    "torus_family": {"eta": 0.1, "m": 5, "n_members": 8},
+    "sampler": {"n_samples": 1000},
 }
 
 ACCEPTANCE_DEFAULTS = {
@@ -91,7 +95,6 @@ ACCEPTANCE_DEFAULTS = {
     "torus-deg": {"equality_tol": 1e-9, "l1_min": 0.1, "attain_tol": 1e-8},
 }
 
-_SCALAR_DEFAULTS = {"L": 0.5, "deltas": None, "compact_fraction": 0.5}
 # experiments that take a list of N, with its default
 _N_LISTS = {"smallt": [4, 8, 16], "cesaro": [8, 16, 32, 64]}
 
@@ -113,23 +116,16 @@ def _block(given, name: str, defaults: dict) -> dict:
     return block
 
 
-def _check_sampler(smp: dict) -> None:
-    """Reject sampler settings the k_hat run would only fail on later."""
-    _check_int(smp["n_samples"], "sampler.n_samples")
-    fam = smp["families"]
-    if not isinstance(fam, list) or not fam or any(f not in SAMPLER_FAMILIES for f in fam):
-        raise ConfigError(f"sampler.families must be a nonempty list drawn from "
-                          f"{list(SAMPLER_FAMILIES)}, got {fam!r}")
-    if not _positive_list(smp["h_list"]):
-        raise ConfigError(f"sampler.h_list must be a nonempty list of finite "
-                          f"numbers > 0, got {smp['h_list']!r}")
-
-
 def _positive_list(xs) -> bool:
     """A nonempty list of finite numbers > 0 (bools are not numbers here)."""
     return isinstance(xs, list) and bool(xs) and all(
         isinstance(x, numbers.Real) and not isinstance(x, bool)
         and math.isfinite(x) and x > 0 for x in xs)
+
+
+def _is_fraction(x) -> bool:
+    """x is a finite number strictly inside (0, 1)."""
+    return _positive_list([x]) and x < 1.0
 
 
 def _check_int(value, key: str, lo: int = 1, hi: int | None = None) -> int:
@@ -201,25 +197,26 @@ def validate_config(raw: dict) -> dict:
             cfg[key] = _block(raw.get(key), key, ACCEPTANCE_DEFAULTS[kind])
         elif key in BLOCK_DEFAULTS:
             cfg[key] = _block(raw.get(key), key, BLOCK_DEFAULTS[key])
-        elif key in _SCALAR_DEFAULTS:
-            cfg[key] = raw.get(key, _SCALAR_DEFAULTS[key])
+        elif key == "L":
+            cfg[key] = raw.get(key, 0.5)
     model = cfg["model"]
     if "name" not in model:
         raise ConfigError("model.name is required")
     _check_sizes(model, cfg["grid"])
-    if "L" in cfg and not 0.0 < cfg["L"] < 1.0:
-        raise ConfigError("L must be in (0,1)")
+    if "L" in cfg and not _is_fraction(cfg["L"]):
+        raise ConfigError(f"L must be a finite number in (0,1), got {cfg['L']!r}")
     if "T" in keys:
         cfg["T"] = _check_T(raw.get("T", 1e-3 if kind == "smallt" else 1.0), kind)
     if "N" in keys:
         cfg["N"] = _check_N(raw, kind, model)
     if "optimizer" in cfg:
         OptOptions(**cfg["optimizer"])      # rejects max_iter < 1 and tol <= 0
+    nu = cfg.get("certificate", {}).get("nu")      # null: the automatic nu_T
+    if nu is not None and not _is_fraction(nu):
+        raise ConfigError(f"certificate.nu must be null or a finite number in "
+                          f"(0,1), got {nu!r}")
     if "sampler" in cfg:
-        _check_sampler(cfg["sampler"])
-    if cfg.get("deltas") is not None and not _positive_list(cfg["deltas"]):
-        raise ConfigError(f"deltas must be null or a nonempty list of finite "
-                          f"numbers > 0, got {cfg['deltas']!r}")
+        _check_int(cfg["sampler"]["n_samples"], "sampler.n_samples")
     if kind == "torus-deg" and model["name"] != "torus_1d":
         raise ConfigError("torus-deg requires model.name == 'torus_1d'")
     return cfg
@@ -255,20 +252,9 @@ def _opts(cfg, init=None) -> OptOptions:
     return OptOptions(**cfg["optimizer"], init=init, seed=cfg["seed"])
 
 
-def _max_axis_index(model, N: int) -> int:
-    """Largest per-axis mode index among the first N modes."""
-    if hasattr(model, "mode_pairs"):
-        return max(max(m, n) for m, n in model.mode_pairs[:N])
-    if hasattr(model, "mode_triples"):
-        return max(max(m, n) for m, n, _ in model.mode_triples[:N])
-    if model.name == "torus_1d":
-        return 2 * ((N + 1) // 2)    # cos(kx)^2 oscillates twice as fast
-    return N
-
-
 def resolution_warning(model, grid, N: int) -> str | None:
     """>= 8 cells per shortest oscillation of the highest mode pair."""
-    idx = _max_axis_index(model, N)
+    idx = max(model.axis_index[:N])
     for d, ((lo, hi), n) in enumerate(zip(model.domain.bounds, grid.shape)):
         length = hi - lo
         # product of two index-idx modes oscillates with wavelength length/idx
@@ -400,17 +386,21 @@ def run_solve(cfg) -> ExperimentReport:
 
 
 def _sweep_point(model, grid, cfg, T, a1, sigma1_max):
+    """One sweep horizon: FW solve, certificate bounds (None with a warning
+    when no certificate exists at T), ratio to the limit and distance to a1."""
     res = maximize_obs(model, grid, cfg["L"], T, cfg["N"], _opts(cfg))
+    warning = None
     try:
         cert = lower_bound_certificate(model, grid, a1, T,
                                        cfg["certificate"]["nu"], L=cfg["L"])
         lower, upper = cert.lower_bound, cert.upper_bound
-    except (ValueError, OverflowError):
+    except (ValueError, OverflowError) as e:
         lower = upper = None
+        warning = f"no certificate at T={T:g}: {e}"
     g1 = gamma_factored(complex(model.eigenvalues[0]), T).value().real
     ratio = res.value / (g1 * sigma1_max)
     d = l1_distance(res.a_star, a1)
-    return res, lower, upper, ratio, d
+    return res, lower, upper, ratio, d, warning
 
 
 def run_sweep(cfg) -> ExperimentReport:
@@ -425,11 +415,13 @@ def run_sweep(cfg) -> ExperimentReport:
     t0 = time.perf_counter()
     for T in sorted(float(t) for t in cfg["T"]):
         try:
-            res, lower, upper, ratio, d = _sweep_point(model, grid, cfg, T,
-                                                       s1.a_star, s1.value)
+            res, lower, upper, ratio, d, warning = _sweep_point(
+                model, grid, cfg, T, s1.a_star, s1.value)
         except Exception as e:           # noqa: BLE001 - per-point diagnostics
             rep.warnings.append(f"T={T}: {e}")
             continue
+        if warning:
+            rep.warnings.append(warning)
         _solve_record(rep, model, grid, T, cfg["N"], res, lower_bound=lower,
                       upper_bound=upper, l1_dist=d, ratio=ratio)
         _write_solution(out, res, f"_T{T:g}")
@@ -469,11 +461,12 @@ def run_sweep(cfg) -> ExperimentReport:
 
 
 def run_limit(cfg) -> ExperimentReport:
+    """Limit set and KKT check; if non-degenerate, k_hat from sampler.n_samples
+    draws, sliding ratios at SLIDE_SHIFTS and tube_linearity's own tube slope."""
     model, grid = _build(cfg)
     rep = ExperimentReport("limit", cfg)
     L = cfg["L"]
     acc = cfg["acceptance"]
-    smp = cfg["sampler"]
     t0 = time.perf_counter()
     sol = limit_set(model, grid, L, _opts(cfg))
     rep.timing["limit_set_s"] = time.perf_counter() - t0
@@ -490,15 +483,14 @@ def run_limit(cfg) -> ExperimentReport:
     if not sol.degenerate:
         t0 = time.perf_counter()
         ke = estimate_bathtub_constant(model, grid, sol,
-                                       n_samples=smp["n_samples"],
-                                       seed=cfg["seed"],
-                                       families=tuple(smp["families"]))
+                                       n_samples=cfg["sampler"]["n_samples"],
+                                       seed=cfg["seed"])
         rep.timing["khat_s"] = time.perf_counter() - t0
         rec["k_hat"] = ke.k_hat
         rec["k_hat_families"] = {k: v for k, v in sorted(ke.family_mins.items())}
         rec["sliding_ratios"] = [sliding_ratio(model, grid, sol, h)
-                                 for h in smp["h_list"]]
-        m_hat, resid = tube_linearity(model, grid, sol, cfg["deltas"])
+                                 for h in SLIDE_SHIFTS]
+        m_hat, resid = tube_linearity(model, grid, sol)
         rec["tube_m_hat"] = m_hat
         rec["tube_residual"] = resid
         rep.checks["khat_positive"] = ke.k_hat > 0
@@ -541,22 +533,24 @@ def run_smallt(cfg) -> ExperimentReport:
     rep.checks["v_margin"] = vs[-1] <= L + acc["margin"]
 
     # Cesaro interior-compact deviation trend (needs its own mode count)
-    ces_Ns = [8, 16, 32, 64]
+    ces_Ns = _N_LISTS["cesaro"]
     ces_model = build_model(cfg["model"]["name"], max(ces_Ns), **_model_params(cfg))
-    devs = _cesaro_deviations(ces_model, grid, ces_Ns, cfg["compact_fraction"])
+    devs = _cesaro_deviations(ces_model, grid, ces_Ns)
     rep.fit = {"cesaro_N": ces_Ns, "cesaro_dev": devs}
     rep.checks["cesaro_decreasing"] = all(
         b < a for a, b in zip(devs, devs[1:]))
     return rep
 
 
-def _cesaro_deviations(model, grid, Ns, compact_fraction):
-    """Interior-compact L1 deviation of the Cesaro mean from 1/|Omega|."""
+def _cesaro_deviations(model, grid, Ns):
+    """L1 deviation of the Cesaro mean from 1/|Omega| on the interior
+    compact: the centred box whose sides are COMPACT_FRACTION of the
+    domain's, one value per N in Ns."""
     target = 1.0 / model.domain.measure
     mask = np.ones(grid.ncells, dtype=bool)
     for d, (lo, hi) in enumerate(model.domain.bounds):
         width = hi - lo
-        pad = (1.0 - compact_fraction) / 2.0 * width
+        pad = (1.0 - COMPACT_FRACTION) / 2.0 * width
         c = grid.centers[:, d]
         mask &= (c >= lo + pad) & (c <= hi - pad)
     devs = []
@@ -570,7 +564,7 @@ def _cesaro_deviations(model, grid, Ns, compact_fraction):
 def run_cesaro(cfg) -> ExperimentReport:
     model, grid = _build(cfg)
     rep = ExperimentReport("cesaro", cfg)
-    devs = _cesaro_deviations(model, grid, cfg["N"], cfg["compact_fraction"])
+    devs = _cesaro_deviations(model, grid, cfg["N"])
     for N, dev in zip(cfg["N"], devs):
         rep.records.append({"N": N, "compact_l1_dev": dev})
     _write_records_csv(_outdir(cfg) / "cesaro.csv", ["N", "compact_l1_dev"],
@@ -580,17 +574,18 @@ def run_cesaro(cfg) -> ExperimentReport:
     return rep
 
 
-def _torus_family_member(model, grid, L, eta, m, rng):
-    """Degeneracy family member: mean-L density with no cos2x/sin2x part."""
+def _torus_family_member(grid, L, rng):
+    """Degeneracy family member: mean-L density with no cos2x/sin2x part,
+    frequencies up to TORUS_M and amplitude TORUS_ETA * min(L, 1 - L)."""
     x = grid.centers[:, 0]
-    coefs = rng.uniform(-1.0, 1.0, size=(m + 1, 2))
+    coefs = rng.uniform(-1.0, 1.0, size=(TORUS_M + 1, 2))
     vals = np.zeros(grid.ncells)
-    for k in range(1, m + 1):
+    for k in range(1, TORUS_M + 1):
         if k == 2:
             continue
         vals += coefs[k, 0] * np.cos(k * x) + coefs[k, 1] * np.sin(k * x)
     amp = np.abs(vals).max()
-    scale = eta * min(L, 1.0 - L) / amp if amp > 0 else 0.0
+    scale = TORUS_ETA * min(L, 1.0 - L) / amp if amp > 0 else 0.0
     return DensityField(grid, np.clip(L + scale * vals, 0.0, 1.0))
 
 
@@ -599,13 +594,11 @@ def run_torus_deg(cfg) -> ExperimentReport:
     rep = ExperimentReport("torus-deg", cfg)
     L = cfg["L"]
     acc = cfg["acceptance"]
-    fam = cfg["torus_family"]
     rng = np.random.default_rng(cfg["seed"])
 
     base = DensityField(grid, np.full(grid.ncells, L))
     s_base = sigma1(model, grid, base)
-    members = [_torus_family_member(model, grid, L, fam["eta"], fam["m"], rng)
-               for _ in range(fam["n_members"])]
+    members = [_torus_family_member(grid, L, rng) for _ in range(TORUS_MEMBERS)]
     svals = [sigma1(model, grid, a) for a in members]
     spread = max(abs(s - s_base) for s in svals)
 

@@ -60,6 +60,9 @@ class SpectralModel:
 
     `evaluator(j, x)` maps a 1-based mode index and an (npts, dim) array
     of points to an (npts, q) complex array of eigenfunction values.
+    `axis_index[j-1]` is the largest per-axis frequency index of mode j:
+    along an axis of length l, a product of two modes up to j oscillates
+    with wavelength no shorter than l / axis_index[j-1].
     """
 
     name: str
@@ -70,6 +73,7 @@ class SpectralModel:
     J1: tuple[int, ...] = field(default=())
     p0: int = 0
     gap: float = 0.0
+    axis_index: tuple[int, ...] = ()
 
     def __post_init__(self):
         lams = np.asarray(self.eigenvalues, dtype=complex)
@@ -108,7 +112,8 @@ def _dirichlet_1d(n_max: int) -> SpectralModel:
     def ev(j, x):
         return (c * np.sin(j * x[:, 0]))[:, None].astype(complex)
 
-    return SpectralModel("dirichlet_1d", 1, dom, lams, ev)
+    return SpectralModel("dirichlet_1d", 1, dom, lams, ev,
+                         axis_index=tuple(range(1, n_max + 1)))
 
 
 def _dirichlet_rect_2d(n_max: int) -> SpectralModel:
@@ -124,7 +129,8 @@ def _dirichlet_rect_2d(n_max: int) -> SpectralModel:
         m, n = pairs[j - 1]
         return (2.0 * np.sin(m * np.pi * x[:, 0]) * np.sin(n * np.pi * x[:, 1]))[:, None].astype(complex)
 
-    model = SpectralModel("dirichlet_rect_2d", 1, dom, lams, ev)
+    model = SpectralModel("dirichlet_rect_2d", 1, dom, lams, ev,
+                          axis_index=tuple(max(mn) for mn in pairs))
     model.mode_pairs = pairs  # exposed for reports
     return model
 
@@ -143,7 +149,9 @@ def _torus_1d(n_max: int) -> SpectralModel:
         f = np.cos if trig == "cos" else np.sin
         return (c * f(k * x[:, 0]))[:, None].astype(complex)
 
-    return SpectralModel("torus_1d", 1, dom, lams, ev)
+    # cos(kx)^2 oscillates twice as fast as cos(kx)
+    return SpectralModel("torus_1d", 1, dom, lams, ev,
+                         axis_index=tuple(2 * k for k, _ in ks))
 
 
 def _coupled_rect_2d(n_max: int, mu, u) -> SpectralModel:
@@ -178,9 +186,8 @@ def _coupled_rect_2d(n_max: int, mu, u) -> SpectralModel:
         s = 2.0 * np.sin(m * np.pi * x[:, 0]) * np.sin(n * np.pi * x[:, 1])
         return s[:, None] * u[i][None, :]
 
-    model = SpectralModel("coupled_rect_2d", 3, dom, lams, ev)
-    model.mode_triples = modes
-    return model
+    return SpectralModel("coupled_rect_2d", 3, dom, lams, ev,
+                         axis_index=tuple(max(m, n) for m, n, _ in modes))
 
 
 def build_model(name: str, n_max: int, **params) -> SpectralModel:

@@ -284,7 +284,7 @@ class TestCriterion10:
         floor_ok = all(v >= L - 1e-6 for v in vs)
         margin_ok = vs[2] <= L + 0.1
         ces_model = build_model("dirichlet_1d", 64)
-        devs = _cesaro_deviations(ces_model, g1024, [8, 16, 32, 64], 0.5)
+        devs = _cesaro_deviations(ces_model, g1024, [8, 16, 32, 64])
         ces_ok = all(b < a for a, b in zip(devs, devs[1:]))
         ok = chain and floor_ok and margin_ok and ces_ok
         assert report(10, ok,

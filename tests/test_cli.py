@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,19 @@ class TestConfigValidation:
         ("smallt", {"T": [1e-3, 2e-3], "N": [4, 8]}, "one T"),
         ("smallt", {"T": 1e-3, "N": 8}, "N list"),
         ("model", {"drop": ("T", "N")}, "'L'"),
+        # fixed settings of the runners (cli.SLIDE_SHIFTS, COMPACT_FRACTION,
+        # TORUS_*, limit.SAMPLER_FAMILIES, tube_linearity's own deltas)
+        ("limit", {"drop": ("T", "N"), "sampler": {"families": ["slide"]}},
+         "families"),
+        ("limit", {"drop": ("T", "N"), "sampler": {"h_list": [0.01]}}, "h_list"),
+        ("limit", {"drop": ("T", "N"), "deltas": [0.1, 0.2]}, "deltas"),
+        ("smallt", {"T": 1e-3, "N": [4, 8], "compact_fraction": 0.5},
+         "compact_fraction"),
+        ("cesaro", {"drop": ("L", "T"), "N": [2, 4], "compact_fraction": 3},
+         "compact_fraction"),
+        ("torus-deg", {"drop": ("T", "N"), "model": {"name": "torus_1d", "n_max": 6},
+                       "torus_family": {"eta": 0.5, "m": 5, "n_members": 8}},
+         "torus_family"),
     ])
     def test_keys_the_runner_does_not_read(self, tmp_path, experiment, overrides, key):
         # accepting them would echo a setting into report.json that the
@@ -140,14 +154,6 @@ class TestConfigValidation:
         ({"n_samples": -3}, "n_samples"),
         ({"n_samples": 2.5}, "n_samples"),
         ({"n_samples": True}, "n_samples"),
-        ({"families": []}, "families"),
-        ({"families": "slide"}, "families"),
-        ({"families": ["slide", "mirror"]}, "families"),
-        ({"h_list": []}, "h_list"),
-        ({"h_list": [0.0]}, "h_list"),
-        ({"h_list": [0.01, -0.02]}, "h_list"),
-        ({"h_list": [0.01, "0.02"]}, "h_list"),
-        ({"h_list": 0.01}, "h_list"),
     ])
     def test_sampler_values_rejected(self, tmp_path, sampler, match):
         # each of these used to fail only after limit_set had run, with a
@@ -183,16 +189,6 @@ class TestConfigValidation:
     def test_integer_seed_echoed(self, tmp_path):
         assert load_config(str(write_config(tmp_path, seed=12345)))["seed"] == 12345
 
-    @pytest.mark.parametrize("deltas", [[], [0.0], [-1], [float("nan")], [float("inf")], "x"])
-    def test_bad_deltas_exit_1_before_any_work(self, tmp_path, capsys, deltas):
-        # [] and [0.0] used to fail only after limit_set and the k_hat
-        # sampler had run, leaving a partial density_a1.csv behind
-        path = write_config(tmp_path, experiment="limit", drop=("T", "N"),
-                            deltas=deltas, out=str(tmp_path / "out"))
-        assert main(["limit", "--config", str(path)]) == 1
-        assert "deltas" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize("experiment,overrides,key", [
         # 4.7 used to solve N=4 while the report echoed 4.7, and True N=1
         ("solve", {"N": 4.7}, "N"),
@@ -224,6 +220,21 @@ class TestConfigValidation:
         ("solve", {"model": {"name": "dirichlet_1d", "n_max": 4.0}}, "model.n_max"),
         ("limit", {"drop": ("T", "N"), "model": {"name": "dirichlet_1d", "n_max": 0}},
          "model.n_max"),
+        # "0.5" used to fail with a TypeError that did not name the key
+        ("solve", {"L": "0.5"}, "L"),
+        ("solve", {"L": True}, "L"),
+        ("solve", {"L": float("nan")}, "L"),
+        ("solve", {"L": 1.0}, "L"),
+        # a sweep with nu 5 used to drop every certificate and pass its
+        # sandwich check; certify failed only after maximize_sigma1 had run
+        ("sweep", {"T": [0.4, 0.8, 1.2, 1.6], "certificate": {"nu": 5}},
+         "certificate.nu"),
+        ("certify", {"certificate": {"nu": 5}}, "certificate.nu"),
+        ("certify", {"certificate": {"nu": 0}}, "certificate.nu"),
+        ("certify", {"certificate": {"nu": 1.0}}, "certificate.nu"),
+        ("certify", {"certificate": {"nu": True}}, "certificate.nu"),
+        ("certify", {"certificate": {"nu": "0.9"}}, "certificate.nu"),
+        ("certify", {"certificate": {"nu": float("inf")}}, "certificate.nu"),
     ])
     def test_bad_horizons_and_sizes_exit_1_before_any_work(self, tmp_path, capsys,
                                                            experiment, overrides, key):
@@ -243,9 +254,20 @@ class TestConfigValidation:
 
     def test_sampler_subset_accepted(self, tmp_path):
         path = write_config(tmp_path, experiment="limit", drop=("T", "N"),
-                            sampler={"n_samples": 1, "families": ["project"],
-                                     "h_list": [0.5]})
-        assert load_config(str(path))["sampler"]["families"] == ["project"]
+                            sampler={"n_samples": 1})
+        assert load_config(str(path))["sampler"] == {"n_samples": 1}
+
+    def test_readme_key_table_matches_schema(self):
+        # the experiment/key table of README.md, one row per experiment:
+        # | `limit` | `L`, `optimizer`, ... |  ("none" for no further keys)
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = {}
+        for line in text.split("| experiment ", 1)[1].splitlines()[2:]:
+            if not line.startswith("|"):
+                break
+            kind, keys = (c.strip() for c in line.strip("|").split("|"))
+            table[kind.strip("`")] = tuple(re.findall(r"`([^`]+)`", keys))
+        assert table == EXPERIMENT_KEYS
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
     def test_shipped_configs_take_their_keys(self, path):
@@ -347,6 +369,20 @@ class TestReports:
         for T in (0.4, 0.8, 1.2, 1.6):
             assert (tmp_path / "out" / f"density_T{T:g}.csv").exists()
             assert (tmp_path / "out" / f"history_T{T:g}.csv").exists()
+
+    def test_sweep_certificate_failure_warned(self, tmp_path, capsys):
+        # the auto nu_T is not representable at T=0.4: the record's bounds
+        # are null, which used to leave no trace in the warnings
+        path = write_config(tmp_path, name="sweep.json", experiment="sweep",
+                            T=[0.4, 0.8, 1.2, 1.6], N=4,
+                            out=str(tmp_path / "out"))
+        main(["sweep", "--config", str(path)])
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [r["lower_bound"] is None for r in report["records"]] == \
+            [True, False, False, False]
+        assert report["warnings"] == [
+            "no certificate at T=0.4: auto nu_T is not representable inside "
+            "(0,1) at this T; pass an explicit nu"]
 
     def test_shipped_sweep_values(self, tmp_path, capsys):
         # FW values of configs/dirichlet1d_sweep.json at T = 0.5 ... 2.5;

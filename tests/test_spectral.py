@@ -43,6 +43,18 @@ class TestBuildModel:
         assert m.q == 3
         assert m.gap == pytest.approx(2.0)
 
+    def test_axis_index(self):
+        # largest per-axis frequency of each mode's |phi_j|^2 oscillation,
+        # which sets the CLI's resolution warning
+        coupled = build_model("coupled_rect_2d", 6, mu=[1 + 2j, 1 - 2j, 3.0],
+                              u=np.eye(3))
+        assert build_model("dirichlet_1d", 4).axis_index == (1, 2, 3, 4)
+        assert build_model("dirichlet_rect_2d", 6).axis_index == (1, 2, 2, 2, 3, 3)
+        assert build_model("torus_1d", 6).axis_index == (2, 2, 4, 4, 6, 6)
+        assert coupled.axis_index == (1, 1, 1, 2, 2, 2)
+        assert max(build_model("dirichlet_rect_2d", 4).axis_index[:4]) == 2
+        assert max(build_model("torus_1d", 4).axis_index[:3]) == 4
+
     def test_coupled_bad_ordering_rejected(self):
         with pytest.raises(ConfigurationError):
             build_model("coupled_rect_2d", 4, mu=[1.0, 2.0, 3.0], u=np.eye(3))
