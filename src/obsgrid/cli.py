@@ -37,8 +37,8 @@ from .spectral import build_model, gamma_factored
 
 SCHEMA_VERSION = 1
 
-# Keys every experiment takes: each runner builds the model on the grid,
-# and every subcommand takes --seed and --out.
+# Keys every experiment takes: each runner builds the model on the grid, and
+# every subcommand takes --seed and --out; only limit and torus-deg read seed.
 COMMON_KEYS = ("version", "experiment", "model", "grid", "seed", "out")
 # The further top-level keys each runner reads. A key outside this table
 # is rejected, so the config echo in report.json holds only settings the
@@ -116,11 +116,14 @@ def _block(given, name: str, defaults: dict) -> dict:
     return block
 
 
+def _is_real(x) -> bool:
+    """x is a finite number (bools are not numbers here)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _positive_list(xs) -> bool:
-    """A nonempty list of finite numbers > 0 (bools are not numbers here)."""
-    return isinstance(xs, list) and bool(xs) and all(
-        isinstance(x, numbers.Real) and not isinstance(x, bool)
-        and math.isfinite(x) and x > 0 for x in xs)
+    """A nonempty list of finite numbers > 0."""
+    return isinstance(xs, list) and bool(xs) and all(_is_real(x) and x > 0 for x in xs)
 
 
 def _is_fraction(x) -> bool:
@@ -169,6 +172,28 @@ def _check_N(raw: dict, kind: str, model: dict):
     return N
 
 
+def _is_complex_array(x, shape: tuple) -> bool:
+    """x is nested lists of this shape around [re, im] pairs of finite numbers."""
+    if not shape:
+        return isinstance(x, list) and len(x) == 2 and all(map(_is_real, x))
+    return isinstance(x, list) and len(x) == shape[0] and all(
+        _is_complex_array(y, shape[1:]) for y in x)
+
+
+def _check_coupling(model: dict) -> None:
+    """coupled_rect_2d, and only it, takes model.mu, its 3 complex coupling
+    eigenvalues, and model.u, its 3x3 complex eigenvector triple."""
+    coupled = model["name"] == "coupled_rect_2d"
+    for key, shape, form in (("mu", (3,), "3 [re, im] pairs"),
+                             ("u", (3, 3), "3 rows of 3 [re, im] pairs")):
+        if (key in model) != coupled:
+            raise ConfigError(f"model.{key} must be given for coupled_rect_2d and "
+                              f"only for it, got model.name {model['name']!r}")
+        if coupled and not _is_complex_array(model[key], shape):
+            raise ConfigError(f"model.{key} must be {form} of finite numbers, "
+                              f"got {model[key]!r}")
+
+
 def _check_sizes(model: dict, grid: dict) -> None:
     """model.n_max and the grid sizes are integers in range."""
     _check_int(model["n_max"], "model.n_max")
@@ -203,6 +228,7 @@ def validate_config(raw: dict) -> dict:
     if "name" not in model:
         raise ConfigError("model.name is required")
     _check_sizes(model, cfg["grid"])
+    _check_coupling(model)
     if "L" in cfg and not _is_fraction(cfg["L"]):
         raise ConfigError(f"L must be a finite number in (0,1), got {cfg['L']!r}")
     if "T" in keys:
@@ -210,7 +236,16 @@ def validate_config(raw: dict) -> dict:
     if "N" in keys:
         cfg["N"] = _check_N(raw, kind, model)
     if "optimizer" in cfg:
-        OptOptions(**cfg["optimizer"])      # rejects max_iter < 1 and tol <= 0
+        opt = cfg["optimizer"]
+        _check_int(opt["max_iter"], "optimizer.max_iter")
+        if not _positive_list([opt["tol"]]):
+            raise ConfigError(f"optimizer.tol must be a finite number > 0, "
+                              f"got {opt['tol']!r}")
+    for key, value in cfg.get("acceptance", {}).items():   # mhat_target may be null
+        nullable = key == "mhat_target"
+        if not (_is_real(value) or (nullable and value is None)):
+            raise ConfigError(f"acceptance.{key} must be a finite number"
+                              f"{' or null' if nullable else ''}, got {value!r}")
     nu = cfg.get("certificate", {}).get("nu")      # null: the automatic nu_T
     if nu is not None and not _is_fraction(nu):
         raise ConfigError(f"certificate.nu must be null or a finite number in "
@@ -235,11 +270,10 @@ def load_config(path: str) -> dict:
 
 def _model_params(cfg) -> dict:
     mp = cfg["model"]
-    params = {}
-    if mp.get("mu") is not None:
-        params["mu"] = [complex(re, im) for re, im in mp["mu"]]
-        params["u"] = np.array([[complex(re, im) for re, im in row] for row in mp["u"]])
-    return params
+    if "mu" not in mp:              # only coupled_rect_2d takes mu and u
+        return {}
+    return {"mu": [complex(*z) for z in mp["mu"]],
+            "u": [[complex(*z) for z in row] for row in mp["u"]]}
 
 
 def _build(cfg):
@@ -249,7 +283,7 @@ def _build(cfg):
 
 
 def _opts(cfg, init=None) -> OptOptions:
-    return OptOptions(**cfg["optimizer"], init=init, seed=cfg["seed"])
+    return OptOptions(**cfg["optimizer"], init=init)
 
 
 def resolution_warning(model, grid, N: int) -> str | None:

@@ -15,8 +15,8 @@ they leave the bracket: about 3.4 eigensolves per step. The cluster of
 the accepted step serves the next iterate.
 Eigenvalue clusters (nonsmooth points) use the uniform average of the
 cluster supergradients, and a multiple eigenvalue the one-sided slopes of
-the projected direction; gap stagnation triggers a seeded restart from a
-perturbation of the best iterate.
+the projected direction. Values never decrease, and a solve has no random
+input: it stops at the gap tolerance, the budget or the first no-ascent step.
 """
 
 from __future__ import annotations
@@ -27,16 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (DensityField, Grid, SpatialFunction, bathtub,
-                       project_box_mean)
-from .gram import CLUSTER_ETA, EigCluster, GramForm, get_basis
+from .geometry import DensityField, Grid, SpatialFunction, bathtub
 # bindings perfbench/test_tracer.py checks; the benchmark harness under
 # perfbench/ stays fixed so that its runs compare across library changes
+from .geometry import project_box_mean  # noqa: F401
+from .gram import CLUSTER_ETA, EigCluster, GramForm, get_basis
 from .gram import min_eig_cluster, reduce_min_eig  # noqa: F401
 from .spectral import OVERFLOW_THETA, SpectralModel, gamma_factored
 
-STALL_WINDOW = 50           # iterations of gap stagnation before a restart
-MAX_RESTARTS = 3            # seeded restarts per FW solve
 LINE_SEARCH_XTOL = 1e-13    # final bracket width of the FW step size
 ETA_GAP_FACTOR = 1.5        # eta = factor * gap for the auto nu_T (admissible: (1, 2))
 
@@ -89,16 +87,19 @@ def supergradient(model: SpectralModel, grid: Grid, a, T: float, N: int,
 
 @dataclass
 class OptOptions:
+    """FW budget, relative gap tolerance and start (the constant L if None)."""
+
     max_iter: int = 2000
     tol: float = 1e-6
     init: DensityField | None = None
-    seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+        if isinstance(self.max_iter, bool) or not isinstance(
+                self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be > 0, got {self.tol!r}")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real) \
+                or not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be a finite number > 0, got {self.tol!r}")
 
 
 def _golden_section(h, start):
@@ -178,87 +179,51 @@ def _frank_wolfe(obj, grid: Grid, L: float, opts: OptOptions) -> OptResult:
 
     The objective (`gram.GramForm` or `_Sigma1Objective`) gives
     mantissa(a), the matrix it is linear in; cluster(M), the EigCluster
-    of one eigensolve; and supergradient(cluster). Every iterate needs
-    the EigCluster of its matrix. The line search already solved the
-    eigenproblem at the step it accepts, so that cluster is reused; only
-    a restart or a return to the best iterate solves again.
+    of one eigensolve; and supergradient(cluster). The line search solved
+    the eigenproblem at the step it accepts, and that cluster serves the
+    next iterate. Steps never lower the value, so the last evaluated
+    iterate is the best. The loop stops at gap <= tol * max(1, |value|)
+    (converged), after max_iter line searches (the last step is not
+    taken), or where the search finds no ascent (a nonsmooth point).
     """
-    rng = np.random.default_rng(opts.seed)
     a = opts.init.values.copy() if opts.init is not None else np.full(grid.ncells, L)
     Ma = obj.mantissa(a)
-    best_a, best_val, best_gap = a.copy(), -math.inf, math.inf
+    cl = obj.cluster(Ma)             # EigCluster of Ma
     history: list[tuple[int, float, float]] = []
-    degenerate = False
-    converged = False
-    restarts = 0
+    degenerate = converged = False
     ls_evals = 0
-    stall_anchor = (0, math.inf)     # (iteration, gap) when stagnation window opened
-    tentative = False                # restarted run that has not yet beaten best
-    cl = None                        # EigCluster of Ma, once known
     it = 0
-    while it < opts.max_iter:
-        if cl is None:
-            cl = obj.cluster(Ma)
-        val, f, m = cl.lam, obj.supergradient(cl), len(cl.lams)
-        s_field, _ = bathtub(grid, f, L)
-        s = s_field.values
+    while True:
+        val, f = cl.lam, obj.supergradient(cl)
+        degenerate = degenerate or len(cl.lams) > 1
+        s = bathtub(grid, f, L)[0].values
         gap = float((s - a) * f @ grid.cell_measures)
-        if val >= best_val:
-            best_a, best_val, best_gap = a.copy(), val, gap
-            tentative = False
-            if m > 1:
-                degenerate = True
-        if not tentative:
-            history.append((it, best_val, gap))
+        history.append((it, val, gap))
         if gap <= opts.tol * max(1.0, abs(val)):
             converged = True
             break
-        # stagnation detection: gap not improved by 1% over STALL_WINDOW iters
-        anchor_it, anchor_gap = stall_anchor
-        stalled = False
-        if gap < 0.99 * anchor_gap:
-            stall_anchor = (it, gap)
-        else:
-            stalled = it - anchor_it >= STALL_WINDOW
-        if not stalled:
-            dM = obj.mantissa(s) - Ma
-            clusters = {}                # t -> EigCluster of Ma + t dM
+        dM = obj.mantissa(s) - Ma
+        clusters = {}                # t -> EigCluster of Ma + t dM
 
-            def phi(t):
-                nonlocal ls_evals
-                ls_evals += 1
-                c = clusters[t] = obj.cluster(Ma + t * dM)
-                return (c.lam, *c.derivatives(dM))
+        def phi(t):
+            nonlocal ls_evals
+            ls_evals += 1
+            c = clusters[t] = obj.cluster(Ma + t * dM)
+            return (c.lam, *c.derivatives(dM))
 
-            # the eigenvectors at t = 0 give the first slope; theta == 0
-            # means the FW direction is no ascent direction (nonsmooth point)
-            theta, cand = _golden_section(phi, (val, *cl.derivatives(dM)))
-            if theta > 0.0 and cand >= val:
-                a = a + theta * (s - a)
-                Ma = Ma + theta * dM     # bitwise the matrix clusters[theta] solved
-                cl = clusters[theta]
-                it += 1
-                continue
-            if tentative:            # failed tentative run: go back to best
-                a, Ma, cl = best_a.copy(), obj.mantissa(best_a), None
-                tentative = False
-                it += 1
-                continue
-        # stalled, or the line search cannot improve (nonsmooth point):
-        # restart from a seeded perturbation of the best iterate
-        if restarts >= MAX_RESTARTS:
-            break
-        restarts += 1
-        stall_anchor = (it, math.inf)
-        noise = rng.uniform(-0.5, 0.5, size=grid.ncells)
-        a = project_box_mean(grid, best_a + noise, L).values
-        Ma, cl = obj.mantissa(a), None
-        tentative = True
+        # the eigenvectors at t = 0 give the first slope
+        theta, cand = _golden_section(phi, (val, *cl.derivatives(dM)))
+        if not (theta > 0.0 and cand >= val):
+            break                    # no ascent direction (nonsmooth point)
         it += 1
-    return OptResult(DensityField(grid, best_a), best_val, best_gap,
-                     iterations=it, history=history,
-                     degenerate_flag=degenerate, converged=converged,
-                     line_search_evals=ls_evals)
+        if it == opts.max_iter:
+            break                    # budget spent: this step is not taken
+        a = a + theta * (s - a)
+        Ma = Ma + theta * dM         # bitwise the matrix clusters[theta] solved
+        cl = clusters[theta]
+    return OptResult(DensityField(grid, a), val, gap, iterations=it,
+                     history=history, degenerate_flag=degenerate,
+                     converged=converged, line_search_evals=ls_evals)
 
 
 def maximize_obs(model: SpectralModel, grid: Grid, L: float, T: float, N: int,

@@ -10,6 +10,11 @@ from obsgrid.cli import (COMMON_KEYS, EXPERIMENT_KEYS, ConfigError, fit_rate,
                          load_config, main, validate_config)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# coupled_rect_2d parameters: complex numbers as [re, im] pairs
+COUPLED = {"name": "coupled_rect_2d", "n_max": 4}
+MU = [[1, 2], [1, -2], [3, 0]]
+EYE3 = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
+GRID2D = {"cells": [16, 16], "gauss_order": 2}
 
 
 def write_config(tmp_path, name="cfg.json", drop=(), **overrides):
@@ -235,6 +240,39 @@ class TestConfigValidation:
         ("certify", {"certificate": {"nu": True}}, "certificate.nu"),
         ("certify", {"certificate": {"nu": "0.9"}}, "certificate.nu"),
         ("certify", {"certificate": {"nu": float("inf")}}, "certificate.nu"),
+        # tol Infinity used to report converged after 0 iterations, max_iter
+        # true ran one iteration, and tol "x" failed with a TypeError
+        ("solve", {"optimizer": {"tol": float("inf")}}, "optimizer.tol"),
+        ("solve", {"optimizer": {"tol": "x"}}, "optimizer.tol"),
+        ("solve", {"optimizer": {"tol": True}}, "optimizer.tol"),
+        ("solve", {"optimizer": {"max_iter": True}}, "optimizer.max_iter"),
+        # dirichlet_1d used to ignore mu and u and echo them; the coupled
+        # model failed with KeyError: 'mu' or a TypeError naming no key
+        ("solve", {"model": {"name": "dirichlet_1d", "n_max": 4, "mu": MU}}, "model.mu"),
+        ("solve", {"model": {"name": "dirichlet_1d", "n_max": 4, "u": None}}, "model.u"),
+        ("solve", {"grid": GRID2D, "model": {**COUPLED, "u": EYE3}}, "model.mu"),
+        ("solve", {"grid": GRID2D, "model": {**COUPLED, "mu": MU}}, "model.u"),
+        ("solve", {"grid": GRID2D, "model": {**COUPLED, "mu": [1, 2, 3], "u": EYE3}},
+         "model.mu"),
+        ("solve", {"grid": GRID2D, "model": {**COUPLED, "mu": MU[:2], "u": EYE3}},
+         "model.mu"),
+        ("solve", {"grid": GRID2D, "model": {**COUPLED, "mu": [[1, 2], [1, -2], [3, True]],
+                                             "u": EYE3}}, "model.mu"),
+        ("solve", {"grid": GRID2D, "model": {**COUPLED, "mu": MU,
+                                             "u": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+         "model.u"),
+        # "x" used to fail with a TypeError only after the full solve
+        ("certify", {"acceptance": {"max_rel_gap": "x"}}, "acceptance.max_rel_gap"),
+        ("certify", {"acceptance": {"sandwich_rtol": None}},
+         "acceptance.sandwich_rtol"),
+        ("sweep", {"T": [0.4, 0.8, 1.2, 1.6], "acceptance": {"slope_max": True}},
+         "acceptance.slope_max"),
+        ("smallt", {"T": 1e-3, "N": [2, 4], "acceptance": {"margin": float("nan")}},
+         "acceptance.margin"),
+        ("limit", {"drop": ("T", "N"), "acceptance": {"mhat_target": "2pi"}},
+         "acceptance.mhat_target"),
+        ("torus-deg", {"drop": ("T", "N"), "model": {"name": "torus_1d", "n_max": 6},
+                       "acceptance": {"l1_min": [0.1]}}, "acceptance.l1_min"),
     ])
     def test_bad_horizons_and_sizes_exit_1_before_any_work(self, tmp_path, capsys,
                                                            experiment, overrides, key):
@@ -243,6 +281,18 @@ class TestConfigValidation:
         assert main([experiment, "--config", str(path)]) == 1
         assert f"{key} must" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_coupled_model_parameters_accepted(self, tmp_path, capsys):
+        path = write_config(tmp_path, experiment="model", drop=("L", "T", "N"),
+                            model={**COUPLED, "n_max": 6, "mu": MU, "u": EYE3},
+                            grid=GRID2D, out=str(tmp_path / "out"))
+        assert main(["model", "--config", str(path)]) == 0
+        assert "lambda = 20.7392 + 2i" in capsys.readouterr().out
+
+    def test_null_mhat_target_accepted(self, tmp_path):
+        path = write_config(tmp_path, experiment="limit", drop=("T", "N"),
+                            acceptance={"mhat_target": None})
+        assert load_config(str(path))["acceptance"]["mhat_target"] is None
 
     def test_n_lists_default_n_max_to_largest_N(self):
         # n_max 8 used to make the default smallt and cesaro configs fail
@@ -429,7 +479,9 @@ class TestReports:
         assert len(lines) >= 2
 
     def test_reports_byte_identical(self, tmp_path, capsys):
-        # the smallt solves stop unconverged and take the seeded restarts
+        # the smallt solves stop unconverged, where the line search finds
+        # no ascent or the budget runs out; seed 7 is echoed but read by
+        # no smallt solve
         configs = {
             "limit": {"sampler": {"n_samples": 60}, "drop": ("T", "N")},
             "sweep": {"T": [0.4, 0.8, 1.2, 1.6]},
@@ -448,6 +500,18 @@ class TestReports:
                                    if p.name != "timing.json")
             for name in files:
                 assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+    def test_smallt_does_not_depend_on_seed(self, tmp_path, capsys):
+        # seeded FW restarts used to move the shipped smallt values by up
+        # to 2%; FW has no random input now
+        runs = [tmp_path / f"seed{seed}" for seed in (0, 1)]
+        for seed, out in zip((0, 1), runs):
+            assert main(["smallt", "--config", str(CONFIGS / "dirichlet1d_smallt.json"),
+                         "--out", str(out), "--seed", str(seed)]) == 0
+        reports = [json.loads((out / "report.json").read_text()) for out in runs]
+        assert [r["config"].pop("seed") for r in reports] == [0, 1]
+        assert reports[0] == reports[1]
+        assert (runs[0] / "smallt.csv").read_bytes() == (runs[1] / "smallt.csv").read_bytes()
 
     def test_seed_override_changes_report(self, tmp_path, capsys):
         path = write_config(tmp_path, name="limit.json", experiment="limit",

@@ -124,10 +124,14 @@ class TestMaximizeObs:
 
     @pytest.mark.parametrize("bad", [{"max_iter": 0}, {"max_iter": -5},
                                      {"max_iter": 2.5}, {"tol": 0.0},
-                                     {"tol": -1e-6}, {"tol": float("nan")}])
+                                     {"tol": -1e-6}, {"tol": float("nan")},
+                                     {"max_iter": True}, {"tol": float("inf")},
+                                     {"tol": True}, {"tol": "x"}])
     def test_bad_options_rejected(self, bad):
         # max_iter 0 would return value -inf and gap +inf, which
-        # report.json cannot carry as strict JSON
+        # report.json cannot carry as strict JSON; tol inf used to report
+        # converged after 0 iterations, max_iter True ran one, and tol "x"
+        # failed with a TypeError that did not name it
         with pytest.raises(ValueError, match=next(iter(bad))):
             OptOptions(**bad)
 
@@ -314,15 +318,28 @@ class TestOtherGeometries:
 
 class TestRestartDeterminism:
     def test_identical_runs_with_restarts(self, d1d, grid512):
-        # the small-T clustered regime exercises line-search stalls and
-        # seeded restarts; two runs must agree bitwise
-        opts = OptOptions(max_iter=150, tol=1e-9, seed=3)
+        # the small-T clustered regime, where the line search stops at a
+        # nonsmooth point; FW has no random input, and two runs must agree
+        # bitwise
+        opts = OptOptions(max_iter=150, tol=1e-9)
         r1 = maximize_obs(d1d, grid512, 0.5, 1e-3, 8, opts)
         r2 = maximize_obs(d1d, grid512, 0.5, 1e-3, 8, opts)
         assert r1.value == r2.value
         assert r1.fw_gap == r2.fw_gap
         assert (r1.a_star.values == r2.a_star.values).all()
         assert r1.history == r2.history
+
+    def test_stops_where_no_ascent(self, d1d, grid512):
+        # the line search finds no ascent at a nonsmooth point before the
+        # budget is spent; seeded restarts used to run the budget out
+        res = maximize_obs(d1d, grid512, 0.5, 1e-3, 8,
+                           OptOptions(max_iter=150, tol=1e-9))
+        assert not res.converged
+        assert res.iterations < 150
+        it, value, gap = res.history[-1]
+        assert (it, value, gap) == (res.iterations, res.value, res.fw_gap)
+        values = [v for _, v, _ in res.history]
+        assert values == sorted(values)
 
 
 class TestScalingInvariance:
