@@ -33,7 +33,7 @@ from .limit import (cesaro_mean, estimate_bathtub_constant, kkt_check, limit_set
                     sigma1, sliding_ratio, tube_linearity)
 from .optimize import (OptOptions, bang_bang_fraction, lower_bound_certificate,
                        maximize_obs, maximize_sigma1)
-from .spectral import build_model, gamma_factored
+from .spectral import ConfigurationError, build_model, check_coupling, gamma_factored
 
 SCHEMA_VERSION = 1
 
@@ -182,7 +182,8 @@ def _is_complex_array(x, shape: tuple) -> bool:
 
 def _check_coupling(model: dict) -> None:
     """coupled_rect_2d, and only it, takes model.mu, its 3 complex coupling
-    eigenvalues, and model.u, its 3x3 complex eigenvector triple."""
+    eigenvalues, and model.u, its 3x3 complex eigenvector triple; their
+    values must pass `spectral.check_coupling`, as the model builder's do."""
     coupled = model["name"] == "coupled_rect_2d"
     for key, shape, form in (("mu", (3,), "3 [re, im] pairs"),
                              ("u", (3, 3), "3 rows of 3 [re, im] pairs")):
@@ -192,6 +193,11 @@ def _check_coupling(model: dict) -> None:
         if coupled and not _is_complex_array(model[key], shape):
             raise ConfigError(f"model.{key} must be {form} of finite numbers, "
                               f"got {model[key]!r}")
+    if coupled:
+        try:
+            check_coupling(**_model_params(model))
+        except ConfigurationError as e:
+            raise ConfigError(f"model.{e}") from None
 
 
 def _check_sizes(model: dict, grid: dict) -> None:
@@ -268,8 +274,7 @@ def load_config(path: str) -> dict:
     return validate_config(raw)
 
 
-def _model_params(cfg) -> dict:
-    mp = cfg["model"]
+def _model_params(mp: dict) -> dict:
     if "mu" not in mp:              # only coupled_rect_2d takes mu and u
         return {}
     return {"mu": [complex(*z) for z in mp["mu"]],
@@ -278,7 +283,7 @@ def _model_params(cfg) -> dict:
 
 def _build(cfg):
     mp, gp = cfg["model"], cfg["grid"]
-    model = build_model(mp["name"], mp["n_max"], **_model_params(cfg))
+    model = build_model(mp["name"], mp["n_max"], **_model_params(mp))
     return model, make_grid(model.domain, gp["cells"], gp["gauss_order"])
 
 
@@ -568,7 +573,7 @@ def run_smallt(cfg) -> ExperimentReport:
 
     # Cesaro interior-compact deviation trend (needs its own mode count)
     ces_Ns = _N_LISTS["cesaro"]
-    ces_model = build_model(cfg["model"]["name"], max(ces_Ns), **_model_params(cfg))
+    ces_model = build_model(cfg["model"]["name"], max(ces_Ns), **_model_params(cfg["model"]))
     devs = _cesaro_deviations(ces_model, grid, ces_Ns)
     rep.fit = {"cesaro_N": ces_Ns, "cesaro_dev": devs}
     rep.checks["cesaro_decreasing"] = all(

@@ -2,13 +2,13 @@
 randomized constant, HUM norm, and the A/B/D diagnostic decomposition.
 
 Overflow policy: every Gram entry is stored as mantissa * e^{e_i + e_j}
-with per-mode exponents e_j = Re(lambda_j) T. Modes with 2 e_j > theta
-(the H-block) are eliminated by a Schur complement on the mantissa
-matrix; the remaining L-block eigenvalue problem is solved through the
-factored inverse (lambda_min(D S D) = e^{2 e_min} / lambda_max of the
-rescaled inverse), which keeps full relative accuracy where a direct
-eigensolve of the reconstructed matrix loses everything to the exponent
-spread.
+with per-mode exponents e_j = Re(lambda_j) T. The eigenvalue problem is
+solved through the graded inverse of the mantissa matrix over all modes
+(lambda_min(D Ghat D) = e^{2 e_min} / lambda_max of the rescaled
+inverse), which keeps full relative accuracy where a direct eigensolve
+of the reconstructed matrix loses everything to the exponent spread;
+the grading only underflows, so stiff modes never overflow. A form
+whose smallest exponent has 2 e_min > OVERFLOW_THETA is rejected.
 """
 
 from __future__ import annotations
@@ -124,14 +124,6 @@ class ObsMatrix:
         """Per-mode real exponents e_j = Re(lambda_j) T."""
         return self.form.exps
 
-    @property
-    def lblock(self) -> np.ndarray:
-        return self.form.lmask
-
-    @property
-    def hblock(self) -> np.ndarray:
-        return ~self.form.lmask
-
     def reconstruct(self) -> np.ndarray:
         """Plain G; raises OverflowError if any entry exceeds the double range."""
         E = np.add.outer(self.exps, self.exps)
@@ -148,19 +140,20 @@ class GramForm:
     mantissas. hhat is real when the spectrum is (every imaginary part
     zero), so with real modes every matrix is real.
 
-    Built once per (model, grid, T, N, theta), together with the constants
-    of the factored eigensolve: the L-block mask (2 e_j <= theta) and, for
-    a nonempty L-block, scale = e^{2 e0} with e0 = min e_l, the grading
-    matrix e^{-(e_i + e_j - 2 e0)} of the factored inverse and the row
-    scaling e^{e_l - e0} of the eigenvectors. Every density then costs one
-    mass assembly. The form is also the Frank-Wolfe objective C_T^{(N)}:
-    being linear in the density, it maps a convex combination of densities
-    to the same combination of mantissa matrices, so a line search only
-    re-solves the small factored eigenproblem (`cluster`).
+    Built once per (model, grid, T, N), together with the constants of
+    the factored eigensolve: scale = e^{2 e0} with e0 = min e_j, the
+    grading matrix e^{-(e_i + e_j - 2 e0)} of the inverse and the diagonal
+    ediag = e^{-(e_j - e0)} of E, by which the eigenvectors are recovered.
+    Every density then costs one mass assembly. The form is also the
+    Frank-Wolfe objective C_T^{(N)}: being linear in the density, it maps
+    a convex combination of densities to the same combination of mantissa
+    matrices, so a line search only re-solves the small factored
+    eigenproblem (`cluster`). Raises OverflowError when 2 e0 exceeds
+    OVERFLOW_THETA: then even the smallest Gram entry e^{2 e0} leaves the
+    range kept for plain floats.
     """
 
-    def __init__(self, model: SpectralModel, grid: Grid, T: float, N: int,
-                 theta: float = OVERFLOW_THETA):
+    def __init__(self, model: SpectralModel, grid: Grid, T: float, N: int):
         if not 1 <= N <= model.n_max:
             raise ValueError(f"N must be in 1..{model.n_max}")
         if T <= 0:
@@ -174,15 +167,12 @@ class GramForm:
                 hhat[j, i] = np.conj(hhat[i, j])
         self.hhat = hhat if hhat.imag.any() else hhat.real.copy()
         self.exps = lams.real * T
-        self.lmask = 2.0 * self.exps <= theta
-        self.lempty = not self.lmask.any()
-        self.lfull = bool(self.lmask.all())
-        if not self.lempty:
-            el = self.exps[self.lmask]
-            e0 = float(el.min())
-            self.scale = float(np.exp(2.0 * e0))
-            self.grade = np.exp(-(np.add.outer(el, el) - 2.0 * e0))
-            self.zrow = np.exp(el - e0)[:, None]
+        e0 = float(self.exps.min())
+        if 2.0 * e0 > OVERFLOW_THETA:
+            raise OverflowError("T too large for N at this precision; reduce N or T")
+        self.scale = float(np.exp(2.0 * e0))
+        self.grade = np.exp(-(np.add.outer(self.exps, self.exps) - 2.0 * e0))
+        self.ediag = np.exp(-(self.exps - e0))
 
     def mantissa(self, a) -> np.ndarray:
         Ghat = self.hhat * self.basis.mass(a)
@@ -196,14 +186,13 @@ class GramForm:
 
     def supergradient(self, cl: EigCluster) -> np.ndarray:
         # Phi(x) = scale * sum_ij conj(z_i) z_j hhat_ij phi_i(x) conj(phi_j(x))
-        # over the full (L and H) eigenvector z, so integral(a Phi) = lam
+        # over the eigenvector z of every mode, so integral(a Phi) = lam
         return cl.scale * self.basis.cluster_form(cl.Z, self.hhat)
 
 
-def assemble(model: SpectralModel, grid: Grid, a, T: float, N: int,
-             theta: float = OVERFLOW_THETA) -> ObsMatrix:
+def assemble(model: SpectralModel, grid: Grid, a, T: float, N: int) -> ObsMatrix:
     """Truncated Gram form over modes 1..N at horizon T, factored."""
-    form = GramForm(model, grid, T, N, theta)
+    form = GramForm(model, grid, T, N)
     return form.obs(form.mantissa(a))
 
 
@@ -232,60 +221,39 @@ def min_eigpair(H: np.ndarray) -> tuple[float, np.ndarray]:
 class _Factors(NamedTuple):
     """The parts of one factored eigensolve that a cluster keeps.
 
-    C = grade * S^-1 has the ascending eigenvalues wc and eigenvectors Uc;
-    X = Ghh^-1 Ghl eliminates the H-block with the Ghh it was solved with
-    (both None without an H-block). Sinv is S^-1, None for a vanishing form.
+    C = grade * Ghat^-1 has the ascending eigenvalues wc and eigenvectors
+    Uc; Sinv is Ghat^-1, None for a vanishing form.
     """
 
     form: GramForm
     wc: np.ndarray
     Uc: np.ndarray
-    X: np.ndarray | None
-    Ghh: np.ndarray | None
     Sinv: np.ndarray | None
 
 
 def _factored_spectrum(obs: ObsMatrix) -> tuple[float, _Factors]:
     """lambda_min of the Gram form and the factors it came from.
 
-    The H-block is removed by a Schur complement S = Gll - Glh X on the
-    mantissa matrix, X = Ghh^-1 Ghl (ridge-regularized when needed);
-    dropping the e^{-2 e_j} constraint weights of stiff modes perturbs the
-    Rayleigh quotient by <= e^{-theta}. Without an H-block S is the
-    mantissa matrix itself, exactly Hermitian, as `GramForm.mantissa` and
-    every combination of such matrices are. On the L-block,
-    C = e^{2 e0} D^-1 S^-1 D^-1 with D = diag(e^exps) and e0 = min(exps):
-    the eigenvalues of D S D are e^{2 e0} / eig(C) with the same
-    eigenvectors, and C is graded downward, so the top of its spectrum
-    (the bottom of the Gram form's) carries full relative accuracy.
-    The constants of D and e0 come from `obs.form`.
+    With D = diag(e^exps) and e0 = min(exps), C = e^{2 e0} D^-1 Ghat^-1 D^-1
+    = grade * Ghat^-1: the eigenvalues of D Ghat D are e^{2 e0} / eig(C)
+    with the same eigenvectors, and C is graded downward (the rows of
+    stiff modes underflow to 0, they never overflow), so the top of its
+    spectrum, the bottom of the Gram form's, carries full relative
+    accuracy. Ghat is exactly Hermitian, as `GramForm.mantissa` and every
+    combination of such matrices are; its eigenvalues are clamped at
+    1e-300 of the largest, so singular directions give lambda_min ~ 0.
+    The grading constants come from `obs.form`.
     """
     form = obs.form
-    if form.lempty:
-        raise OverflowError("T too large for N at this precision; reduce N or T")
-    S, X, Ghh = obs.Ghat, None, None
-    if not form.lfull:
-        lmask, hmask = form.lmask, ~form.lmask
-        Gll = obs.Ghat[np.ix_(lmask, lmask)]
-        Glh = obs.Ghat[np.ix_(lmask, hmask)]
-        Ghh = obs.Ghat[np.ix_(hmask, hmask)]
-        try:
-            X = np.linalg.solve(Ghh, Glh.conj().T)
-        except np.linalg.LinAlgError:
-            ridge = 1e-14 * max(np.trace(Ghh).real, 1e-300)
-            Ghh = Ghh + ridge * np.eye(Ghh.shape[0])
-            X = np.linalg.solve(Ghh, Glh.conj().T)
-        S = Gll - Glh @ X
-        S = 0.5 * (S + S.conj().T)
-    w, U = np.linalg.eigh(S)
+    w, U = np.linalg.eigh(obs.Ghat)
     if w[-1] <= 0.0:                 # vanishing form (e.g. a == 0): lambda_min ~ 0
-        wc, Uc, Sinv = np.full(len(w), np.inf), np.eye(len(w), dtype=S.dtype), None
+        wc, Uc, Sinv = np.full(len(w), np.inf), U, None
     else:
-        w = np.maximum(w, w[-1] * 1e-300)  # clamp: singular directions give lambda_min ~ 0
+        w = np.maximum(w, w[-1] * 1e-300)
         Sinv = (U / w) @ U.conj().T
         C = Sinv * form.grade
         wc, Uc = np.linalg.eigh(0.5 * (C + C.conj().T))
-    return float(form.scale / wc[-1]), _Factors(form, wc, Uc, X, Ghh, Sinv)
+    return float(form.scale / wc[-1]), _Factors(form, wc, Uc, Sinv)
 
 
 def reduce_min_eig(obs: ObsMatrix) -> float:
@@ -301,12 +269,12 @@ class EigCluster(NamedTuple):
     matrix Ghat the form is linear in, scaled so that
     scale * Z^H Ghat Z = diag(lams); it gives both the line-search
     derivatives (`derivatives`) and the supergradient form
-    (`ModeBasis.cluster_form`). For a Gram form G = D Ghat D the L-block
-    rows are Z_L = e^{-e0} D B, with B the orthonormal eigenvectors of the
-    factored L-block problem, and the H-block rows are the Schur-eliminated
-    Z_H = -X Z_L, with scale = e^{2 e0}; no entry overflows for
-    2 e_j <= theta. parts holds the factors of that eigensolve, which give
-    the curvature; None for other forms.
+    (`ModeBasis.cluster_form`). For a Gram form G = D Ghat D the columns
+    are Z = e^{-e0} D B with B the orthonormal eigenvectors of the factored
+    problem, and scale = e^{2 e0}; they are recovered without the row
+    scaling D, which overflows for stiff modes, from Ghat Z = E B / mu
+    (see `min_eig_cluster`). parts holds the factors of that eigensolve,
+    which give the curvature; None for other forms.
     """
 
     lam: float
@@ -344,33 +312,24 @@ class EigCluster(NamedTuple):
         """phi''(0) at a simple eigenvalue, from the factors of its eigensolve.
 
         phi = scale / mu with mu = wc[-1], the top eigenvalue of
-        C = E S^-1 E, E = diag(e^{-(e_l - e0)}) = 1 / zrow. Let z be the
-        full cluster vector, h = dGhat z and g = h_L - X^H h_H, the
-        first-order change of S applied to z_L. Second-order perturbation
-        of mu (Lancaster, Numer. Math. 6, 1964) gives mu' = -mu^2 p with
-        p = z^H h, and
+        C = E S^-1 E, S = Ghat, E = diag(ediag) = diag(e^{-(e_j - e0)}).
+        Let z be the cluster vector and h = dGhat z. Second-order
+        perturbation of mu (Lancaster, Numer. Math. 6, 1964) gives
+        mu' = -mu^2 p with p = z^H h, and
             mu'' = 2 mu^2 q + 2 sum_{k < top} |u_k^H y|^2 / (mu - mu_k),
-            q = g^H S^-1 g + h_H^H Ghh^-1 h_H,   y = mu E S^-1 g,
-        where the Ghh term is the second derivative of the Schur
-        complement. So
+            q = h^H S^-1 h,   y = mu E S^-1 h.
+        So
             phi'' = scale (2 mu'^2 / mu^3 - mu'' / mu^2)
-                  = 2 scale (mu p^2 - q - sum_{k < top} |u_k^H E S^-1 g|^2 / (mu - mu_k)).
+                  = 2 scale (mu p^2 - q - sum_{k < top} |u_k^H E S^-1 h|^2 / (mu - mu_k)).
         Every term lives in the coordinates of C, which keep the exponent
         grading out; the same sum in the coordinates of G loses it.
         """
         f = self.parts
         if f.Sinv is None:
             return None
-        form = f.form
-        if f.X is None:
-            g, q = h, 0.0
-        else:
-            hh = h[~form.lmask]
-            g = h[form.lmask] - f.X.conj().T @ hh
-            q = (hh.conj() @ np.linalg.solve(f.Ghh, hh)).real
-        Sg = f.Sinv @ g
-        q += (g.conj() @ Sg).real
-        c = (Sg / form.zrow[:, 0]).conj() @ f.Uc[:, :-1]      # conj(u_k^H E S^-1 g)
+        Sh = f.Sinv @ h
+        q = (h.conj() @ Sh).real
+        c = (Sh * f.form.ediag).conj() @ f.Uc[:, :-1]      # conj(u_k^H E S^-1 h)
         mu = f.wc[-1]
         cross = (c.conj() @ (c / (mu - f.wc[:-1]))).real
         return 2.0 * self.scale * float(mu * p * p - q - cross)
@@ -381,27 +340,32 @@ def min_eig_cluster(obs: ObsMatrix) -> EigCluster:
 
     The cluster collects eigenvalues within CLUSTER_ETA * (1 + |lambda_min|)
     of the smallest; its eigenvectors come from the factored inverse
-    spectrum, so they stay accurate under extreme exponent grading.
+    spectrum, so they stay accurate under extreme exponent grading. From
+    C B = B diag(mu) follows Ghat Z = E B / mu for Z = e^{-e0} D B, so
+    Z = S^-1 R with R = E B / mu, improved by one step of iterative
+    refinement Z += S^-1 (R - Ghat Z) (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 12). E only underflows, so the components of
+    stiff modes are kept, where scaling the rows of B by E^-1 loses them.
+    A vanishing form (lambda_min = 0 for every vector) gets the one member
+    Z = e_1: mode 1 has the exponent e0, so its form grows least.
     """
     lam, f = _factored_spectrum(obs)
     form = obs.form
+    if f.Sinv is None:
+        return EigCluster(lam, np.zeros(1), np.eye(len(f.wc), 1, dtype=f.Uc.dtype),
+                          form.scale, f)
     # wc ascends, so the cluster (wc >= scale / (lam + width), at least the top) is a suffix
     k = int(np.searchsorted(f.wc, form.scale / (lam + CLUSTER_ETA * (1.0 + abs(lam)))))
     members = slice(min(k, len(f.wc) - 1), None)
-    ZL = f.Uc[:, members] * form.zrow
-    if f.X is None:
-        Z = ZL
-    else:
-        Z = np.empty((len(form.lmask), ZL.shape[1]), dtype=np.result_type(ZL, obs.Ghat))
-        Z[form.lmask] = ZL
-        Z[~form.lmask] = -f.X @ ZL
+    R = form.ediag[:, None] * f.Uc[:, members] / f.wc[members]
+    Z = f.Sinv @ R
+    Z += f.Sinv @ (R - obs.Ghat @ Z)
     return EigCluster(lam, form.scale / f.wc[members], Z, form.scale, f)
 
 
-def obs_constant(model: SpectralModel, grid: Grid, a, T: float, N: int,
-                 theta: float = OVERFLOW_THETA) -> float:
+def obs_constant(model: SpectralModel, grid: Grid, a, T: float, N: int) -> float:
     """Truncated observability constant C_T^{(N)}(a)."""
-    return reduce_min_eig(assemble(model, grid, a, T, N, theta))
+    return reduce_min_eig(assemble(model, grid, a, T, N))
 
 
 def obs_constant_rand(model: SpectralModel, grid: Grid, a, T: float, N: int) -> float:
@@ -425,10 +389,9 @@ def obs_constant_rand(model: SpectralModel, grid: Grid, a, T: float, N: int) -> 
         return float(np.exp(logs[k]))
 
 
-def hum_norm(model: SpectralModel, grid: Grid, a, T: float, N: int,
-             theta: float = OVERFLOW_THETA) -> float:
+def hum_norm(model: SpectralModel, grid: Grid, a, T: float, N: int) -> float:
     """HUM operator norm 1 / C_T^{(N)}(a); +inf when the constant vanishes."""
-    c = obs_constant(model, grid, a, T, N, theta)
+    c = obs_constant(model, grid, a, T, N)
     if c <= 1e-300:
         return math.inf
     return 1.0 / c

@@ -5,10 +5,10 @@ iterates stay feasible, the duality gap certifies suboptimality, and the
 oracle is closed-form. Each step ends in a line search on the concave
 objective along the segment to the oracle vertex. One factored eigensolve
 gives the objective there and its eigen-cluster (`gram.EigCluster`). The
-cluster's scaled eigenvectors Z, which include the Schur-eliminated
-H-block components, give both the slope along the segment (envelope
-theorem) and the supergradient form the oracle reads, so
-integral(a * Phi) equals the objective in every regime. At a simple
+cluster's scaled eigenvectors Z, with the components of every mode, stiff
+ones included, give both the slope along the segment (envelope theorem)
+and the supergradient form the oracle reads, so integral(a * Phi) equals
+the objective in every regime. At a simple
 eigenvalue the same eigensolve gives the exact curvature, so the search
 takes Newton steps on the slope, with a safeguarded regula falsi where
 they leave the bracket: about 3.4 eigensolves per step. The cluster of
@@ -33,7 +33,7 @@ from .geometry import DensityField, Grid, SpatialFunction, bathtub
 from .geometry import project_box_mean  # noqa: F401
 from .gram import CLUSTER_ETA, EigCluster, GramForm, get_basis
 from .gram import min_eig_cluster, reduce_min_eig  # noqa: F401
-from .spectral import OVERFLOW_THETA, SpectralModel, gamma_factored
+from .spectral import SpectralModel, gamma_factored
 
 LINE_SEARCH_XTOL = 1e-13    # final bracket width of the FW step size
 ETA_GAP_FACTOR = 1.5        # eta = factor * gap for the auto nu_T (admissible: (1, 2))
@@ -74,14 +74,13 @@ class Certificate:
                 "upper_bound": self.upper_bound, "sigma1_a1": self.sigma1_a1}
 
 
-def supergradient(model: SpectralModel, grid: Grid, a, T: float, N: int,
-                  theta: float = OVERFLOW_THETA) -> SpatialFunction:
+def supergradient(model: SpectralModel, grid: Grid, a, T: float, N: int) -> SpatialFunction:
     """Nonnegative spatial density Phi with integral(a * Phi) = C_T^{(N)}(a).
 
     At an eigenvalue cluster the uniform average of the cluster member
     forms is returned (a valid supergradient of the concave objective).
     """
-    form = GramForm(model, grid, T, N, theta)
+    form = GramForm(model, grid, T, N)
     return SpatialFunction(grid, form.supergradient(form.cluster(form.mantissa(a))))
 
 
@@ -183,8 +182,9 @@ def _frank_wolfe(obj, grid: Grid, L: float, opts: OptOptions) -> OptResult:
     the eigenproblem at the step it accepts, and that cluster serves the
     next iterate. Steps never lower the value, so the last evaluated
     iterate is the best. The loop stops at gap <= tol * max(1, |value|)
-    (converged), after max_iter line searches (the last step is not
-    taken), or where the search finds no ascent (a nonsmooth point).
+    (converged), once max_iter steps are taken (the gap of the last one
+    is the last history entry), or where the search finds no ascent (a
+    nonsmooth point).
     """
     a = opts.init.values.copy() if opts.init is not None else np.full(grid.ncells, L)
     Ma = obj.mantissa(a)
@@ -202,6 +202,8 @@ def _frank_wolfe(obj, grid: Grid, L: float, opts: OptOptions) -> OptResult:
         if gap <= opts.tol * max(1.0, abs(val)):
             converged = True
             break
+        if it == opts.max_iter:
+            break
         dM = obj.mantissa(s) - Ma
         clusters = {}                # t -> EigCluster of Ma + t dM
 
@@ -212,30 +214,27 @@ def _frank_wolfe(obj, grid: Grid, L: float, opts: OptOptions) -> OptResult:
             return (c.lam, *c.derivatives(dM))
 
         # the eigenvectors at t = 0 give the first slope
-        theta, cand = _golden_section(phi, (val, *cl.derivatives(dM)))
-        if not (theta > 0.0 and cand >= val):
+        step, cand = _golden_section(phi, (val, *cl.derivatives(dM)))
+        if not (step > 0.0 and cand >= val):
             break                    # no ascent direction (nonsmooth point)
         it += 1
-        if it == opts.max_iter:
-            break                    # budget spent: this step is not taken
-        a = a + theta * (s - a)
-        Ma = Ma + theta * dM         # bitwise the matrix clusters[theta] solved
-        cl = clusters[theta]
+        a = a + step * (s - a)
+        Ma = Ma + step * dM          # bitwise the matrix clusters[step] solved
+        cl = clusters[step]
     return OptResult(DensityField(grid, a), val, gap, iterations=it,
                      history=history, degenerate_flag=degenerate,
                      converged=converged, line_search_evals=ls_evals)
 
 
 def maximize_obs(model: SpectralModel, grid: Grid, L: float, T: float, N: int,
-                 opts: OptOptions | None = None,
-                 theta: float = OVERFLOW_THETA) -> OptResult:
+                 opts: OptOptions | None = None) -> OptResult:
     """Maximize C_T^{(N)} over the relaxed densities of mean L.
 
     The returned value is a guaranteed lower estimate of the truncated
     optimum and value + fw_gap an upper estimate (concavity).
     """
     opts = opts or OptOptions()
-    return _frank_wolfe(GramForm(model, grid, T, N, theta), grid, L, opts)
+    return _frank_wolfe(GramForm(model, grid, T, N), grid, L, opts)
 
 
 def sigma1(model: SpectralModel, grid: Grid, a) -> float:

@@ -154,25 +154,37 @@ def _torus_1d(n_max: int) -> SpectralModel:
                          axis_index=tuple(2 * k for k, _ in ks))
 
 
+def check_coupling(mu, u) -> tuple[np.ndarray, np.ndarray]:
+    """The coupled model's parameters as complex arrays, checked.
+
+    mu: three complex coupling eigenvalues, Re mu_1 = Re mu_2 < Re mu_3,
+    with Re mu_1 above -2 pi^2, the lowest eigenvalue of the (0,1)^2
+    Dirichlet Laplacian. u: orthonormal triple in C^3. Each message starts
+    with the name of the parameter it rejects.
+    """
+    mu = np.asarray(mu, dtype=complex)
+    u = np.asarray(u, dtype=complex)
+    if mu.shape != (3,):
+        raise ConfigurationError("mu must hold 3 coupling eigenvalues")
+    if u.shape != (3, 3):
+        raise ConfigurationError("u must be a 3x3 eigenvector triple")
+    if abs(mu[0].real - mu[1].real) > 1e-12 or not mu[1].real < mu[2].real - 1e-12:
+        raise ConfigurationError(
+            f"mu must have Re mu_1 = Re mu_2 < Re mu_3, got {mu.tolist()}")
+    if mu[0].real <= -2.0 * np.pi ** 2:
+        raise ConfigurationError(f"mu must have Re mu_1 > -2 pi^2, got {mu[0].real:.6g}")
+    if np.max(np.abs(u @ u.conj().T - np.eye(3))) > 1e-12:
+        raise ConfigurationError("u must be an orthonormal triple (its rows)")
+    return mu, u
+
+
 def _coupled_rect_2d(n_max: int, mu, u) -> SpectralModel:
     """Three coupled heat equations; spatial factor sin(pi x) sin(pi y).
 
     mu: three complex coupling eigenvalues, Re mu_1 = Re mu_2 < Re mu_3.
     u: orthonormal triple in C^3 (rows u[i] span the coupling eigenspaces).
     """
-    mu = np.asarray(mu, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    if mu.shape != (3,) or u.shape != (3, 3):
-        raise ConfigurationError("coupled model needs 3 eigenvalues and a 3x3 eigenvector triple")
-    if abs(mu[0].real - mu[1].real) > 1e-12 or not mu[1].real < mu[2].real - 1e-12:
-        raise ConfigurationError("need Re mu_1 = Re mu_2 < Re mu_3")
-    lam_space = 2.0 * np.pi ** 2  # lowest eigenvalue of the (0,1)^2 Dirichlet Laplacian
-    if mu[0].real <= -lam_space:
-        raise ConfigurationError("need Re mu_1 > -(first spatial eigenvalue)")
-    gram = u @ u.conj().T
-    if np.max(np.abs(gram - np.eye(3))) > 1e-12:
-        raise ConfigurationError("coupling eigenvector triple must be orthonormal")
-
+    mu, u = check_coupling(mu, u)
     dom = DomainSpec("rectangle", ((0.0, 1.0), (0.0, 1.0)))
     kmax = int(np.ceil(np.sqrt(n_max))) + 2
     pairs = [(m, n) for m in range(1, kmax + 1) for n in range(1, kmax + 1)]
@@ -236,25 +248,25 @@ def gamma_factored(lam: complex, T: float) -> FactoredScalar:
     return FactoredScalar(2.0 * r * T, complex(_stable_ratio(complex(2.0 * r), T)).real)
 
 
-def gamma_from_lambda(lam: complex, T: float, theta: float = OVERFLOW_THETA) -> float:
+def gamma_from_lambda(lam: complex, T: float) -> float:
     """gamma(T) = (e^{2 Re(lam) T} - 1) / (2 Re lam), or T when Re lam = 0.
 
-    Raises OverflowError once 2 Re(lam) T exceeds theta; use
+    Raises OverflowError once 2 Re(lam) T exceeds OVERFLOW_THETA; use
     gamma_factored for the stiff regime.
     """
     if T <= 0:
         raise ValueError("T must be positive")
     fac = gamma_factored(complex(lam), T)
-    if fac.exponent > theta:
+    if fac.exponent > OVERFLOW_THETA:
         raise OverflowError(
-            f"2*Re(lambda)*T = {fac.exponent:.3g} exceeds theta = {theta:.3g}; "
+            f"2*Re(lambda)*T = {fac.exponent:.3g} exceeds {OVERFLOW_THETA:.3g}; "
             "use gamma_factored")
     return float(fac.value().real)
 
 
-def gamma(model: SpectralModel, j: int, T: float, theta: float = OVERFLOW_THETA) -> float:
+def gamma(model: SpectralModel, j: int, T: float) -> float:
     """Time weight gamma_j(T) of mode j of a model."""
-    return gamma_from_lambda(complex(model.eigenvalues[j - 1]), T, theta)
+    return gamma_from_lambda(complex(model.eigenvalues[j - 1]), T)
 
 
 def tau(lam_i: complex, lam_j: complex, T: float) -> FactoredScalar:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -47,3 +49,30 @@ def random_feasible(grid, L, rng, smooth=False):
     else:
         v = rng.uniform(-0.5, 1.5, size=grid.ncells)
     return project_box_mean(grid, v, L)
+
+
+def mp_min_eig(obs, dGhat=None):
+    """Reference lambda_min of the Gram form D Ghat D of an ObsMatrix, and
+    its slope along D dGhat D, from an mpmath eigensolve of that matrix.
+
+    Ghat, dGhat and the exponents e enter as the doubles they are; the
+    working precision of 40 + ceil(2 max(e) / ln 10) digits covers the
+    exponent spread of D Ghat D. Returns (lambda_min, slope) as floats,
+    the slope None without dGhat.
+    """
+    import mpmath
+
+    e = obs.exps
+    with mpmath.workdps(40 + math.ceil(2.0 * max(e.max(), 0.0) / math.log(10.0))):
+        D = [mpmath.exp(float(x)) for x in e]
+
+        def graded(M):
+            return mpmath.matrix([[D[i] * mpmath.mpmathify(x) * D[j]
+                                   for j, x in enumerate(row)]
+                                  for i, row in enumerate(M.tolist())])
+
+        w, Q = mpmath.eigh(graded(obs.Ghat))
+        if dGhat is None:
+            return float(w[0]), None
+        v = Q[:, 0]
+        return float(w[0]), float(mpmath.re((v.H * graded(dGhat) * v)[0]))

@@ -349,7 +349,7 @@ class TestCriterion11:
         ind = interval_indicator(g1024, PI / 4, 3 * PI / 4)
         naive = float(np.linalg.eigvalsh(
             assemble(model16, g1024, ind, 0.3, 8).reconstruct())[0])
-        schur = obs_constant(model16, g1024, ind, 0.3, 8, theta=30.0)
+        schur = obs_constant(model16, g1024, ind, 0.3, 8)
         ok_schur = abs(schur - naive) <= 1e-9 * naive
 
         ok = ok_bath and ok_proj and ok_eig and ok_schur

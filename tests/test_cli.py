@@ -261,6 +261,20 @@ class TestConfigValidation:
         ("solve", {"grid": GRID2D, "model": {**COUPLED, "mu": MU,
                                              "u": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}},
          "model.u"),
+        # the model's value preconditions used to fail after validation
+        # with messages that named no key
+        ("solve", {"grid": GRID2D, "model": {**COUPLED, "mu": [[1, 0], [2, 0], [3, 0]],
+                                             "u": EYE3}}, "model.mu"),
+        ("solve", {"grid": GRID2D, "model": {**COUPLED, "mu": [[3, 0], [3, 0], [1, 0]],
+                                             "u": EYE3}}, "model.mu"),
+        ("solve", {"grid": GRID2D, "model": {**COUPLED, "mu": [[-20, 1], [-20, -1], [3, 0]],
+                                             "u": EYE3}}, "model.mu"),
+        ("solve", {"grid": GRID2D, "model": {**COUPLED, "mu": MU,
+                                             "u": [[[1, 0], [1e-6, 0], [0, 0]], *EYE3[1:]]}},
+         "model.u"),
+        ("model", {"drop": ("L", "T", "N"), "grid": GRID2D,
+                   "model": {**COUPLED, "mu": MU, "u": [EYE3[0], EYE3[0], EYE3[2]]}},
+         "model.u"),
         # "x" used to fail with a TypeError only after the full solve
         ("certify", {"acceptance": {"max_rel_gap": "x"}}, "acceptance.max_rel_gap"),
         ("certify", {"acceptance": {"sandwich_rtol": None}},

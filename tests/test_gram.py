@@ -11,7 +11,7 @@ from obsgrid.gram import (ContractViolation, assemble, hum_norm, mass_matrix,
                           reduce_min_eig)
 from obsgrid.spectral import build_model, gamma_from_lambda
 
-from conftest import interval_indicator, random_feasible
+from conftest import interval_indicator, mp_min_eig, random_feasible
 
 PI = np.pi
 
@@ -93,12 +93,6 @@ class TestAssemble:
         assert G[1, 1].real == pytest.approx(G22_T05, rel=1e-8)
         assert abs(G[0, 1]) <= 1e-7
 
-    def test_block_partition(self, d1d, grid512):
-        a = np.full(grid512.ncells, 0.5)
-        obs = assemble(d1d, grid512, a, 0.5, 8, theta=50.0)
-        assert obs.lblock.sum() == 7           # 2 e_8 = 64 > 50
-        assert obs.hblock.sum() == 1
-
 
 class TestMinEigpair:
     def test_diagonal(self):
@@ -170,32 +164,32 @@ class TestObsConstant:
         val = obs_constant(d1d, grid1024, indicator, 0.5, 2)
         assert val == pytest.approx(G11_T05, rel=1e-8)
 
-    def test_schur_path_self_consistency(self, d1d, grid1024, indicator):
-        # forcing theta to push the top mode into the H-block must agree
-        # with the all-L-block evaluation at 1e-9 relative
-        full = obs_constant(d1d, grid1024, indicator, 0.5, 8, theta=600.0)
-        schur = obs_constant(d1d, grid1024, indicator, 0.5, 8, theta=50.0)
-        assert schur == pytest.approx(full, rel=1e-9)
-
     def test_schur_path_matches_naive_eigensolve(self, d1d, grid1024, indicator):
         # window where the naive dense eigensolve is trustworthy AND the
         # H-block truncation error is negligible: mild grading at T=0.3
         obs = assemble(d1d, grid1024, indicator, 0.3, 8)
         naive = float(np.linalg.eigvalsh(obs.reconstruct())[0])
-        schur = obs_constant(d1d, grid1024, indicator, 0.3, 8, theta=30.0)
+        schur = obs_constant(d1d, grid1024, indicator, 0.3, 8)
         assert schur == pytest.approx(naive, rel=1e-9)
 
-    @pytest.mark.parametrize("theta", [600.0, 50.0])
-    def test_cluster_value_is_reduce_value(self, d1d, grid512, theta):
+    @pytest.mark.parametrize("T,N", [(0.5, 8), (2.0, 16)])
+    def test_cluster_value_is_reduce_value(self, d1d, grid512, T, N):
         a = random_feasible(grid512, 0.5, np.random.default_rng(7))
-        obs = assemble(d1d, grid512, a, 0.5, 8, theta=theta)
-        assert obs.hblock.sum() == (theta < 64.0)
+        obs = assemble(d1d, grid512, a, T, N)
         assert reduce_min_eig(obs) == min_eig_cluster(obs)[0]
 
     def test_empty_lblock_error(self, d1d, grid512):
         a = np.full(grid512.ncells, 0.5)
         with pytest.raises(OverflowError):
-            obs_constant(d1d, grid512, a, 400.0, 2, theta=600.0)
+            obs_constant(d1d, grid512, a, 400.0, 2)
+
+    # (T, N) with the exponent spread 2 (e_N - e_1) at 1020, 715 and 2550
+    @pytest.mark.parametrize("T,N", [(2.0, 16), (2.5, 12), (5.0, 16)])
+    def test_stiff_spread_matches_mpmath(self, d1d, grid1024, T, N):
+        rng = np.random.default_rng(int(10 * T) + N)
+        for _ in range(2):
+            obs = assemble(d1d, grid1024, random_feasible(grid1024, 0.5, rng), T, N)
+            assert reduce_min_eig(obs) == pytest.approx(mp_min_eig(obs)[0], rel=1e-13)
 
     def test_monotone_truncation(self, d1d, grid512):
         rng = np.random.default_rng(4)

@@ -11,7 +11,7 @@ from obsgrid.optimize import (OptOptions, bang_bang_fraction,
 from obsgrid.spectral import (DomainSpec, SpectralModel, build_model,
                                gamma_from_lambda)
 
-from conftest import interval_indicator, random_feasible
+from conftest import interval_indicator, mp_min_eig, random_feasible
 
 PI = np.pi
 SIGMA1_MAX = 0.8183098861837906715377675267450287240689   # 1/2 + 1/pi
@@ -47,6 +47,14 @@ class TestSupergradient:
         a = np.full(grid512.ncells, 0.5)
         phi = supergradient(d1d, grid512, a, 1.0, 2)
         ref = _mode1_sq_cell_avg(grid512, gamma_from_lambda(1.0, 1.0))
+        assert np.abs(phi.values - ref).max() <= 1e-9 * ref.max()
+
+    @pytest.mark.parametrize("T,N", [(1.0, 4), (5.0, 16)])
+    def test_vanishing_density_picks_first_mode(self, d1d, grid512, T, N):
+        # at a == 0 every vector is an eigenvector of the zero form; mode 1
+        # grows least. (5, 16) spans e^2550 and used to fail in eigh
+        phi = supergradient(d1d, grid512, np.zeros(grid512.ncells), T, N)
+        ref = _mode1_sq_cell_avg(grid512, gamma_from_lambda(1.0, T))
         assert np.abs(phi.values - ref).max() <= 1e-9 * ref.max()
 
     def test_rayleigh_identity(self, d1d, grid512):
@@ -113,6 +121,18 @@ class TestMaximizeObs:
         best = float(np.linalg.eigvalsh(G)[:, 0].max())
         assert best <= res.value + res.fw_gap + 1e-9
         assert res.value <= best + 1e-3   # coarse lattice cannot beat FW by much
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_budget_takes_max_iter_steps(self, d1d, grid512, k):
+        # a budget of k steps takes them all and reports the gap of the last;
+        # it used to search a k-th step and then discard it
+        full = maximize_obs(d1d, grid512, 0.5, 1.5, 6)
+        assert full.converged and full.iterations > k
+        res = maximize_obs(d1d, grid512, 0.5, 1.5, 6, OptOptions(max_iter=k))
+        assert not res.converged
+        assert res.iterations == k
+        assert res.history == full.history[:k + 1]
+        assert (res.value, res.fw_gap) == full.history[k][1:]
 
     def test_warm_start_respects_init(self, d1d, grid512):
         rng = np.random.default_rng(3)
@@ -363,18 +383,17 @@ def _fd_curvature(f, h=3e-3):
 
 
 class TestValueAndSlope:
-    # (T, N, H-block size) on 1024 cells: the L-only path and the three
-    # Schur (H-block) cases, where the slope needs the eliminated components
-    @pytest.mark.parametrize("T,N,nh", [(2.0, 8, 0), (2.0, 16, 4), (2.5, 12, 2),
-                                        (5.0, 16, 9)])
-    def test_matches_central_difference(self, d1d, grid1024, T, N, nh):
+    # (T, N) on 1024 cells, at the exponent spreads 2 (e_N - e_1) = 252,
+    # 1020, 715 and 2550; the slope reference is an mpmath eigensolve, since
+    # a central difference sits at its own rounding floor at (2.5, 12)
+    @pytest.mark.parametrize("T,N", [(2.0, 8), (2.0, 16), (2.5, 12), (5.0, 16)])
+    def test_matches_central_difference(self, d1d, grid1024, T, N):
         from obsgrid.gram import GramForm, reduce_min_eig
         obj = GramForm(d1d, grid1024, T, N)
         rng = np.random.default_rng(int(10 * T) + N)
         for _ in range(3):
             Ga = obj.mantissa(random_feasible(grid1024, 0.5, rng))
             dG = obj.mantissa(random_feasible(grid1024, 0.5, rng)) - Ga
-            assert obj.obs(Ga).hblock.sum() == nh
             cl = obj.cluster(Ga)
             right, left, curvature = cl.derivatives(dG)
             assert cl.lam == reduce_min_eig(obj.obs(Ga))
@@ -383,10 +402,28 @@ class TestValueAndSlope:
             def phi(h):
                 return reduce_min_eig(obj.obs(Ga + h * dG))
 
-            assert right == pytest.approx(_fd_slope(phi), rel=1e-6)
-            # the Schur cases need the Ghh term of the curvature
+            assert right == pytest.approx(mp_min_eig(obj.obs(Ga), dG)[1], rel=1e-9)
             assert curvature < 0.0
             assert curvature == pytest.approx(_fd_curvature(phi), rel=1e-5)
+
+    @pytest.mark.parametrize("T", [2.0, 3.0])
+    def test_slope_with_complex_modes(self, T):
+        # the eigenvector components of the stiff modes carry the slope;
+        # recovered by row scaling they were lost and the slope 7.4% off
+        from obsgrid.gram import GramForm, reduce_min_eig
+        u = np.linalg.qr(np.arange(1, 10).reshape(3, 3).astype(complex)
+                         + 1j * np.eye(3))[0].conj().T
+        model = build_model("coupled_rect_2d", 6, mu=[1 + 2j, 1 - 2j, 3.0], u=u)
+        grid = make_grid(model.domain, (24, 24), 2)
+        obj = GramForm(model, grid, T, 6)
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            Ga = obj.mantissa(random_feasible(grid, 0.4, rng))
+            dG = obj.mantissa(random_feasible(grid, 0.4, rng)) - Ga
+            right, left, _ = obj.cluster(Ga).derivatives(dG)
+            assert right == left
+            fd = _fd_slope(lambda h: reduce_min_eig(obj.obs(Ga + h * dG)))
+            assert right == pytest.approx(fd, rel=1e-6)
 
     @pytest.mark.parametrize("T", [0.03, 0.5])
     def test_curvature_with_complex_modes(self, T):
