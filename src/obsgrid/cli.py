@@ -220,9 +220,11 @@ def validate_config(raw: dict) -> dict:
     keys = COMMON_KEYS + EXPERIMENT_KEYS[kind]
     _reject_unknown(raw, keys, "")
 
+    out = raw.get("out", "runs/" + kind)
+    if not isinstance(out, str) or not out:
+        raise ConfigError(f"out must be a nonempty string, got {out!r}")
     cfg = {"version": SCHEMA_VERSION, "experiment": kind,
-           "seed": _check_int(raw.get("seed", 0), "seed", 0),
-           "out": raw.get("out", "runs/" + kind)}
+           "seed": _check_int(raw.get("seed", 0), "seed", 0), "out": out}
     for key in keys:
         if key == "acceptance":
             cfg[key] = _block(raw.get(key), key, ACCEPTANCE_DEFAULTS[kind])

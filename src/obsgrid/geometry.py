@@ -7,7 +7,6 @@ the bathtub tie-splitting and the box/mean projection exact.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,9 +63,6 @@ class DensityField:
     def mean(self) -> float:
         return float(self.values @ self.grid.cell_measures) / self.grid.measure
 
-    def mass(self) -> float:
-        return float(self.values @ self.grid.cell_measures)
-
 
 @dataclass
 class SpatialFunction:
@@ -121,20 +117,6 @@ def make_grid(domain: DomainSpec, cells_per_axis, gauss_order: int = 3) -> Grid:
 
     return Grid(domain, shape, gauss_order, centers, cell_meas,
                 np.stack(pts, axis=1), wts)
-
-
-def integrate(grid: Grid, f) -> complex | float:
-    """Quadrature integral over the domain.
-
-    f may be a SpatialFunction / cellwise array (summed against cell
-    measures) or a callable evaluated at the Gauss nodes. Summation
-    order is fixed (cell index ascending), so results are deterministic.
-    """
-    if callable(f):
-        vals = f(grid.quad_x)
-        return np.asarray(vals).reshape(-1) @ grid.quad_w
-    vals = f.values if isinstance(f, SpatialFunction) else np.asarray(f)
-    return vals @ grid.cell_measures
 
 
 def cell_average(grid: Grid, fn) -> np.ndarray:
@@ -309,21 +291,6 @@ def level_threshold(grid: Grid, psi, L: float) -> float:
     return 0.5 * (a + b)
 
 
-def tube_measure(grid: Grid, psi, mu_star: float, delta: float) -> float:
-    """Measure of {|Psi - mu*| < delta} with fractional boundary cells.
-
-    Within each cell Psi is treated as linear between its corner values
-    (first-order accurate in the cell size); exact in 1D for piecewise
-    linear interpolants.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    vals = psi.values if isinstance(psi, SpatialFunction) else np.asarray(psi, dtype=float)
-    lo, hi = _cell_value_ranges(grid, vals)
-    return (_measure_below(grid, lo, hi, mu_star + delta)
-            - _measure_below(grid, lo, hi, mu_star - delta))
-
-
 def write_density_csv(path, field: DensityField) -> None:
     """CSV layout shared by all density outputs: index, center coords, value."""
     g = field.grid
@@ -336,11 +303,3 @@ def write_density_csv(path, field: DensityField) -> None:
         fh.write(",".join(cols) + "\r\n")
         fh.writelines(row % c for c in cells)
 
-
-def read_density_csv(path, grid: Grid) -> DensityField:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    vals = np.array([float(r[-1]) for r in rows[1:]])
-    if len(vals) != grid.ncells:
-        raise ValueError("density CSV does not match grid size")
-    return DensityField(grid, vals)

@@ -1,5 +1,5 @@
 """Observability Gram forms: assembly, stabilized smallest eigenvalue,
-randomized constant, HUM norm, and the A/B/D diagnostic decomposition.
+randomized constant, and the A/B/D diagnostic decomposition.
 
 Overflow policy: every Gram entry is stored as mantissa * e^{e_i + e_j}
 with per-mode exponents e_j = Re(lambda_j) T. The eigenvalue problem is
@@ -13,7 +13,6 @@ whose smallest exponent has 2 e_min > OVERFLOW_THETA is rejected.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -114,10 +113,6 @@ class ObsMatrix:
 
     form: GramForm
     Ghat: np.ndarray          # bounded Hermitian mantissa matrix
-
-    @property
-    def modes(self) -> tuple[int, ...]:
-        return self.form.basis.modes
 
     @property
     def exps(self) -> np.ndarray:
@@ -389,14 +384,6 @@ def obs_constant_rand(model: SpectralModel, grid: Grid, a, T: float, N: int) -> 
         return float(np.exp(logs[k]))
 
 
-def hum_norm(model: SpectralModel, grid: Grid, a, T: float, N: int) -> float:
-    """HUM operator norm 1 / C_T^{(N)}(a); +inf when the constant vanishes."""
-    c = obs_constant(model, grid, a, T, N)
-    if c <= 1e-300:
-        return math.inf
-    return 1.0 / c
-
-
 def quadratic_decomposition(model: SpectralModel, grid: Grid, a, T: float, N: int,
                             eps: float, c_head, c_tail) -> tuple[float, float, float]:
     """Split the Gram form into head (J1) / tail blocks plus cross term.
@@ -440,15 +427,3 @@ def quadratic_decomposition(model: SpectralModel, grid: Grid, a, T: float, N: in
         raise AssertionError("A/B/D decomposition failed internal verification")
     return A, B, D
 
-
-def write_matrix_csv(path, obs: ObsMatrix) -> None:
-    """Debug export: rows (i, j, re, im, exponent_i, exponent_j)."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["i", "j", "re", "im", "exponent_i", "exponent_j"])
-        n = len(obs.modes)
-        for i in range(n):
-            for j in range(n):
-                wr.writerow([obs.modes[i], obs.modes[j],
-                             f"{obs.Ghat[i, j].real:.16g}", f"{obs.Ghat[i, j].imag:.16g}",
-                             f"{obs.exps[i]:.16g}", f"{obs.exps[j]:.16g}"])

@@ -66,20 +66,21 @@ class KKTReport:
     passed: bool
 
 
-def kkt_check(model: SpectralModel, grid: Grid, sol: LimitSolution,
-              tol: float = 1e-3, tol_kkt: float | None = None) -> KKTReport:
+KKT_SATURATION = 1e-3      # a1 within this of 1 is inside the set, of 0 outside
+
+
+def kkt_check(model: SpectralModel, grid: Grid, sol: LimitSolution) -> KKTReport:
     """Level-set optimality: Psi >= mu* on {a1 ~ 1} and Psi <= mu* outside.
 
     Cells whose interpolated Psi range straddles mu* sit inside the
     discretization uncertainty band and are excluded from the margins;
     a solution without any decided inside/outside cells (no level
-    structure, e.g. a == L) fails.
+    structure, e.g. a == L) fails. Margins pass down to -tol = -1e-6 range(Psi).
     """
     psi = sol.psi.values
-    if tol_kkt is None:
-        tol_kkt = 1e-6 * max(float(psi.max() - psi.min()), 1e-300)
-    inside = sol.a1.values > 1.0 - tol
-    outside = sol.a1.values < tol
+    tol_kkt = 1e-6 * max(float(psi.max() - psi.min()), 1e-300)
+    inside = sol.a1.values > 1.0 - KKT_SATURATION
+    outside = sol.a1.values < KKT_SATURATION
     if not inside.any() or not outside.any():
         return KKTReport(-math.inf, -math.inf, tol_kkt, False)
     clo, chi = _cell_value_ranges(grid, psi)
@@ -189,9 +190,9 @@ def estimate_bathtub_constant(model: SpectralModel, grid: Grid, sol: LimitSoluti
 
 
 def sliding_ratio(model: SpectralModel, grid: Grid, sol: LimitSolution,
-                  h: float, axis: int = 0) -> float:
-    """Quadratic-drop ratio of the slid level set at shift h."""
-    a_h = _shift_density(grid, sol.a1.values, h, axis)
+                  h: float) -> float:
+    """Quadratic-drop ratio of the level set slid by h along the first axis."""
+    a_h = _shift_density(grid, sol.a1.values, h)
     d1 = float(np.abs(a_h - sol.a1.values) @ grid.cell_measures)
     drop = sol.sigma1_value - sigma1(model, grid, a_h)
     return drop / d1 ** 2
@@ -199,10 +200,12 @@ def sliding_ratio(model: SpectralModel, grid: Grid, sol: LimitSolution,
 
 def tube_linearity(model: SpectralModel, grid: Grid, sol: LimitSolution,
                    deltas=None) -> tuple[float, float]:
-    """Least-squares slope of tube_measure(delta) vs delta, plus residual.
+    """Least-squares slope of |{|Psi - mu*| < delta}| vs delta, plus residual.
 
-    The delta range defaults to [4 h max|Psi'|, 0.1 range(Psi)] where h is
-    the cell size; a constant Psi (no level structure) is rejected.
+    Psi is linear in each cell between its corner values, so boundary
+    cells count fractionally. The delta range defaults to
+    [4 h max|Psi'|, 0.1 range(Psi)] where h is the cell size; a constant
+    Psi (no level structure) is rejected.
     """
     psi = sol.psi.values
     rng_psi = float(psi.max() - psi.min())
@@ -223,7 +226,7 @@ def tube_linearity(model: SpectralModel, grid: Grid, sol: LimitSolution,
     deltas = np.asarray(deltas, dtype=float)
     if (deltas <= 0).any():
         raise ValueError("delta must be positive")
-    # tube_measure per delta, with the cell ranges of Psi computed once
+    # the tube measure per delta, with the cell ranges of Psi computed once
     lo, hi = _cell_value_ranges(grid, psi)
     meas = np.array([_measure_below(grid, lo, hi, sol.mu_star + d)
                      - _measure_below(grid, lo, hi, sol.mu_star - d) for d in deltas])

@@ -6,8 +6,8 @@ evaluators, and the metadata that drives the large-time analysis:
 the lowest-real-part index set J1, the first index p0 beyond it, and
 the spectral gap Re(lambda_p0 - lambda_1).
 
-Time weights are exposed in two forms: plain floats (`gamma`) for the
-well-scaled regime and mantissa/exponent pairs (`FactoredScalar`,
+Time weights are exposed in two forms: plain floats (`gamma_from_lambda`)
+for the well-scaled regime and mantissa/exponent pairs (`FactoredScalar`,
 `gamma_factored`, `tau`) that never overflow, used by the Gram
 assembly for stiff modes.
 """
@@ -262,11 +262,6 @@ def gamma_from_lambda(lam: complex, T: float) -> float:
             f"2*Re(lambda)*T = {fac.exponent:.3g} exceeds {OVERFLOW_THETA:.3g}; "
             "use gamma_factored")
     return float(fac.value().real)
-
-
-def gamma(model: SpectralModel, j: int, T: float) -> float:
-    """Time weight gamma_j(T) of mode j of a model."""
-    return gamma_from_lambda(complex(model.eigenvalues[j - 1]), T)
 
 
 def tau(lam_i: complex, lam_j: complex, T: float) -> FactoredScalar:

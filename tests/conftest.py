@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from obsgrid.geometry import DensityField, make_grid, project_box_mean
+from obsgrid.geometry import (DensityField, _cell_value_ranges, _measure_below,
+                              make_grid, project_box_mean)
 from obsgrid.spectral import build_model
 
 
@@ -38,6 +39,14 @@ def interval_indicator(grid, lo, hi):
     h = grid.cell_measures[0]
     vals = np.clip((np.minimum(hi, c + h / 2) - np.maximum(lo, c - h / 2)) / h, 0.0, 1.0)
     return DensityField(grid, vals)
+
+
+def tube(grid, psi, mu_star, delta):
+    """|{|Psi - mu*| < delta}| with Psi linear in each cell between its
+    corner values, the tube measure that tube_linearity fits."""
+    lo, hi = _cell_value_ranges(grid, psi)
+    return (_measure_below(grid, lo, hi, mu_star + delta)
+            - _measure_below(grid, lo, hi, mu_star - delta))
 
 
 def random_feasible(grid, L, rng, smooth=False):

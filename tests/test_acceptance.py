@@ -345,18 +345,18 @@ class TestCriterion11:
             lam, _ = min_eigpair(H)
             ok_eig &= abs(lam - (lo + hi) / 2) <= 1e-9 * max(1.0, radius)
 
-        # stabilized Schur path vs naive eigensolve where both accurate
+        # graded eigensolve vs naive eigensolve where both accurate
         ind = interval_indicator(g1024, PI / 4, 3 * PI / 4)
         naive = float(np.linalg.eigvalsh(
             assemble(model16, g1024, ind, 0.3, 8).reconstruct())[0])
-        schur = obs_constant(model16, g1024, ind, 0.3, 8)
-        ok_schur = abs(schur - naive) <= 1e-9 * naive
+        graded = obs_constant(model16, g1024, ind, 0.3, 8)
+        ok_graded = abs(graded - naive) <= 1e-9 * naive
 
-        ok = ok_bath and ok_proj and ok_eig and ok_schur
+        ok = ok_bath and ok_proj and ok_eig and ok_graded
         assert report(11, ok,
                       f"bathtub vs exhaustive: {ok_bath}; projection vs "
                       f"lattice: {ok_proj}; min_eigpair vs root-bracketing: "
-                      f"{ok_eig}; Schur vs naive (1e-9): {ok_schur}")
+                      f"{ok_eig}; graded vs naive (1e-9): {ok_graded}")
 
 
 class TestCriterion12:

@@ -296,6 +296,16 @@ class TestConfigValidation:
         assert f"{key} must" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("out", [5, "", None])
+    def test_bad_out_exits_1_before_any_work(self, tmp_path, monkeypatch, capsys, out):
+        # 5 used to fail with a TypeError only after the full solve, and ""
+        # wrote the outputs into the working directory
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, out=out)
+        assert main(["solve", "--config", str(path)]) == 1
+        assert f"out must be a nonempty string, got {out!r}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_coupled_model_parameters_accepted(self, tmp_path, capsys):
         path = write_config(tmp_path, experiment="model", drop=("L", "T", "N"),
                             model={**COUPLED, "n_max": 6, "mu": MU, "u": EYE3},

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from obsgrid.geometry import (DensityField, l1_distance, level_threshold,
-                              make_grid, tube_measure)
+from obsgrid.geometry import DensityField, l1_distance, level_threshold, make_grid
 from obsgrid.gram import get_basis
 from obsgrid.limit import (cesaro_mean, estimate_bathtub_constant, kkt_check,
                            limit_set, sigma1, sliding_ratio, tube_linearity)
 from obsgrid.optimize import OptOptions, maximize_sigma1
 from obsgrid.spectral import build_model
 
-from conftest import interval_indicator, random_feasible
+from conftest import interval_indicator, random_feasible, tube
 
 PI = np.pi
 INV_2PI = 0.1591549430918953357688837633725143620345
@@ -232,7 +231,7 @@ class TestTubeLinearity:
         assert resid <= 0.05
 
     @pytest.mark.parametrize("case", ["1d", "2d"])
-    def test_bitwise_equal_to_tube_measure(self, d1d, grid2048, sol05, case):
+    def test_bitwise_equal_to_tube_formula(self, d1d, grid2048, sol05, case):
         if case == "1d":
             model, grid, sol = d1d, grid2048, sol05
         else:
@@ -241,7 +240,7 @@ class TestTubeLinearity:
             sol = limit_set(model, grid, 0.3)
         rng_psi = float(sol.psi.values.max() - sol.psi.values.min())
         deltas = np.geomspace(1e-3, 0.1, 12) * rng_psi
-        meas = np.array([tube_measure(grid, sol.psi, sol.mu_star, d) for d in deltas])
+        meas = np.array([tube(grid, sol.psi.values, sol.mu_star, d) for d in deltas])
         m_ref = float((meas @ deltas) / (deltas @ deltas))
         resid_ref = float(np.max(np.abs(meas - m_ref * deltas) / (m_ref * deltas)))
         assert tube_linearity(model, grid, sol, deltas) == (m_ref, resid_ref)

@@ -3,8 +3,8 @@ import pytest
 
 from obsgrid.geometry import make_grid
 from obsgrid.gram import get_basis
-from obsgrid.spectral import (ConfigurationError, build_model, gamma,
-                              gamma_factored, gamma_from_lambda, tau)
+from obsgrid.spectral import (ConfigurationError, build_model, gamma_factored,
+                              gamma_from_lambda, tau)
 
 # frozen oracle: (e^2 - 1)/2 at 40 digits
 GAMMA_1_1 = 3.19452804946532511361521373028750390659
@@ -106,7 +106,7 @@ class TestGamma:
         assert gamma_from_lambda(1.0, 1e-12) == pytest.approx(1e-12, rel=1e-6)
 
     def test_model_indexing(self, d1d):
-        assert gamma(d1d, 2, 0.5) == pytest.approx((np.e ** 4 - 1) / 8, rel=1e-13)
+        assert gamma_from_lambda(d1d.eigenvalues[1], 0.5) == pytest.approx((np.e ** 4 - 1) / 8, rel=1e-13)
 
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):
@@ -121,7 +121,7 @@ class TestGamma:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_nondecreasing_in_mode(self, d1d):
-        vals = [gamma(d1d, j, 0.7) for j in range(1, 9)]
+        vals = [gamma_from_lambda(d1d.eigenvalues[j - 1], 0.7) for j in range(1, 9)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
