@@ -5,7 +5,7 @@ Subcommands: solve, sweep, limit, smallt, torus-deg, certify, cesaro,
 model. Configs are strict JSON (schema v1); each experiment accepts only
 the keys its runner reads (EXPERIMENT_KEYS), so the config echoed into
 report.json states only settings the run used. Acceptance thresholds are
-config data with documented defaults, not code. report.json is
+module constants; a config sets only limit's m_hat target. report.json is
 byte-identical for identical (config, seed) on a fixed platform and
 numpy/BLAS build; wall-clock times go to a sidecar timing.json.
 
@@ -45,11 +45,11 @@ COMMON_KEYS = ("version", "experiment", "model", "grid", "seed", "out")
 # run used.
 EXPERIMENT_KEYS = {
     "solve": ("L", "T", "N", "optimizer"),
-    "sweep": ("L", "T", "N", "optimizer", "certificate", "acceptance"),
+    "sweep": ("L", "T", "N", "optimizer", "certificate"),
     "limit": ("L", "optimizer", "sampler", "acceptance"),
-    "smallt": ("L", "T", "N", "optimizer", "acceptance"),
-    "torus-deg": ("L", "optimizer", "acceptance"),
-    "certify": ("L", "T", "N", "optimizer", "certificate", "acceptance"),
+    "smallt": ("L", "T", "N", "optimizer"),
+    "torus-deg": ("L", "optimizer"),
+    "certify": ("L", "T", "N", "optimizer", "certificate"),
     "cesaro": ("N",),
     "model": (),
 }
@@ -59,6 +59,16 @@ EXPERIMENT_KEYS = {
 SLIDE_SHIFTS = (0.01, 0.03, 0.05)   # limit: shifts h of the slid level set
 COMPACT_FRACTION = 0.5              # Cesaro deviation box side / domain side
 TORUS_ETA, TORUS_M, TORUS_MEMBERS = 0.5, 5, 8   # torus-deg density family
+
+# Acceptance thresholds of the runners' checks.
+SWEEP_R_FINAL_MIN = 0.97            # ratio-to-limit target at the last T
+SWEEP_SLOPE_MAX = -1.2              # distance decay target (gap/2 minus slack)
+SWEEP_SANDWICH_RTOL = 1e-6          # lower <= value+gap, value <= upper
+SATURATION_FLOOR_CELLS = 3.0        # sweep rate fit floor, in largest cells
+CERTIFY_SANDWICH_RTOL, CERTIFY_MAX_REL_GAP = 1e-3, 1e-4
+MHAT_RTOL, TUBE_RESIDUAL_MAX = 0.05, 0.05       # limit
+SMALLT_MARGIN, SMALLT_VALUE_FLOOR_SLACK = 0.1, 1e-6
+TORUS_EQUALITY_TOL, TORUS_L1_MIN, TORUS_ATTAIN_TOL = 1e-9, 0.1, 1e-8
 
 
 class ConfigError(ValueError):
@@ -76,23 +86,7 @@ BLOCK_DEFAULTS = {
     "optimizer": {"max_iter": 2000, "tol": 1e-6},
     "certificate": {"nu": None},
     "sampler": {"n_samples": 1000},
-}
-
-ACCEPTANCE_DEFAULTS = {
-    "sweep": {
-        "r_final_min": 0.97,          # ratio-to-limit target at the last T
-        "slope_max": -1.2,            # distance decay target (gap/2 minus slack)
-        "sandwich_rtol": 1e-6,        # lower <= value+gap, value <= upper
-        "saturation_floor_cells": 3.0,
-    },
-    "certify": {"sandwich_rtol": 1e-3, "max_rel_gap": 1e-4},
-    "limit": {
-        "mhat_target": None,          # e.g. 2*pi for dirichlet_1d, L=0.5
-        "mhat_rtol": 0.05,
-        "residual_max": 0.05,
-    },
-    "smallt": {"margin": 0.1, "value_floor_slack": 1e-6},
-    "torus-deg": {"equality_tol": 1e-9, "l1_min": 0.1, "attain_tol": 1e-8},
+    "acceptance": {"mhat_target": None},    # limit: e.g. 2*pi for dirichlet_1d, L=0.5
 }
 
 # experiments that take a list of N, with its default
@@ -144,6 +138,13 @@ def _check_ints(value, key: str, lo: int = 1, hi: int | None = None) -> None:
     """value, or each entry of a nonempty list value, is an integer in lo..hi."""
     for x in value if isinstance(value, list) and value else [value]:
         _check_int(x, key, lo, hi)
+
+
+def _check_out(out) -> str:
+    """out as a nonempty string."""
+    if not isinstance(out, str) or not out:
+        raise ConfigError(f"out must be a nonempty string, got {out!r}")
+    return out
 
 
 def _check_T(T, kind: str):
@@ -220,15 +221,11 @@ def validate_config(raw: dict) -> dict:
     keys = COMMON_KEYS + EXPERIMENT_KEYS[kind]
     _reject_unknown(raw, keys, "")
 
-    out = raw.get("out", "runs/" + kind)
-    if not isinstance(out, str) or not out:
-        raise ConfigError(f"out must be a nonempty string, got {out!r}")
     cfg = {"version": SCHEMA_VERSION, "experiment": kind,
-           "seed": _check_int(raw.get("seed", 0), "seed", 0), "out": out}
+           "seed": _check_int(raw.get("seed", 0), "seed", 0),
+           "out": _check_out(raw.get("out", "runs/" + kind))}
     for key in keys:
-        if key == "acceptance":
-            cfg[key] = _block(raw.get(key), key, ACCEPTANCE_DEFAULTS[kind])
-        elif key in BLOCK_DEFAULTS:
+        if key in BLOCK_DEFAULTS:
             cfg[key] = _block(raw.get(key), key, BLOCK_DEFAULTS[key])
         elif key == "L":
             cfg[key] = raw.get(key, 0.5)
@@ -249,11 +246,10 @@ def validate_config(raw: dict) -> dict:
         if not _positive_list([opt["tol"]]):
             raise ConfigError(f"optimizer.tol must be a finite number > 0, "
                               f"got {opt['tol']!r}")
-    for key, value in cfg.get("acceptance", {}).items():   # mhat_target may be null
-        nullable = key == "mhat_target"
-        if not (_is_real(value) or (nullable and value is None)):
-            raise ConfigError(f"acceptance.{key} must be a finite number"
-                              f"{' or null' if nullable else ''}, got {value!r}")
+    target = cfg.get("acceptance", {}).get("mhat_target")   # null: no m_hat check
+    if not (target is None or _is_real(target)):
+        raise ConfigError(f"acceptance.mhat_target must be a finite number or null, "
+                          f"got {target!r}")
     nu = cfg.get("certificate", {}).get("nu")      # null: the automatic nu_T
     if nu is not None and not _is_fraction(nu):
         raise ConfigError(f"certificate.nu must be null or a finite number in "
@@ -447,7 +443,6 @@ def _sweep_point(model, grid, cfg, T, a1, sigma1_max):
 def run_sweep(cfg) -> ExperimentReport:
     model, grid = _build(cfg)
     rep = ExperimentReport("sweep", cfg)
-    acc = cfg["acceptance"]
     s1 = maximize_sigma1(model, grid, cfg["L"], _opts(cfg))
     out = _outdir(cfg)
 
@@ -475,7 +470,7 @@ def run_sweep(cfg) -> ExperimentReport:
 
     ratios = [r["ratio"] for r in rep.records]
     dists = [r["l1_dist"] for r in rep.records]
-    floor = acc["saturation_floor_cells"] * float(grid.cell_measures.max())
+    floor = SATURATION_FLOOR_CELLS * float(grid.cell_measures.max())
     slope, intercept, window, saturated = fit_rate(
         [(r["T"], r["l1_dist"]) for r in rep.records], floor)
     rep.fit = {"slope": slope, "intercept": intercept, "window": window,
@@ -483,12 +478,12 @@ def run_sweep(cfg) -> ExperimentReport:
 
     rep.checks["r_nondecreasing"] = all(
         b >= a - 1e-9 for a, b in zip(ratios, ratios[1:]))
-    rep.checks["r_final"] = ratios[-1] >= acc["r_final_min"]
+    rep.checks["r_final"] = ratios[-1] >= SWEEP_R_FINAL_MIN
     rep.checks["d_nonincreasing"] = all(
         b <= a + 1e-9 for a, b in zip(dists, dists[1:]))
     rep.checks["rate_slope"] = (not saturated) and slope is not None \
-        and slope <= acc["slope_max"]
-    srtol = acc["sandwich_rtol"]
+        and slope <= SWEEP_SLOPE_MAX
+    srtol = SWEEP_SANDWICH_RTOL
     sandwich_ok = True
     for r in rep.records:
         if r["lower_bound"] is None:
@@ -507,7 +502,7 @@ def run_limit(cfg) -> ExperimentReport:
     model, grid = _build(cfg)
     rep = ExperimentReport("limit", cfg)
     L = cfg["L"]
-    acc = cfg["acceptance"]
+    target = cfg["acceptance"]["mhat_target"]
     t0 = time.perf_counter()
     sol = limit_set(model, grid, L, _opts(cfg))
     rep.timing["limit_set_s"] = time.perf_counter() - t0
@@ -515,7 +510,7 @@ def run_limit(cfg) -> ExperimentReport:
            "alphas": [float(x) for x in sol.alphas],
            "degenerate": sol.degenerate,
            "bangbang_frac": bang_bang_fraction(sol.a1)}
-    kk = kkt_check(model, grid, sol)
+    kk = kkt_check(grid, sol)
     rec["kkt_pass"] = kk.passed
     rec["kkt_margins"] = [kk.min_inside_minus_mu, kk.mu_minus_max_outside]
 
@@ -531,14 +526,13 @@ def run_limit(cfg) -> ExperimentReport:
         rec["k_hat_families"] = {k: v for k, v in sorted(ke.family_mins.items())}
         rec["sliding_ratios"] = [sliding_ratio(model, grid, sol, h)
                                  for h in SLIDE_SHIFTS]
-        m_hat, resid = tube_linearity(model, grid, sol)
+        m_hat, resid = tube_linearity(grid, sol)
         rec["tube_m_hat"] = m_hat
         rec["tube_residual"] = resid
         rep.checks["khat_positive"] = ke.k_hat > 0
-        rep.checks["tube_residual"] = resid <= acc["residual_max"]
-        if acc["mhat_target"] is not None:
-            rep.checks["mhat"] = abs(m_hat - acc["mhat_target"]) \
-                <= acc["mhat_rtol"] * acc["mhat_target"]
+        rep.checks["tube_residual"] = resid <= TUBE_RESIDUAL_MAX
+        if target is not None:
+            rep.checks["mhat"] = abs(m_hat - target) <= MHAT_RTOL * target
     rep.checks["kkt"] = kk.passed
     rep.records.append(rec)
     return rep
@@ -550,7 +544,6 @@ def run_smallt(cfg) -> ExperimentReport:
     L = cfg["L"]
     T = float(cfg["T"])
     Ns = sorted(cfg["N"])
-    acc = cfg["acceptance"]
 
     # descending-N warm starts keep the reported chain consistent with
     # the truncation monotonicity C^(N) >= C^(N+1)
@@ -568,10 +561,10 @@ def run_smallt(cfg) -> ExperimentReport:
                        rep.records)
 
     vs = [r["v"] for r in rep.records]
-    rep.checks["value_floor"] = all(v >= L - acc["value_floor_slack"] for v in vs)
+    rep.checks["value_floor"] = all(v >= L - SMALLT_VALUE_FLOOR_SLACK for v in vs)
     rep.checks["v_nonincreasing_in_N"] = all(
         b <= a + 1e-12 for a, b in zip(vs, vs[1:]))
-    rep.checks["v_margin"] = vs[-1] <= L + acc["margin"]
+    rep.checks["v_margin"] = vs[-1] <= L + SMALLT_MARGIN
 
     # Cesaro interior-compact deviation trend (needs its own mode count)
     ces_Ns = _N_LISTS["cesaro"]
@@ -634,7 +627,6 @@ def run_torus_deg(cfg) -> ExperimentReport:
     model, grid = _build(cfg)
     rep = ExperimentReport("torus-deg", cfg)
     L = cfg["L"]
-    acc = cfg["acceptance"]
     rng = np.random.default_rng(cfg["seed"])
 
     base = DensityField(grid, np.full(grid.ncells, L))
@@ -653,12 +645,12 @@ def run_torus_deg(cfg) -> ExperimentReport:
            "max_l1_between_maximizers": far,
            "constant_bangbang_frac": bang_bang_fraction(base)}
     rep.records.append(rec)
-    rep.checks["family_equal_sigma1"] = spread <= acc["equality_tol"]
-    rep.checks["two_distinct_maximizers"] = far >= acc["l1_min"]
+    rep.checks["family_equal_sigma1"] = spread <= TORUS_EQUALITY_TOL
+    rep.checks["two_distinct_maximizers"] = far >= TORUS_L1_MIN
     rep.checks["family_attains_max"] = max(abs(s - res.value) for s in svals) \
-        <= acc["attain_tol"] + res.fw_gap
+        <= TORUS_ATTAIN_TOL + res.fw_gap
     rep.checks["nonbangbang_maximizer"] = bang_bang_fraction(base) > 0.5 \
-        and abs(s_base - res.value) <= acc["attain_tol"] + res.fw_gap
+        and abs(s_base - res.value) <= TORUS_ATTAIN_TOL + res.fw_gap
     rep.checks["degenerate_detected"] = res.degenerate_flag
     out = _outdir(cfg)
     write_density_csv(out / "density_constant.csv", base)
@@ -671,7 +663,6 @@ def run_certify(cfg) -> ExperimentReport:
     rep = ExperimentReport("certify", cfg)
     L, N = cfg["L"], cfg["N"]
     T = float(cfg["T"])
-    acc = cfg["acceptance"]
     s1 = maximize_sigma1(model, grid, L, _opts(cfg))
     cert = lower_bound_certificate(model, grid, s1.a_star, T,
                                    cfg["certificate"]["nu"], L=L)
@@ -679,8 +670,8 @@ def run_certify(cfg) -> ExperimentReport:
     res = maximize_obs(model, grid, L, T, N, _opts(cfg))
     rep.timing["solve_s"] = time.perf_counter() - t0
     _solve_record(rep, model, grid, T, N, res, certificate=cert.as_dict())
-    srtol = acc["sandwich_rtol"]
-    rep.checks["rel_gap"] = res.fw_gap <= acc["max_rel_gap"] * max(res.value, 1e-300)
+    srtol = CERTIFY_SANDWICH_RTOL
+    rep.checks["rel_gap"] = res.fw_gap <= CERTIFY_MAX_REL_GAP * max(res.value, 1e-300)
     rep.checks["value_below_upper"] = res.value <= cert.upper_bound * (1.0 + srtol)
     rep.checks["lower_below_estimate"] = cert.lower_bound <= \
         (res.value + max(res.fw_gap, 0.0)) * (1.0 + srtol)
@@ -738,7 +729,7 @@ def main(argv=None) -> int:
                 f"config is for experiment {cfg['experiment']!r}, "
                 f"subcommand was {args.command!r}")
         if args.out is not None:
-            cfg["out"] = args.out
+            cfg["out"] = _check_out(args.out)
         if args.seed is not None:
             cfg["seed"] = _check_int(args.seed, "seed", 0)
         t0 = time.perf_counter()

@@ -69,7 +69,7 @@ class KKTReport:
 KKT_SATURATION = 1e-3      # a1 within this of 1 is inside the set, of 0 outside
 
 
-def kkt_check(model: SpectralModel, grid: Grid, sol: LimitSolution) -> KKTReport:
+def kkt_check(grid: Grid, sol: LimitSolution) -> KKTReport:
     """Level-set optimality: Psi >= mu* on {a1 ~ 1} and Psi <= mu* outside.
 
     Cells whose interpolated Psi range straddles mu* sit inside the
@@ -198,8 +198,7 @@ def sliding_ratio(model: SpectralModel, grid: Grid, sol: LimitSolution,
     return drop / d1 ** 2
 
 
-def tube_linearity(model: SpectralModel, grid: Grid, sol: LimitSolution,
-                   deltas=None) -> tuple[float, float]:
+def tube_linearity(grid: Grid, sol: LimitSolution, deltas=None) -> tuple[float, float]:
     """Least-squares slope of |{|Psi - mu*| < delta}| vs delta, plus residual.
 
     Psi is linear in each cell between its corner values, so boundary

@@ -194,7 +194,7 @@ class TestCriterion5:
             val_exp = L + np.sin(PI * L) / PI
             worst_mu = max(worst_mu, abs(sol.mu_star - mu_exp))
             worst_val = max(worst_val, abs(sol.sigma1_value - val_exp))
-            kkt_all &= kkt_check(model16, g2048, sol).passed
+            kkt_all &= kkt_check(g2048, sol).passed
         ok = worst_mu <= 1e-6 and worst_val <= 1e-6 and kkt_all
         assert report(5, ok,
                       f"limit problem closed forms: |value err| {worst_val:.2e}, "
@@ -218,7 +218,7 @@ class TestCriterion6:
 class TestCriterion7:
     def test_tube_linearity(self, model16, g2048):
         sol = limit_set(model16, g2048, 0.5)
-        m_hat, resid = tube_linearity(model16, g2048, sol)
+        m_hat, resid = tube_linearity(g2048, sol)
         ok = abs(m_hat - 2 * PI) <= 0.05 * 2 * PI and resid <= 0.05
         assert report(7, ok,
                       f"M_hat {m_hat:.4f} vs 2 pi = {2 * PI:.4f} "

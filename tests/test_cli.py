@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from obsgrid import cli
 from obsgrid.cli import (COMMON_KEYS, EXPERIMENT_KEYS, ConfigError, fit_rate,
                          load_config, main, validate_config)
 
@@ -146,6 +147,19 @@ class TestConfigValidation:
         ("torus-deg", {"drop": ("T", "N"), "model": {"name": "torus_1d", "n_max": 6},
                        "torus_family": {"eta": 0.5, "m": 5, "n_members": 8}},
          "torus_family"),
+        # acceptance thresholds (cli.SWEEP_*, CERTIFY_*, MHAT_RTOL,
+        # TUBE_RESIDUAL_MAX, SMALLT_*, TORUS_*_TOL, TORUS_L1_MIN)
+        ("sweep", {"T": [0.4, 0.8, 1.2, 1.6], "acceptance": {"slope_max": -1.2}},
+         "acceptance"),
+        ("smallt", {"T": 1e-3, "N": [2, 4], "acceptance": {"margin": 0.1}},
+         "acceptance"),
+        ("torus-deg", {"drop": ("T", "N"), "model": {"name": "torus_1d", "n_max": 6},
+                       "acceptance": {"l1_min": 0.1}}, "acceptance"),
+        ("certify", {"acceptance": {"max_rel_gap": 1e-4}}, "acceptance"),
+        ("limit", {"drop": ("T", "N"), "acceptance": {"residual_max": 0.05}},
+         "residual_max"),
+        ("limit", {"drop": ("T", "N"), "acceptance": {"mhat_rtol": 0.05}},
+         "mhat_rtol"),
     ])
     def test_keys_the_runner_does_not_read(self, tmp_path, experiment, overrides, key):
         # accepting them would echo a setting into report.json that the
@@ -275,18 +289,9 @@ class TestConfigValidation:
         ("model", {"drop": ("L", "T", "N"), "grid": GRID2D,
                    "model": {**COUPLED, "mu": MU, "u": [EYE3[0], EYE3[0], EYE3[2]]}},
          "model.u"),
-        # "x" used to fail with a TypeError only after the full solve
-        ("certify", {"acceptance": {"max_rel_gap": "x"}}, "acceptance.max_rel_gap"),
-        ("certify", {"acceptance": {"sandwich_rtol": None}},
-         "acceptance.sandwich_rtol"),
-        ("sweep", {"T": [0.4, 0.8, 1.2, 1.6], "acceptance": {"slope_max": True}},
-         "acceptance.slope_max"),
-        ("smallt", {"T": 1e-3, "N": [2, 4], "acceptance": {"margin": float("nan")}},
-         "acceptance.margin"),
+        # "2pi" used to fail with a TypeError only after the full solve
         ("limit", {"drop": ("T", "N"), "acceptance": {"mhat_target": "2pi"}},
          "acceptance.mhat_target"),
-        ("torus-deg", {"drop": ("T", "N"), "model": {"name": "torus_1d", "n_max": 6},
-                       "acceptance": {"l1_min": [0.1]}}, "acceptance.l1_min"),
     ])
     def test_bad_horizons_and_sizes_exit_1_before_any_work(self, tmp_path, capsys,
                                                            experiment, overrides, key):
@@ -296,13 +301,17 @@ class TestConfigValidation:
         assert f"{key} must" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("out", [5, "", None])
-    def test_bad_out_exits_1_before_any_work(self, tmp_path, monkeypatch, capsys, out):
-        # 5 used to fail with a TypeError only after the full solve, and ""
-        # wrote the outputs into the working directory
+    @pytest.mark.parametrize("out,flag", [(5, False), ("", False), (None, False),
+                                          ("", True)])
+    def test_bad_out_exits_1_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                             out, flag):
+        # 5 used to fail with a TypeError only after the full solve, "" wrote
+        # the outputs into the working directory, and --out "" replaced the
+        # validated out without a check and did the same
         monkeypatch.chdir(tmp_path)
-        path = write_config(tmp_path, out=out)
-        assert main(["solve", "--config", str(path)]) == 1
+        path = write_config(tmp_path, **({} if flag else {"out": out}))
+        flags = ["--out", out] if flag else []
+        assert main(["solve", "--config", str(path), *flags]) == 1
         assert f"out must be a nonempty string, got {out!r}" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
@@ -355,11 +364,17 @@ class TestConfigValidation:
         assert cfg["N"] == [4, 8, 16]
 
     def test_acceptance_defaults_documented(self):
-        cfg = validate_config({"version": 1, "experiment": "sweep",
-                               "model": {"name": "dirichlet_1d"},
-                               "T": [1, 2, 3, 4]})
-        assert cfg["acceptance"]["r_final_min"] == 0.97
-        assert cfg["acceptance"]["slope_max"] == -1.2
+        # the thresholds README.md states
+        assert (cli.SWEEP_R_FINAL_MIN, cli.SWEEP_SLOPE_MAX, cli.SWEEP_SANDWICH_RTOL,
+                cli.SATURATION_FLOOR_CELLS) == (0.97, -1.2, 1e-6, 3.0)
+        assert (cli.CERTIFY_SANDWICH_RTOL, cli.CERTIFY_MAX_REL_GAP) == (1e-3, 1e-4)
+        assert (cli.MHAT_RTOL, cli.TUBE_RESIDUAL_MAX) == (0.05, 0.05)
+        assert (cli.SMALLT_MARGIN, cli.SMALLT_VALUE_FLOOR_SLACK) == (0.1, 1e-6)
+        assert (cli.TORUS_EQUALITY_TOL, cli.TORUS_L1_MIN,
+                cli.TORUS_ATTAIN_TOL) == (1e-9, 0.1, 1e-8)
+        cfg = validate_config({"version": 1, "experiment": "limit",
+                               "model": {"name": "dirichlet_1d"}})
+        assert cfg["acceptance"] == {"mhat_target": None}
 
 
 class TestResolutionGuard:

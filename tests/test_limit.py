@@ -53,7 +53,7 @@ class TestLimitSet:
             assert sol.mu_star == pytest.approx(mu_exp, abs=1e-6)
             assert sol.sigma1_value == pytest.approx(val_exp, abs=1e-6)
             assert not sol.degenerate
-            assert kkt_check(d1d, grid2048, sol).passed
+            assert kkt_check(grid2048, sol).passed
 
     def test_dirichlet_maximizer_is_centered_interval(self, d1d, grid2048):
         sol = limit_set(d1d, grid2048, 0.5)
@@ -71,7 +71,7 @@ class TestLimitSet:
         assert np.abs(centers.mean(axis=0) - 0.5).max() <= 1e-3
         psi_c = 4 * (np.sin(PI * centers[:, 0]) * np.sin(PI * centers[:, 1])) ** 2
         assert psi_c.min() >= sol.mu_star - 0.05 * sol.mu_star
-        assert kkt_check(m, g, sol).passed
+        assert kkt_check(g, sol).passed
 
     def test_rect_2d_within_one_cell_layer(self):
         # deviation from the exact continuum superlevel set is confined to
@@ -118,25 +118,25 @@ class TestLimitSet:
 
 
 class TestKKT:
-    def test_pass_on_solution(self, d1d, grid2048, sol05):
-        rep = kkt_check(d1d, grid2048, sol05)
+    def test_pass_on_solution(self, grid2048, sol05):
+        rep = kkt_check(grid2048, sol05)
         assert rep.passed
         assert rep.min_inside_minus_mu >= -rep.tol
         assert rep.mu_minus_max_outside >= -rep.tol
 
-    def test_fail_on_shifted_interval(self, d1d, grid2048, sol05):
+    def test_fail_on_shifted_interval(self, grid2048, sol05):
         from obsgrid.limit import LimitSolution
         shifted = interval_indicator(grid2048, PI / 4 + 0.1, 3 * PI / 4 + 0.1)
         bad = LimitSolution(shifted, sol05.mu_star, sol05.psi,
                             sol05.alphas, False, 0.0)
-        assert not kkt_check(d1d, grid2048, bad).passed
+        assert not kkt_check(grid2048, bad).passed
 
-    def test_fail_on_constant_density(self, d1d, grid2048, sol05):
+    def test_fail_on_constant_density(self, grid2048, sol05):
         from obsgrid.limit import LimitSolution
         flat = DensityField(grid2048, np.full(grid2048.ncells, 0.5))
         bad = LimitSolution(flat, sol05.mu_star, sol05.psi,
                             sol05.alphas, False, 0.0)
-        assert not kkt_check(d1d, grid2048, bad).passed
+        assert not kkt_check(grid2048, bad).passed
 
 
 class TestBathtubConstant:
@@ -225,15 +225,15 @@ class TestBathtubConstant:
 
 
 class TestTubeLinearity:
-    def test_dirichlet_slope(self, d1d, grid2048, sol05):
-        m_hat, resid = tube_linearity(d1d, grid2048, sol05)
+    def test_dirichlet_slope(self, grid2048, sol05):
+        m_hat, resid = tube_linearity(grid2048, sol05)
         assert m_hat == pytest.approx(2 * PI, rel=0.05)
         assert resid <= 0.05
 
     @pytest.mark.parametrize("case", ["1d", "2d"])
-    def test_bitwise_equal_to_tube_formula(self, d1d, grid2048, sol05, case):
+    def test_bitwise_equal_to_tube_formula(self, grid2048, sol05, case):
         if case == "1d":
-            model, grid, sol = d1d, grid2048, sol05
+            grid, sol = grid2048, sol05
         else:
             model = build_model("dirichlet_rect_2d", 4)
             grid = make_grid(model.domain, (40, 32), 2)
@@ -243,20 +243,20 @@ class TestTubeLinearity:
         meas = np.array([tube(grid, sol.psi.values, sol.mu_star, d) for d in deltas])
         m_ref = float((meas @ deltas) / (deltas @ deltas))
         resid_ref = float(np.max(np.abs(meas - m_ref * deltas) / (m_ref * deltas)))
-        assert tube_linearity(model, grid, sol, deltas) == (m_ref, resid_ref)
+        assert tube_linearity(grid, sol, deltas) == (m_ref, resid_ref)
 
-    def test_nonpositive_delta_rejected(self, d1d, grid2048, sol05):
+    def test_nonpositive_delta_rejected(self, grid2048, sol05):
         with pytest.raises(ValueError, match="delta must be positive"):
-            tube_linearity(d1d, grid2048, sol05, [0.01, 0.0, 0.02])
+            tube_linearity(grid2048, sol05, [0.01, 0.0, 0.02])
 
-    def test_constant_psi_rejected(self, d1d, grid512, sol05):
+    def test_constant_psi_rejected(self, grid512):
         from obsgrid.limit import LimitSolution
         from obsgrid.geometry import SpatialFunction
         flat_psi = SpatialFunction(grid512, np.full(grid512.ncells, 1.0))
         a = DensityField(grid512, np.full(grid512.ncells, 0.5))
         bad = LimitSolution(a, 1.0, flat_psi, np.ones(1), False, 0.5)
         with pytest.raises(ValueError):
-            tube_linearity(d1d, grid512, bad)
+            tube_linearity(grid512, bad)
 
 
 class TestCesaroMean:
