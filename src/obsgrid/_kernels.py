@@ -27,14 +27,18 @@ class CellGram:
     """Packed per-cell Gram tensor of a mode table V on a grid.
 
     V has shape (nmodes, npts, q) with cell-major point order
-    (pts_per_cell consecutive points per cell); quad_w are the point
-    weights.
+    (pts_per_cell consecutive points per cell), real or complex; quad_w
+    are the point weights. K is real when no value of V has a nonzero
+    imaginary part.
     """
 
     def __init__(self, V: np.ndarray, quad_w: np.ndarray, pts_per_cell: int):
         n, npts, q = V.shape
         nc, m = npts // pts_per_cell, pts_per_cell * q
-        real = not V.imag.any()
+        # a complex V without imaginary parts (coupled_rect_2d with a real u)
+        # reduces in real arithmetic too; a real V is not scanned (V.imag
+        # would allocate zeros)
+        real = np.isrealobj(V) or not V.imag.any()
         # (n, m, ncells): the point axis of a cell outermost, so each mode
         # pair reduces m contiguous rows of ncells values
         X = np.ascontiguousarray((V.real if real else V)

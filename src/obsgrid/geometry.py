@@ -42,6 +42,14 @@ class Grid:
     def ncells(self) -> int:
         return int(np.prod(self.shape))
 
+    @cached_property
+    def cumulative_measures(self) -> np.ndarray:
+        """cumsum(cell_measures), read-only: entry k-1 is the measure of the
+        first k cells."""
+        c = np.cumsum(self.cell_measures)
+        c.flags.writeable = False
+        return c
+
     @property
     def dim(self) -> int:
         return len(self.shape)
@@ -94,29 +102,20 @@ def make_grid(domain: DomainSpec, cells_per_axis, gauss_order: int = 3) -> Grid:
     centers = np.stack([m.ravel() for m in mesh], axis=1)
     cell_meas = np.full(int(np.prod(shape)), float(np.prod(axes_h)))
 
-    # quadrature points cell-major: for each cell, the g^dim tensor nodes
-    node_mesh = np.meshgrid(*[nd.reshape(-1) for nd in axes_nodes], indexing="ij")
-    # reshape so per-cell blocks are contiguous: axis order (cells..., gauss...)
-    dim = len(shape)
-    g = gauss_order
-    full_shape = tuple(s * g for s in shape)
-    pts = []
-    for nm in node_mesh:
-        arr = nm.reshape(full_shape)
-        # split each axis (n*g) -> (n, g), then move all g-axes last
-        arr = arr.reshape(sum(([s, g] for s in shape), []))
-        order = list(range(0, 2 * dim, 2)) + list(range(1, 2 * dim, 2))
-        pts.append(arr.transpose(order).reshape(-1))
-    w_mesh = np.meshgrid(*[w.reshape(-1) for w in axes_wts], indexing="ij")
-    warr = np.ones(full_shape)
-    for wm in w_mesh:
-        warr = warr * wm.reshape(full_shape)
-    warr = warr.reshape(sum(([s, g] for s in shape), []))
-    order = list(range(0, 2 * dim, 2)) + list(range(1, 2 * dim, 2))
-    wts = warr.transpose(order).reshape(-1)
+    # quadrature points cell-major: for each cell, the g^dim tensor nodes,
+    # written in place through an (cells..., gauss..., dim) view
+    dim, g = len(shape), gauss_order
+    quad_x = np.empty((cell_meas.size * g ** dim, dim))
+    wts = np.ones(quad_x.shape[0])
+    xv = quad_x.reshape(shape + (g,) * dim + (dim,))
+    wv = wts.reshape(shape + (g,) * dim)
+    for d in range(dim):
+        axis_shape = [1] * (2 * dim)
+        axis_shape[d], axis_shape[dim + d] = shape[d], g
+        xv[..., d] = axes_nodes[d].reshape(axis_shape)
+        wv *= axes_wts[d].reshape(axis_shape)
 
-    return Grid(domain, shape, gauss_order, centers, cell_meas,
-                np.stack(pts, axis=1), wts)
+    return Grid(domain, shape, gauss_order, centers, cell_meas, quad_x, wts)
 
 
 def cell_average(grid: Grid, fn) -> np.ndarray:
@@ -135,15 +134,16 @@ def bathtub(grid: Grid, f, L: float) -> tuple[DensityField, float]:
 
     The cells have equal measure (see Grid), so the k largest values fill
     cumsum(w)[k-1] whichever cells hold them: the threshold index k comes
-    from cumsum(w) alone, and mu, the (k+1)-th largest value, by selection
-    (np.partition, introselect) instead of a sort.
+    from cumsum(w) alone (`Grid.cumulative_measures`, computed once per
+    grid), and mu, the (k+1)-th largest value, by selection (np.partition,
+    introselect) instead of a sort.
     """
     if not 0.0 < L < 1.0:
         raise ValueError("L must be in (0,1)")
     f = f.values if isinstance(f, SpatialFunction) else np.asarray(f, dtype=float)
     w = grid.cell_measures
     target = L * grid.measure
-    k = int(np.searchsorted(np.cumsum(w), target * (1 - 1e-15)))
+    k = int(np.searchsorted(grid.cumulative_measures, target * (1 - 1e-15)))
     j = max(grid.ncells - 1 - k, 0)         # k == ncells: the smallest value
     mu = float(np.partition(f, j)[j])
     a = np.zeros(grid.ncells)
@@ -275,7 +275,12 @@ def _measure_below(grid: Grid, lo: np.ndarray, hi: np.ndarray, t: float) -> floa
 
 def level_threshold(grid: Grid, psi, L: float) -> float:
     """Threshold mu with |{Psi > mu}| = L |Omega| under cellwise linear
-    interpolation of Psi (sub-cell refinement of the bathtub quantile)."""
+    interpolation of Psi (sub-cell refinement of the bathtub quantile).
+
+    Bisection of at most 100 steps, stopped at the first step that moves
+    neither end: from there on every step repeats it, so mu is bit for bit
+    that of all 100 steps.
+    """
     if not 0.0 < L < 1.0:
         raise ValueError("L must be in (0,1)")
     vals = psi.values if isinstance(psi, SpatialFunction) else np.asarray(psi, dtype=float)
@@ -284,7 +289,10 @@ def level_threshold(grid: Grid, psi, L: float) -> float:
     a, b = float(lo.min()), float(hi.max())
     for _ in range(100):
         mid = 0.5 * (a + b)
-        if _measure_below(grid, lo, hi, mid) < target:
+        below = _measure_below(grid, lo, hi, mid) < target
+        if mid == (a if below else b):
+            break       # a fixed point: every later step would repeat this one
+        if below:
             a = mid
         else:
             b = mid

@@ -34,19 +34,32 @@ class ContractViolation(ValueError):
 class ModeBasis:
     """Eigenfunction values of a mode subset at the grid's Gauss nodes.
 
-    V (nmodes, npts, q) holds the values as the model returns them
-    (complex dtype); it is reduced once into the per-cell Gram tensor
-    (`_kernels.CellGram`), through which every density-dependent quantity
-    is one matrix-vector product, real when every value of V is real.
-    Reused across all assemblies on one (model, grid, modes) triple.
+    V (nmodes, npts, q) holds the values in the one dtype the model's
+    modes share (float64 for real modes, complex otherwise), each mode
+    written into its slice as it is evaluated; a mode of another dtype or
+    shape raises ContractViolation, so no imaginary part is ever dropped
+    and no value is broadcast.
+    V is reduced once into the per-cell Gram tensor (`_kernels.CellGram`),
+    through which every density-dependent quantity is one matrix-vector
+    product, real when every value of V is real. Reused across all
+    assemblies on one (model, grid, modes) triple.
     """
 
     def __init__(self, model: SpectralModel, grid: Grid, modes):
         self.model = model
         self.grid = grid
         self.modes = tuple(int(j) for j in modes)
-        vals = [model.phi(j, grid.quad_x) for j in self.modes]
-        self.V = np.ascontiguousarray(np.stack(vals, axis=0))
+        self.V = None
+        for k, j in enumerate(self.modes):
+            v = model.phi(j, grid.quad_x)
+            if self.V is None:
+                self.V = np.empty((len(self.modes),) + v.shape, dtype=v.dtype)
+            elif v.dtype != self.V.dtype or v.shape != self.V.shape[1:]:
+                raise ContractViolation(
+                    f"mode {j} of {model.name} has values of dtype {v.dtype} and shape "
+                    f"{v.shape}, mode {self.modes[0]} of {self.V.dtype} and {self.V.shape[1:]}: "
+                    "all modes of a model share one dtype and shape")
+            self.V[k] = v
         self.lams = np.array([model.eigenvalues[j - 1] for j in self.modes])
         self.gram = _kernels.CellGram(self.V, grid.quad_w, grid.pts_per_cell)
 

@@ -59,7 +59,9 @@ class SpectralModel:
     """Spectrum + eigenfunctions of one named example system.
 
     `evaluator(j, x)` maps a 1-based mode index and an (npts, dim) array
-    of points to an (npts, q) complex array of eigenfunction values.
+    of points to an (npts, q) array of eigenfunction values, in one dtype
+    for all modes of a model: float64 where the modes are real, complex
+    otherwise.
     `axis_index[j-1]` is the largest per-axis frequency index of mode j:
     along an axis of length l, a product of two modes up to j oscillates
     with wavelength no shorter than l / axis_index[j-1].
@@ -110,7 +112,7 @@ def _dirichlet_1d(n_max: int) -> SpectralModel:
     c = np.sqrt(2.0 / np.pi)
 
     def ev(j, x):
-        return (c * np.sin(j * x[:, 0]))[:, None].astype(complex)
+        return (c * np.sin(j * x[:, 0]))[:, None]
 
     return SpectralModel("dirichlet_1d", 1, dom, lams, ev,
                          axis_index=tuple(range(1, n_max + 1)))
@@ -127,7 +129,7 @@ def _dirichlet_rect_2d(n_max: int) -> SpectralModel:
 
     def ev(j, x):
         m, n = pairs[j - 1]
-        return (2.0 * np.sin(m * np.pi * x[:, 0]) * np.sin(n * np.pi * x[:, 1]))[:, None].astype(complex)
+        return (2.0 * np.sin(m * np.pi * x[:, 0]) * np.sin(n * np.pi * x[:, 1]))[:, None]
 
     model = SpectralModel("dirichlet_rect_2d", 1, dom, lams, ev,
                           axis_index=tuple(max(mn) for mn in pairs))
@@ -147,7 +149,7 @@ def _torus_1d(n_max: int) -> SpectralModel:
     def ev(j, x):
         k, trig = ks[j - 1]
         f = np.cos if trig == "cos" else np.sin
-        return (c * f(k * x[:, 0]))[:, None].astype(complex)
+        return (c * f(k * x[:, 0]))[:, None]
 
     # cos(kx)^2 oscillates twice as fast as cos(kx)
     return SpectralModel("torus_1d", 1, dom, lams, ev,

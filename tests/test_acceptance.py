@@ -21,8 +21,8 @@ import scipy.linalg
 
 from obsgrid.geometry import (DensityField, bathtub, l1_distance, make_grid,
                               project_box_mean)
-from obsgrid.gram import (assemble, mass_matrix, min_eigpair, obs_constant,
-                          obs_constant_rand, quadratic_decomposition)
+from obsgrid.gram import (assemble, min_eigpair, obs_constant, obs_constant_rand,
+                          quadratic_decomposition)
 from obsgrid.limit import (estimate_bathtub_constant, kkt_check, limit_set,
                            sigma1, sliding_ratio, tube_linearity)
 from obsgrid.optimize import (OptOptions, bang_bang_fraction,

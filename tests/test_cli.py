@@ -3,7 +3,6 @@ import math
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from obsgrid import cli

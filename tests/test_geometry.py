@@ -1,12 +1,18 @@
 import csv
 import dataclasses
 import itertools
+import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from obsgrid.geometry import (DensityField, bathtub, l1_distance, level_threshold,
-                              make_grid, project_box_mean, write_density_csv)
+from obsgrid import cli, geometry
+from obsgrid.geometry import (DensityField, _cell_value_ranges, _measure_below,
+                              bathtub, l1_distance, level_threshold, make_grid,
+                              project_box_mean, write_density_csv)
+from obsgrid.limit import limit_set
 from obsgrid.spectral import DomainSpec
 
 from conftest import interval_indicator, random_feasible, tube
@@ -44,6 +50,48 @@ class TestMakeGrid:
         assert (g.quad_w > 0).all()
         assert g.quad_w.sum() == pytest.approx(6.0, rel=1e-12)
         assert g.cell_measures.sum() == pytest.approx(6.0, rel=1e-12)
+
+    def test_nodes_and_weights_cell_major(self):
+        # point p of cell c holds the tensor Gauss node (g_0, ..., g_{d-1})
+        # of that cell, both in C order, with the product of the axis weights
+        lo, hi, shape, order = (0.0, -1.0), (2.0, 3.0), (5, 7), 3
+        g = make_grid(DomainSpec("rectangle", tuple(zip(lo, hi))), shape, order)
+        gx, gw = np.polynomial.legendre.leggauss(order)
+        cell, node = np.divmod(np.arange(g.quad_w.size), order ** 2)
+        x, w = np.empty((g.quad_w.size, 2)), np.ones(g.quad_w.size)
+        for d, (c, k) in enumerate(zip(np.unravel_index(cell, shape),
+                                       np.unravel_index(node, (order,) * 2))):
+            h = (hi[d] - lo[d]) / shape[d]
+            x[:, d] = (lo[d] + h * (c + 0.5)) + (h / 2) * gx[k]
+            w = w * ((h / 2) * gw[k])
+        assert np.array_equal(g.quad_x, x) and g.quad_x.flags.c_contiguous
+        assert np.array_equal(g.quad_w, w)
+
+    def test_build_peak_memory(self):
+        # nodes and weights are written in place: the build allocates little
+        # beyond the grid it returns (meshgrids and transposed copies of every
+        # node and weight peaked at 3.5 times that)
+        dom = DomainSpec("rectangle", ((0.0, 1.0), (0.0, 1.0)))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            g = make_grid(dom, (96, 96), 3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        kept = sum(a.nbytes for a in (g.centers, g.cell_measures, g.quad_x, g.quad_w))
+        assert peak <= 1.5 * kept
+
+    def test_cumulative_measures_cached(self):
+        g = make_grid(DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0))), (48, 40), 2)
+        c = g.cumulative_measures
+        assert np.array_equal(c, np.cumsum(g.cell_measures))
+        assert g.cumulative_measures is c
+        assert not c.flags.writeable
 
     def test_unequal_cell_measures_rejected(self):
         # the bathtub oracle reads its quantile by selection, which needs
@@ -124,6 +172,21 @@ def project_by_bisection(grid, v, L):
         if hi - lo < 1e-16 * max(1.0, abs(lo)):
             break
     return np.clip(v + 0.5 * (lo + hi), 0.0, 1.0)
+
+
+def threshold_by_full_bisection(grid, psi, L):
+    """level_threshold's bisection run for all of its 100 steps: the
+    definition the early-stopping threshold must match."""
+    lo, hi = _cell_value_ranges(grid, psi)
+    target = (1.0 - L) * grid.measure
+    a, b = float(lo.min()), float(hi.max())
+    for _ in range(100):
+        mid = 0.5 * (a + b)
+        if _measure_below(grid, lo, hi, mid) < target:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
 
 SMALL_GRIDS = {
@@ -337,7 +400,7 @@ class TestL1Distance:
 
 
 class TestTubeMeasure:
-    def test_two_crossings_slope(self, d1d, grid1024):
+    def test_two_crossings_slope(self, grid1024):
         # Psi = (2/pi) sin^2 x, mu* = 1/pi: two crossings with |Psi'| = 2/pi
         psi = (2 / PI) * np.sin(grid1024.centers[:, 0]) ** 2
         for delta in (1e-3, 3e-3, 1e-2):
@@ -358,6 +421,32 @@ class TestLevelThreshold:
         psi = (2 / PI) * np.sin(grid1024.centers[:, 0]) ** 2
         mu = level_threshold(grid1024, psi, 0.5)
         assert mu == pytest.approx(1 / PI, abs=1e-8)
+
+    @pytest.mark.parametrize("kind", ["random", "smooth", "few_levels"])
+    def test_bitwise_equal_to_full_bisection(self, any_grid, kind):
+        rng = np.random.default_rng(13)
+        n = any_grid.ncells
+        x = any_grid.centers[:, 0]
+        for L in (1e-9, 0.05, 0.3, 0.5, 0.9, 1 - 1e-9):
+            psi = {"random": lambda: rng.standard_normal(n),
+                   "smooth": lambda: np.cos(3.0 * x + rng.uniform(0.0, 6.0)),
+                   "few_levels": lambda: rng.integers(0, 3, n).astype(float)}[kind]()
+            assert (level_threshold(any_grid, psi, L)
+                    == threshold_by_full_bisection(any_grid, psi, L))
+
+    @pytest.mark.parametrize("name", ["dirichlet1d_limit", "rect2d_limit"])
+    def test_bitwise_equal_on_limit_configs(self, name, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+        cfg = cli.validate_config(json.loads(path.read_text()))
+        model, grid = cli._build(cfg)
+        sol = limit_set(model, grid, cfg["L"], cli._opts(cfg))
+        steps = []
+        monkeypatch.setattr(geometry, "_measure_below",
+                            lambda *args: steps.append(1) or _measure_below(*args))
+        mu = level_threshold(grid, sol.psi, cfg["L"])
+        assert mu == sol.mu_star
+        assert mu == threshold_by_full_bisection(grid, sol.psi.values, cfg["L"])
+        assert len(steps) < 100      # it stopped at its fixed point
 
     def test_rectangular_nonsquare_grid(self):
         # Psi = x on (0,2)x(0,3): {Psi > mu} has measure (2-mu)*3

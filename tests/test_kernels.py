@@ -1,24 +1,29 @@
 """The per-cell Gram operator behind ModeBasis.mass and form_cells.
 
 Both maps are checked against a direct quadrature over every Gauss point,
-written here from the definitions, on a real 1D, a real 2D and the
-complex q=3 coupled model, and on random complex mode values.
+written here from the definitions, on the real 1D Dirichlet and torus, the
+real 2D and the complex q=3 coupled model, and on random complex mode
+values. The per-cell tensor itself is checked bit for bit against the
+reduction of a complex-stacked mode table.
 """
+
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from obsgrid._kernels import CellGram
 from obsgrid.geometry import make_grid
-from obsgrid.gram import ModeBasis
+from obsgrid.gram import ContractViolation, ModeBasis
 from obsgrid.spectral import build_model
 
 REL = 1e-13
-MODELS = ("dirichlet_1d", "dirichlet_rect_2d", "coupled_rect_2d")
+MODELS = ("dirichlet_1d", "torus_1d", "dirichlet_rect_2d", "coupled_rect_2d")
 
 
 def _model(name):
-    if name == "dirichlet_1d":
+    if name in ("dirichlet_1d", "torus_1d"):
         return build_model(name, 8), 64
     if name == "dirichlet_rect_2d":
         return build_model(name, 16), (12, 10)
@@ -121,10 +126,25 @@ def test_mass_is_hermitian(bases):
         assert (M == M.conj().T).all()
 
 
+def _complex_stacked_K(basis):
+    """K reduced from every mode cast to complex and stacked into one table."""
+    g = basis.grid
+    V = np.stack([basis.model.phi(j, g.quad_x).astype(complex) for j in basis.modes])
+    return CellGram(V, g.quad_w, g.pts_per_cell).K
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_tensor_bitwise_equal_to_complex_stacked_table(bases, name):
+    K, ref = bases[name].gram.K, _complex_stacked_K(bases[name])
+    assert K.dtype == ref.dtype and np.array_equal(K, ref)
+
+
 def test_tensor_real_exactly_for_real_modes(bases):
     for name, basis in bases.items():
-        real_modes = not basis.V.imag.any()
-        assert real_modes == (name != "coupled_rect_2d")
+        real_modes = name != "coupled_rect_2d"
+        # the mode table keeps the dtype the model's modes have
+        assert basis.V.dtype == (np.float64 if real_modes else np.complex128)
+        assert basis.V.imag.any() != real_modes
         assert np.isrealobj(basis.gram.K) == real_modes
         n = len(basis.modes)
         assert basis.gram.K.shape == (n * (n + 1) // 2, basis.grid.ncells)
@@ -135,3 +155,43 @@ def test_results_stable_across_calls(bases):
         a, W = _density(basis, 5), _weights(basis, 6, False)
         assert (basis.mass(a) == basis.mass(a)).all()
         assert (basis.form_cells(W) == basis.form_cells(W)).all()
+
+
+MIXED = {"complex": lambda v: v.astype(complex), "flat": lambda v: v[:, 0],
+         "wide": lambda v: np.repeat(v, 2, axis=1)}
+
+
+@pytest.mark.parametrize("modes", [(1, 2), (2, 1)], ids=["other-second", "other-first"])
+@pytest.mark.parametrize("other", MIXED)
+def test_mixed_dtype_modes_raise(other, modes):
+    # mode 2 has values of another dtype or shape: neither is cast nor broadcast
+    base = build_model("dirichlet_1d", 4)
+
+    def mixed(j, x):
+        v = base.evaluator(j, x)
+        return MIXED[other](v) if j == 2 else v
+
+    model = dataclasses.replace(base, evaluator=mixed)
+    grid = make_grid(model.domain, 16, 3)
+    with pytest.raises(ContractViolation, match="one dtype and shape"):
+        ModeBasis(model, grid, modes)
+
+
+def test_mode_table_build_peak_memory():
+    # 64x64 cells, 16 real modes: the table V and the copies CellGram
+    # reduces are 4.5 MiB each and K is 4.25 MiB, 18.0 MiB in all; a list
+    # of complex modes stacked into a complex V peaks at 31.3 MiB
+    model = build_model("dirichlet_rect_2d", 16)
+    grid = make_grid(model.domain, (64, 64), 3)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        ModeBasis(model, grid, range(1, 17))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 20 * 2 ** 20

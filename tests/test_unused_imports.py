@@ -1,4 +1,5 @@
-"""No module of the package imports a name at module level that it never reads.
+"""No module of the package or of its test suite imports a name at module
+level that it never reads.
 
 Standard-library stand-in for a linter's unused-import rule (F401):
 `__init__.py` re-exports its imports, and an import whose lines carry
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "obsgrid"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "obsgrid"
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
