@@ -14,6 +14,15 @@ triangle, one row of ncells values per mode pair i <= j (shape
 with w_ii = W_ii and w_ij = W_ij + conj(W_ji) for i < j; the two maps are
 adjoint: a @ form_cells(W) = Re sum_ij W_ij M(a)_ij. Both are plain numpy
 calls, deterministic for a fixed numpy/BLAS build.
+
+K is reduced from the mode table over blocks of cells: two buffers of at
+most BLOCK_BYTES each hold one block's transposed table and its weighted
+conjugate, so the build never holds a full-size copy of the table beside
+it. Cells stay the contiguous inner axis of every block, so each entry of
+K gets the same products summed in the same order as a whole-table
+reduction, bit for bit. A table of at most BLOCK_BYTES (every shipped 1D
+config, and the 0.66 MB single-mode table of the 96x96 limit config) is
+one block, with the allocations of a whole-table reduction.
 """
 
 from __future__ import annotations
@@ -21,6 +30,9 @@ from __future__ import annotations
 import numpy as np
 
 BACKEND = "numpy"     # recorded in the environment line of perfbench/
+# bytes per block buffer; at least the 0.66 MB single-mode table of the
+# 96x96 limit grid, whose peak RSS reads higher when split into blocks
+BLOCK_BYTES = 1 << 20
 
 
 class CellGram:
@@ -39,19 +51,28 @@ class CellGram:
         # reduces in real arithmetic too; a real V is not scanned (V.imag
         # would allocate zeros)
         real = np.isrealobj(V) or not V.imag.any()
-        # (n, m, ncells): the point axis of a cell outermost, so each mode
-        # pair reduces m contiguous rows of ncells values
-        X = np.ascontiguousarray((V.real if real else V)
-                                 .reshape(n, nc, m).transpose(0, 2, 1))
-        Xw = X * np.repeat(quad_w, q).reshape(nc, m).T
-        np.conj(Xw, out=Xw)
+        Vc = (V.real if real else V).reshape(n, nc, m)     # a view, not a copy
+        w = np.repeat(quad_w, q).reshape(nc, m).T
         iu, ju = np.triu_indices(n)
         self.n = n
-        self.K = np.empty((len(iu), nc), dtype=X.dtype)
-        k = 0
-        for i in range(n):
-            np.einsum("mc,jmc->jc", X[i], Xw[i:], out=self.K[k:k + n - i])
-            k += n - i
+        self.K = np.empty((len(iu), nc), dtype=Vc.dtype)
+        # (n, m, cells) blocks: the point axis of a cell outermost, so each
+        # mode pair reduces m contiguous rows of block cell values; at least
+        # two cells wide, since einsum sums a one-cell buffer's contiguous
+        # point axis in another order
+        B = min(nc, max(2, BLOCK_BYTES // (n * m * Vc.itemsize)))
+        Xbuf = np.empty((n, m, B), dtype=Vc.dtype)
+        Xwbuf = np.empty_like(Xbuf)
+        for c0 in range(0, nc, B):
+            c1 = min(c0 + B, nc)
+            X, Xw = Xbuf[:, :, :c1 - c0], Xwbuf[:, :, :c1 - c0]
+            np.copyto(X, Vc[:, c0:c1].transpose(0, 2, 1))
+            np.multiply(X, w[:, c0:c1], out=Xw)
+            np.conj(Xw, out=Xw)
+            k = 0
+            for i in range(n):
+                np.einsum("mc,jmc->jc", X[i], Xw[i:], out=self.K[k:k + n - i, c0:c1])
+                k += n - i
         if not real:
             # sum_p w_p |V_i(p)|^2 is real; drop the rounding residue
             self.K[iu == ju] = self.K[iu == ju].real

@@ -38,7 +38,8 @@ class ModeBasis:
     modes share (float64 for real modes, complex otherwise), each mode
     written into its slice as it is evaluated; a mode of another dtype or
     shape raises ContractViolation, so no imaginary part is ever dropped
-    and no value is broadcast.
+    and no value is broadcast; so does an empty mode set or one that names
+    a mode twice (its every mass matrix would be singular).
     V is reduced once into the per-cell Gram tensor (`_kernels.CellGram`),
     through which every density-dependent quantity is one matrix-vector
     product, real when every value of V is real. Reused across all
@@ -49,6 +50,10 @@ class ModeBasis:
         self.model = model
         self.grid = grid
         self.modes = tuple(int(j) for j in modes)
+        if not self.modes or len(set(self.modes)) < len(self.modes):
+            raise ContractViolation(
+                f"modes {self.modes} of {model.name}: a mode basis needs at least "
+                "one mode and no mode twice")
         self.V = None
         for k, j in enumerate(self.modes):
             v = model.phi(j, grid.quad_x)

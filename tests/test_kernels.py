@@ -4,15 +4,19 @@ Both maps are checked against a direct quadrature over every Gauss point,
 written here from the definitions, on the real 1D Dirichlet and torus, the
 real 2D and the complex q=3 coupled model, and on random complex mode
 values. The per-cell tensor itself is checked bit for bit against the
-reduction of a complex-stacked mode table.
+reduction of a complex-stacked mode table, and, split into several blocks
+of cells, against a reduction of whole-table copies.
 """
 
 import dataclasses
+import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from obsgrid import _kernels
 from obsgrid._kernels import CellGram
 from obsgrid.geometry import make_grid
 from obsgrid.gram import ContractViolation, ModeBasis
@@ -157,6 +161,57 @@ def test_results_stable_across_calls(bases):
         assert (basis.form_cells(W) == basis.form_cells(W)).all()
 
 
+def _full_copy_K(V, quad_w, pc):
+    """K reduced from whole-table copies: the transposed table, its weighted
+    conjugate and one einsum per mode row over all cells at once."""
+    n, npts, q = V.shape
+    nc, m = npts // pc, pc * q
+    real = np.isrealobj(V) or not V.imag.any()
+    X = np.ascontiguousarray((V.real if real else V).reshape(n, nc, m).transpose(0, 2, 1))
+    Xw = np.conj(X * np.repeat(quad_w, q).reshape(nc, m).T)
+    iu, ju = np.triu_indices(n)
+    K = np.empty((len(iu), nc), dtype=X.dtype)
+    k = 0
+    for i in range(n):
+        np.einsum("mc,jmc->jc", X[i], Xw[i:], out=K[k:k + n - i])
+        k += n - i
+    if not real:
+        K[iu == ju] = K[iu == ju].real
+    return K
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_tensor_bitwise_equal_to_full_copy_reduction(monkeypatch, name):
+    # prime cell counts, 4 blocks of which the last is partial; weights
+    # that differ from cell to cell, so a block read at another cell's
+    # weights shows
+    model = _model(name)[0]
+    cells = 97 if model.domain.dim == 1 else (37, 23)
+    grid = make_grid(model.domain, cells, 3)
+    V = ModeBasis(model, grid, tuple(range(1, model.n_max + 1))).V
+    quad_w = grid.quad_w * np.random.default_rng(8).uniform(0.5, 1.5, grid.quad_w.size)
+    ref = _full_copy_K(V, quad_w, grid.pts_per_cell)
+    n, nc = V.shape[0], grid.ncells
+    B = nc // 3 - 1
+    assert math.ceil(nc / B) >= 3 and nc % B
+    m = grid.pts_per_cell * V.shape[2]
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", B * n * m * ref.itemsize)
+    K = CellGram(V, quad_w, grid.pts_per_cell).K
+    assert K.dtype == ref.dtype and np.array_equal(K, ref)
+
+
+def test_tensor_bitwise_equal_at_two_cell_blocks(monkeypatch):
+    # a budget below one cell still reduces two cells per block (the last
+    # one cell of a wider buffer): einsum sums the contiguous point axis of
+    # a one-cell buffer in another order
+    model = build_model("dirichlet_rect_2d", 16)
+    grid = make_grid(model.domain, (7, 5), 3)
+    V = ModeBasis(model, grid, tuple(range(1, 17))).V
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1)
+    K = CellGram(V, grid.quad_w, grid.pts_per_cell).K
+    assert np.array_equal(K, _full_copy_K(V, grid.quad_w, grid.pts_per_cell))
+
+
 MIXED = {"complex": lambda v: v.astype(complex), "flat": lambda v: v[:, 0],
          "wide": lambda v: np.repeat(v, 2, axis=1)}
 
@@ -177,10 +232,21 @@ def test_mixed_dtype_modes_raise(other, modes):
         ModeBasis(model, grid, modes)
 
 
+@pytest.mark.parametrize("modes", [(), (1, 1), (2, 1, 2)],
+                         ids=["empty", "repeated", "repeated-apart"])
+def test_empty_or_repeated_modes_raise(modes):
+    # an empty basis has no table; a repeated mode makes every mass singular
+    model = build_model("dirichlet_1d", 4)
+    grid = make_grid(model.domain, 16, 3)
+    with pytest.raises(ContractViolation, match=re.escape(f"modes {modes}")):
+        ModeBasis(model, grid, modes)
+
+
 def test_mode_table_build_peak_memory():
-    # 64x64 cells, 16 real modes: the table V and the copies CellGram
-    # reduces are 4.5 MiB each and K is 4.25 MiB, 18.0 MiB in all; a list
-    # of complex modes stacked into a complex V peaks at 31.3 MiB
+    # 64x64 cells, 16 real modes: the table V is 4.5 MiB, K 4.25 MiB, the
+    # two block buffers CellGram reduces through 1 MiB each and the point
+    # weights 0.28 MiB, 11.4 MiB in all; two whole-table copies made it
+    # 18.0 MiB, and a list of complex modes stacked into a complex V 31.3 MiB
     model = build_model("dirichlet_rect_2d", 16)
     grid = make_grid(model.domain, (64, 64), 3)
     tracing = tracemalloc.is_tracing()
@@ -194,4 +260,4 @@ def test_mode_table_build_peak_memory():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 20 * 2 ** 20
+    assert peak <= 12.5 * 2 ** 20
