@@ -29,8 +29,8 @@ import numpy as np
 
 from .geometry import DensityField, l1_distance, make_grid, write_density_csv
 from .gram import get_basis
-from .limit import (cesaro_mean, estimate_bathtub_constant, kkt_check, limit_set,
-                    sigma1, sliding_ratio, tube_linearity)
+from .limit import (cesaro_mean, estimate_bathtub_constant, exact_bathtub_constant,
+                    kkt_check, limit_set, sigma1, sliding_ratio, tube_linearity)
 from .optimize import (OptOptions, bang_bang_fraction, lower_bound_certificate,
                        maximize_obs, maximize_sigma1)
 from .spectral import ConfigurationError, build_model, check_coupling, gamma_factored
@@ -38,7 +38,8 @@ from .spectral import ConfigurationError, build_model, check_coupling, gamma_fac
 SCHEMA_VERSION = 1
 
 # Keys every experiment takes: each runner builds the model on the grid, and
-# every subcommand takes --seed and --out; only limit and torus-deg read seed.
+# every subcommand takes --seed and --out; only torus-deg and limit (when
+# #J1 > 1, for its k_hat sampler) read seed.
 COMMON_KEYS = ("version", "experiment", "model", "grid", "seed", "out")
 # The further top-level keys each runner reads. A key outside this table
 # is rejected, so the config echo in report.json holds only settings the
@@ -497,8 +498,15 @@ def run_sweep(cfg) -> ExperimentReport:
 
 
 def run_limit(cfg) -> ExperimentReport:
-    """Limit set and KKT check; if non-degenerate, k_hat from sampler.n_samples
-    draws, sliding ratios at SLIDE_SHIFTS and tube_linearity's own tube slope."""
+    """Limit set and KKT check; if non-degenerate, the bathtub constant k,
+    sliding ratios at SLIDE_SHIFTS and tube_linearity's own tube slope.
+
+    k is [lower, upper]. With #J1 == 1 both ends are exact
+    (exact_bathtub_constant) and the witness density is written; with
+    #J1 > 1 lower is the both-sides relaxation and upper the k_hat of
+    sampler.n_samples seeded draws. k is None when the floor on the
+    distance leaves no admissible density.
+    """
     model, grid = _build(cfg)
     rep = ExperimentReport("limit", cfg)
     L = cfg["L"]
@@ -514,22 +522,31 @@ def run_limit(cfg) -> ExperimentReport:
     rec["kkt_pass"] = kk.passed
     rec["kkt_margins"] = [kk.min_inside_minus_mu, kk.mu_minus_max_outside]
 
-    write_density_csv(_outdir(cfg) / "density_a1.csv", sol.a1)
+    out = _outdir(cfg)
+    write_density_csv(out / "density_a1.csv", sol.a1)
 
     if not sol.degenerate:
         t0 = time.perf_counter()
-        ke = estimate_bathtub_constant(model, grid, sol,
-                                       n_samples=cfg["sampler"]["n_samples"],
-                                       seed=cfg["seed"])
-        rep.timing["khat_s"] = time.perf_counter() - t0
-        rec["k_hat"] = ke.k_hat
-        rec["k_hat_families"] = {k: v for k, v in sorted(ke.family_mins.items())}
+        bc = exact_bathtub_constant(model, grid, sol)
+        k = None if bc.lower is None else [bc.lower, bc.upper]
+        if bc.witness is not None:
+            write_density_csv(out / "density_k_witness.csv", bc.witness)
+        elif k is not None:         # #J1 > 1: the sampler gives the upper end
+            ke = estimate_bathtub_constant(model, grid, sol,
+                                           n_samples=cfg["sampler"]["n_samples"],
+                                           seed=cfg["seed"])
+            k[1] = ke.k_hat
+            rec["k_hat_families"] = dict(sorted(ke.family_mins.items()))
+        rep.timing["k_s"] = time.perf_counter() - t0
+        rec["k"] = k
+        rec["k_floor"] = bc.floor
+        rec["k_D"] = bc.D
         rec["sliding_ratios"] = [sliding_ratio(model, grid, sol, h)
                                  for h in SLIDE_SHIFTS]
         m_hat, resid = tube_linearity(grid, sol)
         rec["tube_m_hat"] = m_hat
         rec["tube_residual"] = resid
-        rep.checks["khat_positive"] = ke.k_hat > 0
+        rep.checks["khat_positive"] = k is not None and k[0] > 0
         rep.checks["tube_residual"] = resid <= TUBE_RESIDUAL_MAX
         if target is not None:
             rep.checks["mhat"] = abs(m_hat - target) <= MHAT_RTOL * target

@@ -1,6 +1,7 @@
 """The spectral limit problem: sigma_1 evaluation, level-set solution,
-KKT verification, quantitative-bathtub constant estimation, tube-measure
-linearity, and the Cesaro mean driving the small-time limit.
+KKT verification, the quantitative-bathtub constant (exact from one sort,
+or a sampled upper estimate), tube-measure linearity, and the Cesaro mean
+driving the small-time limit.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ from .geometry import (DensityField, Grid, SpatialFunction, _cell_value_ranges,
                        level_threshold, project_box_mean)
 from .optimize import OptOptions, _Sigma1Objective, maximize_sigma1, sigma1
 from .spectral import SpectralModel
+
+
+def _flat(psi: np.ndarray) -> bool:
+    """Psi has no level structure: its range is at most 1e-12."""
+    return float(psi.max() - psi.min()) <= 1e-12
 
 
 @dataclass
@@ -44,9 +50,10 @@ def limit_set(model: SpectralModel, grid: Grid, L: float,
     alphas = np.full(m, 1.0 / m)
     psi = SpatialFunction(grid, obj.supergradient(cl))
     a_re, _ = bathtub(grid, psi.values, L)
-    rng_psi = float(psi.values.max() - psi.values.min())
-    mu = level_threshold(grid, psi, L) if rng_psi > 1e-12 else float(psi.values.mean())
-    degenerate = bool(res.degenerate_flag or m > 1)
+    flat = _flat(psi.values)
+    mu = float(psi.values.mean()) if flat else level_threshold(grid, psi, L)
+    # a constant Psi has no level structure: every mean-L density maximizes
+    degenerate = bool(res.degenerate_flag or m > 1 or flat)
     s_orig = cl.lam
     s_re = sigma1(model, grid, a_re)
     if abs(s_re - s_orig) > 1e-8 * (1.0 + abs(s_orig)):
@@ -69,22 +76,28 @@ class KKTReport:
 KKT_SATURATION = 1e-3      # a1 within this of 1 is inside the set, of 0 outside
 
 
+def _straddling(grid: Grid, sol: LimitSolution) -> np.ndarray:
+    """Cells whose corner-interpolated Psi range straddles mu*."""
+    clo, chi = _cell_value_ranges(grid, sol.psi.values)
+    return (clo < sol.mu_star) & (chi > sol.mu_star)
+
+
 def kkt_check(grid: Grid, sol: LimitSolution) -> KKTReport:
     """Level-set optimality: Psi >= mu* on {a1 ~ 1} and Psi <= mu* outside.
 
     Cells whose interpolated Psi range straddles mu* sit inside the
     discretization uncertainty band and are excluded from the margins;
-    a solution without any decided inside/outside cells (no level
-    structure, e.g. a == L) fails. Margins pass down to -tol = -1e-6 range(Psi).
+    a solution without any decided inside/outside cells or with a flat Psi
+    (no level structure, e.g. a == L) fails. Margins pass down to
+    -tol = -1e-6 range(Psi).
     """
     psi = sol.psi.values
     tol_kkt = 1e-6 * max(float(psi.max() - psi.min()), 1e-300)
     inside = sol.a1.values > 1.0 - KKT_SATURATION
     outside = sol.a1.values < KKT_SATURATION
-    if not inside.any() or not outside.any():
+    if not inside.any() or not outside.any() or _flat(psi):
         return KKTReport(-math.inf, -math.inf, tol_kkt, False)
-    clo, chi = _cell_value_ranges(grid, psi)
-    decided = (clo >= sol.mu_star) | (chi <= sol.mu_star)
+    decided = ~_straddling(grid, sol)
     ins = inside & decided
     out = outside & decided
     lo = float(psi[ins].min() - sol.mu_star) if ins.any() else math.inf
@@ -187,6 +200,121 @@ def estimate_bathtub_constant(model: SpectralModel, grid: Grid, sol: LimitSoluti
     k_hat = min(mins.values())
     manifest = {"n_samples": n_samples, "seed": seed}
     return KEstimate(float(k_hat), mins, used, manifest)
+
+
+@dataclass
+class BathtubConstant:
+    """k = inf (sigma1(a1) - sigma1(a)) / ||a - a1||_1^2 over the feasible a
+    at L1 distance >= floor from a1, bracketed as [lower, upper].
+
+    D is the distance that attains lower; witness is a density there and
+    upper its ratio through sigma1. All four are None when no feasible a
+    lies at distance >= floor; upper and witness are None for the
+    both-sides relaxation.
+    """
+    lower: float | None
+    upper: float | None
+    floor: float
+    D: float | None
+    witness: DensityField | None
+
+
+def _cumulative(caps: np.ndarray) -> np.ndarray:
+    """[0, caps[0], caps[0] + caps[1], ...]: where each list entry starts."""
+    return np.concatenate(([0.0], np.cumsum(caps)))
+
+
+def _move_cost(caps: np.ndarray, costs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cost of moving x through a list of cells in order (capacities, unit costs).
+
+    Summed from the whole entries before x plus the partial entry at x,
+    so nonnegative costs give a nonnegative result.
+    """
+    start = _cumulative(caps)
+    i = np.clip(np.searchsorted(start, x) - 1, 0, caps.size - 1)
+    return _cumulative(caps * costs)[i] + costs[i] * (x - start[i])
+
+
+def exact_bathtub_constant(model: SpectralModel, grid: Grid, sol: LimitSolution,
+                           both_sides: bool | None = None) -> BathtubConstant:
+    """The bathtub constant of a non-degenerate limit solution from one sort.
+
+    Psi is a supergradient of sigma1 at a1, so for mean(a) = mean(a1) the
+    drop sigma1(a1) - sigma1(a) is at least sum_c (a1 - a)_c (Psi_c - mu)
+    |c|, with equality when #J1 == 1 (sigma1 is linear). The cheapest
+    move of L1 distance D takes D/2 out of the cells with the smallest
+    Psi - mu and puts D/2 into those with the smallest mu - Psi (the
+    bathtub principle; Lieb and Loss, Analysis, Thm 1.14). Its cost F(D)
+    is piecewise linear and convex with F(0) = 0, so F(D)/D^2 is smallest
+    at a breakpoint, at the floor or at the largest D, and those points
+    are all that is evaluated. mu is the Psi value of a1's tie cells
+    (0 < a1 < 1) when they share one, else mu*; for a bathtub a1 the
+    former makes every cost term nonnegative.
+
+    The floor on D is the measure of the cells whose Psi range straddles
+    mu*, the cells kkt_check leaves undecided. A tie cell gives or
+    receives, not both: each split of the tie cells, the first g giving
+    and the others receiving, is tried, which makes lower exact for
+    #J1 == 1.
+
+    both_sides (the default, and the only choice, when #J1 > 1) lets every
+    cell give down to 0 and receive up to 1 at once. That relaxes the
+    problem, so lower is a rigorous lower end; upper and witness are None.
+    """
+    if sol.degenerate:
+        raise ValueError("the bathtub constant needs a non-degenerate solution")
+    if both_sides is None:
+        both_sides = len(model.J1) > 1
+    if not both_sides and len(model.J1) > 1:
+        raise ValueError("the exact bathtub constant needs #J1 == 1")
+    psi, a1, w = sol.psi.values, sol.a1.values, grid.cell_measures
+    floor = float(w[_straddling(grid, sol)].sum())
+    tie = (a1 > 0.0) & (a1 < 1.0)
+    one_level = tie.any() and np.ptp(psi[tie]) == 0.0
+    mu = float(psi[tie][0]) if one_level else sol.mu_star
+    ties = np.zeros(0, dtype=np.intp)
+    if tie.any() and not both_sides:
+        if not one_level or np.ptp(a1[tie]) != 0.0:
+            raise ValueError("a1 is no bathtub density: its tie cells differ")
+        ties = np.flatnonzero(tie)
+    free = np.ones_like(tie) if both_sides else ~tie
+    give = np.flatnonzero(free & (a1 > 0.0))
+    give = give[np.argsort(psi[give] - mu, kind="stable")]
+    take = np.flatnonzero(free & (a1 < 1.0))
+    take = take[np.argsort(mu - psi[take], kind="stable")]
+
+    best = None
+    for g in range(ties.size + 1):
+        gi = np.concatenate((ties[:g], give))
+        ri = np.concatenate((ties[g:], take))
+        gcap, gcost = a1[gi] * w[gi], psi[gi] - mu
+        rcap, rcost = (1.0 - a1[ri]) * w[ri], mu - psi[ri]
+        d_max = 2.0 * min(_cumulative(gcap)[-1], _cumulative(rcap)[-1])
+        D = np.unique(np.concatenate((2.0 * _cumulative(gcap), 2.0 * _cumulative(rcap),
+                                      [floor, d_max])))
+        D = D[(D > 0.0) & (D >= floor) & (D <= d_max)]
+        if not D.size:
+            continue
+        ratio = (_move_cost(gcap, gcost, 0.5 * D) + _move_cost(rcap, rcost, 0.5 * D)) / D ** 2
+        i = int(np.argmin(ratio))
+        if best is None or ratio[i] < best[0]:
+            best = (float(ratio[i]), float(D[i]), gi, gcap, ri, rcap)
+    if best is None:
+        return BathtubConstant(None, None, floor, None, None)
+    lower, D, gi, gcap, ri, rcap = best
+    if both_sides:
+        return BathtubConstant(lower, None, floor, D, None)
+
+    def moved(caps):          # how much of D/2 each list entry carries
+        return np.clip(0.5 * D - _cumulative(caps)[:-1], 0.0, caps)
+
+    a = a1.copy()
+    a[gi] -= moved(gcap) / w[gi]
+    a[ri] += moved(rcap) / w[ri]
+    witness = DensityField(grid, np.clip(a, 0.0, 1.0))
+    d = l1_distance(witness, sol.a1)
+    upper = (sol.sigma1_value - sigma1(model, grid, witness)) / d ** 2
+    return BathtubConstant(lower, upper, floor, D, witness)
 
 
 def sliding_ratio(model: SpectralModel, grid: Grid, sol: LimitSolution,

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from obsgrid.geometry import (DensityField, _cell_value_ranges, _measure_below,
-                              make_grid, project_box_mean)
+from obsgrid.geometry import (DensityField, SpatialFunction, _cell_value_ranges,
+                              _measure_below, level_threshold, make_grid,
+                              project_box_mean)
+from obsgrid.limit import LimitSolution
+from obsgrid.optimize import _Sigma1Objective, sigma1
 from obsgrid.spectral import build_model
 
 
@@ -39,6 +42,21 @@ def interval_indicator(grid, lo, hi):
     h = grid.cell_measures[0]
     vals = np.clip((np.minimum(hi, c + h / 2) - np.maximum(lo, c - h / 2)) / h, 0.0, 1.0)
     return DensityField(grid, vals)
+
+
+def simple_cluster_solution(model, grid, a1):
+    """A LimitSolution at any density a1 whose J1 mass matrix has a simple
+    smallest eigenvalue: Psi from that eigenvector, mu* its level threshold.
+
+    No shipped #J1 > 1 model has a non-degenerate limit set (its optimum
+    has a repeated eigenvalue), so this is how the #J1 > 1 path is reached.
+    """
+    obj = _Sigma1Objective(model, grid)
+    cl = obj.cluster(obj.mantissa(a1.values))
+    assert len(cl.lams) == 1
+    psi = SpatialFunction(grid, obj.supergradient(cl))
+    return LimitSolution(a1, level_threshold(grid, psi, a1.mean()), psi, np.ones(1),
+                         False, sigma1(model, grid, a1))
 
 
 def tube(grid, psi, mu_star, delta):

@@ -445,6 +445,78 @@ class TestMainExitCodes:
         assert report["pass"] is False
 
 
+class TestLimitRuns:
+    @pytest.mark.parametrize("name", ["dirichlet1d_limit", "rect2d_limit"])
+    def test_shipped_limit_needs_no_sampler(self, tmp_path, capsys, monkeypatch, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the k_hat sampler ran")
+
+        monkeypatch.setattr(cli, "estimate_bathtub_constant", refuse)
+        out = tmp_path / "out"
+        assert main(["limit", "--config", str(CONFIGS / f"{name}.json"),
+                     "--out", str(out)]) == 0
+        rec = json.loads((out / "report.json").read_text())["records"][0]
+        lower, upper = rec["k"]
+        assert 0 < lower and upper == pytest.approx(lower, rel=1e-12)
+        assert rec["k_floor"] > 0 and rec["k_D"] >= rec["k_floor"]
+        assert "k_hat" not in rec and "k_hat_families" not in rec
+        header = (out / "density_k_witness.csv").read_text().splitlines()[0]
+        assert header == (out / "density_a1.csv").read_text().splitlines()[0]
+
+    @pytest.mark.parametrize("model, cells", [("dirichlet_1d", 2),
+                                              ("dirichlet_rect_2d", [2, 2])])
+    def test_constant_psi_reported_degenerate(self, tmp_path, capsys, model, cells):
+        # used to run the sampler and then exit 1 in tube_linearity
+        path = write_config(tmp_path, experiment="limit", drop=("T", "N"),
+                            model={"name": model, "n_max": 4},
+                            grid={"cells": cells, "gauss_order": 3},
+                            out=str(tmp_path / "out"))
+        assert main(["limit", "--config", str(path)]) == 2
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["records"][0]["degenerate"] is True
+        assert report["checks"] == {"kkt": False}
+
+    def test_no_admissible_distance_fails_khat_positive(self, tmp_path, capsys):
+        # the floor is 2 of the 8 cells, more than any feasible move; this
+        # used to pass khat_positive on k_hat = 1.4e-16
+        path = write_config(tmp_path, experiment="limit", drop=("T", "N"),
+                            grid={"cells": 8, "gauss_order": 3}, L=0.05,
+                            out=str(tmp_path / "out"))
+        assert main(["limit", "--config", str(path)]) == 2
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        rec = report["records"][0]
+        assert rec["k"] is None and rec["k_D"] is None
+        assert rec["k_floor"] == pytest.approx(2 * math.pi / 8, rel=1e-15)
+        assert report["checks"]["khat_positive"] is False
+        assert not (tmp_path / "out" / "density_k_witness.csv").exists()
+
+    def test_two_mode_cluster_takes_upper_end_from_sampler(self, tmp_path, capsys,
+                                                            monkeypatch):
+        from conftest import interval_indicator, simple_cluster_solution
+        from obsgrid.limit import estimate_bathtub_constant, exact_bathtub_constant
+
+        sols = []
+
+        def interval_solution(model, grid, L, opts):
+            a1 = interval_indicator(grid, 0.3, 0.3 + 2 * math.pi * L)
+            sols.append((model, grid, simple_cluster_solution(model, grid, a1)))
+            return sols[-1][2]
+
+        monkeypatch.setattr(cli, "limit_set", interval_solution)
+        path = write_config(tmp_path, experiment="limit", drop=("T", "N"),
+                            model={"name": "torus_1d", "n_max": 4}, L=0.25,
+                            sampler={"n_samples": 30}, out=str(tmp_path / "out"))
+        main(["limit", "--config", str(path)])
+        rec = json.loads((tmp_path / "out" / "report.json").read_text())["records"][0]
+        model, grid, sol = sols[0]
+        bc = exact_bathtub_constant(model, grid, sol)
+        ke = estimate_bathtub_constant(model, grid, sol, n_samples=30, seed=0)
+        assert rec["k"] == [bc.lower, ke.k_hat]
+        assert (rec["k_floor"], rec["k_D"]) == (bc.floor, bc.D)
+        assert rec["k_hat_families"] == ke.family_mins
+        assert not (tmp_path / "out" / "density_k_witness.csv").exists()
+
+
 class TestReports:
     def test_sweep_csv_schema(self, tmp_path, capsys):
         path = write_config(tmp_path, name="sweep.json", experiment="sweep",
@@ -551,17 +623,20 @@ class TestReports:
         assert reports[0] == reports[1]
         assert (runs[0] / "smallt.csv").read_bytes() == (runs[1] / "smallt.csv").read_bytes()
 
-    def test_seed_override_changes_report(self, tmp_path, capsys):
+    def test_limit_does_not_depend_on_seed(self, tmp_path, capsys):
+        # the seed fed the k_hat sampler, which a #J1 == 1 limit no longer runs
         path = write_config(tmp_path, name="limit.json", experiment="limit",
                             model={"name": "dirichlet_1d", "n_max": 4},
                             sampler={"n_samples": 60}, drop=("T", "N"))
-        main(["limit", "--config", str(path), "--out", str(tmp_path / "s1")])
-        main(["limit", "--config", str(path), "--out", str(tmp_path / "s2"),
-              "--seed", "123"])
-        r1 = json.loads((tmp_path / "s1" / "report.json").read_text())
-        r2 = json.loads((tmp_path / "s2" / "report.json").read_text())
-        assert r1["config"]["seed"] != r2["config"]["seed"]
-        assert r1["records"][0]["k_hat"] != r2["records"][0]["k_hat"]
+        runs = [tmp_path / f"seed{seed}" for seed in (0, 123)]
+        for seed, out in zip((0, 123), runs):
+            assert main(["limit", "--config", str(path), "--out", str(out),
+                         "--seed", str(seed)]) == 0
+        reports = [json.loads((out / "report.json").read_text()) for out in runs]
+        assert [r["config"].pop("seed") for r in reports] == [0, 123]
+        assert reports[0] == reports[1]
+        assert (runs[0] / "density_k_witness.csv").read_bytes() == \
+            (runs[1] / "density_k_witness.csv").read_bytes()
 
     def test_unconverged_solves_reported(self, tmp_path, capsys):
         path = write_config(tmp_path, name="smallt.json", experiment="smallt",

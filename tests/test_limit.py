@@ -1,17 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from obsgrid.geometry import DensityField, l1_distance, level_threshold, make_grid
+from obsgrid.cli import load_config
+from obsgrid.geometry import (DensityField, _cell_value_ranges, l1_distance,
+                              level_threshold, make_grid)
 from obsgrid.gram import get_basis
-from obsgrid.limit import (cesaro_mean, estimate_bathtub_constant, kkt_check,
-                           limit_set, sigma1, sliding_ratio, tube_linearity)
+from obsgrid.limit import (cesaro_mean, estimate_bathtub_constant, exact_bathtub_constant,
+                           kkt_check, limit_set, sigma1, sliding_ratio, tube_linearity)
 from obsgrid.optimize import OptOptions, maximize_sigma1
 from obsgrid.spectral import build_model
 
-from conftest import interval_indicator, random_feasible, tube
+from conftest import interval_indicator, random_feasible, simple_cluster_solution, tube
 
 PI = np.pi
 INV_2PI = 0.1591549430918953357688837633725143620345
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +112,18 @@ class TestLimitSet:
         sol = limit_set(torus, torus_grid, 0.5)
         assert sol.degenerate
         assert sol.sigma1_value == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("name, cells", [("dirichlet_1d", 2),
+                                             ("dirichlet_rect_2d", (2, 2))])
+    def test_constant_psi_degenerate(self, name, cells):
+        # by symmetry every cell holds the same mass of |phi_1|^2: Psi has
+        # no level structure and every mean-L density is a maximizer
+        m = build_model(name, 4)
+        g = make_grid(m.domain, cells, 3)
+        sol = limit_set(m, g, 0.5)
+        assert np.ptp(sol.psi.values) <= 1e-12
+        assert sol.degenerate
+        assert not kkt_check(g, sol).passed
 
     def test_uniqueness_witness_two_starts(self, d1d, grid1024):
         # different optimizer initializations land on the same maximizer
@@ -222,6 +239,147 @@ class TestBathtubConstant:
         sol = limit_set(torus, torus_grid, 0.5)
         with pytest.raises(ValueError):
             estimate_bathtub_constant(torus, torus_grid, sol)
+
+
+# k, and the L1 distance D that attains it, of the shipped #J1 == 1 limit
+# configs: 1D moves all of a1 = [pi/4, 3pi/4] onto its complement,
+# k = (2/pi) / pi^2, its one tie cell (a1 just below 1) giving; in 2D
+# both tie cells (a1 = 0.4) receive
+SHIPPED_K = {"dirichlet1d_limit": (0.0645030689, PI),
+             "rect2d_limit": (1.42658119, 0.1517361111)}
+
+
+@pytest.fixture(scope="module", params=sorted(SHIPPED_K))
+def shipped(request):
+    cfg = load_config(str(CONFIGS / f"{request.param}.json"))
+    m = build_model(cfg["model"]["name"], cfg["model"]["n_max"])
+    g = make_grid(m.domain, cfg["grid"]["cells"], cfg["grid"]["gauss_order"])
+    sol = limit_set(m, g, cfg["L"])
+    return request.param, cfg, m, g, sol, exact_bathtub_constant(m, g, sol)
+
+
+class TestExactBathtubConstant:
+    def test_pinned(self, shipped):
+        name, _, _, _, _, bc = shipped
+        k, D = SHIPPED_K[name]
+        assert bc.lower == pytest.approx(k, rel=1e-9)
+        assert bc.D == pytest.approx(D, rel=1e-9)
+
+    def test_floor_is_the_undecided_band(self, shipped):
+        # the cells kkt_check leaves out: their Psi range straddles mu*
+        name, _, _, g, sol, bc = shipped
+        lo, hi = _cell_value_ranges(g, sol.psi.values)
+        band = (lo < sol.mu_star) & (hi > sol.mu_star)
+        assert bc.floor == float(g.cell_measures[band].sum())
+        floor = {"dirichlet1d_limit": 0.0061359232, "rect2d_limit": 0.025607639}[name]
+        assert bc.floor == pytest.approx(floor, rel=1e-8)
+
+    def test_witness_attains_lower(self, shipped):
+        _, cfg, m, g, sol, bc = shipped
+        assert bc.upper == pytest.approx(bc.lower, rel=1e-12)
+        w = bc.witness.values
+        assert w.min() >= 0.0 and w.max() <= 1.0
+        d = l1_distance(bc.witness, sol.a1)
+        assert d == pytest.approx(bc.D, rel=1e-12)
+        assert bc.witness.mean() == pytest.approx(cfg["L"], abs=1e-12)
+        assert (sol.sigma1_value - sigma1(m, g, bc.witness)) / d ** 2 == bc.upper
+
+    def test_sampler_never_below_lower(self, shipped):
+        name, cfg, m, g, sol, bc = shipped
+        k_hats = [estimate_bathtub_constant(m, g, sol, cfg["sampler"]["n_samples"],
+                                            seed).k_hat for seed in range(5)]
+        assert min(k_hats) >= bc.lower
+        seed0 = {"dirichlet1d_limit": 0.06912284, "rect2d_limit": 1.87241045}[name]
+        assert k_hats[0] == pytest.approx(seed0, rel=1e-7)
+
+    def test_relaxation_never_above_exact(self, shipped):
+        # letting tie cells give and receive at once undercuts k in 2D
+        name, _, m, g, sol, bc = shipped
+        rb = exact_bathtub_constant(m, g, sol, both_sides=True)
+        assert rb.lower <= bc.lower
+        assert rb.upper is None and rb.witness is None and rb.floor == bc.floor
+        if name == "rect2d_limit":
+            assert rb.lower == pytest.approx(1.423166017, rel=1e-9)
+
+    def test_quadratic_bound_on_random_densities(self, shipped):
+        _, cfg, m, g, sol, bc = shipped
+        rng = np.random.default_rng(10_002)
+        checked = 0
+        for _ in range(300):
+            a = random_feasible(g, cfg["L"], rng, smooth=bool(rng.integers(2)))
+            d = l1_distance(a, sol.a1)
+            if d < bc.floor:
+                continue
+            checked += 1
+            assert sol.sigma1_value - sigma1(m, g, a) >= bc.lower * d ** 2 - 1e-12
+        assert checked >= 250
+
+    def test_matches_linear_programs(self):
+        # independent oracle: with sigma1 linear (sigma1(a) = K @ a), the
+        # smallest drop at L1 distance D for one giver/receiver pattern of
+        # the tie cells is a linear program in delta = a1 - a. 8x8 cells
+        # at L=0.3 have five tie cells at a1 = 0.64; all 32 patterns are
+        # solved on 12 distances and at k_D
+        from itertools import product
+        from scipy.optimize import linprog
+        m = build_model("dirichlet_rect_2d", 4)
+        g = make_grid(m.domain, (8, 8), 2)
+        sol = limit_set(m, g, 0.3)
+        bc = exact_bathtub_constant(m, g, sol)
+        a1, w = sol.a1.values, g.cell_measures
+        K = get_basis(m, g, m.J1).form_cells(np.ones((1, 1))).real
+        tie = np.flatnonzero((a1 > 0.0) & (a1 < 1.0))
+        assert tie.size == 5
+        sign = np.where(a1 >= 1.0, 1.0, -1.0)
+        lo, hi = np.where(sign > 0, 0.0, -1.0), np.where(sign > 0, 1.0, 0.0)
+
+        def smallest_drop(D):
+            best = np.inf
+            for pattern in product((1.0, -1.0), repeat=tie.size):
+                s, l, h = sign.copy(), lo.copy(), hi.copy()
+                s[tie] = pattern
+                l[tie] = np.where(s[tie] > 0, 0.0, a1[tie] - 1.0)
+                h[tie] = np.where(s[tie] > 0, a1[tie], 0.0)
+                res = linprog(K, A_eq=np.stack([w, s * w]), b_eq=[0.0, D],
+                              bounds=list(zip(l, h)), method="highs")
+                if res.status == 0:
+                    best = min(best, res.fun)
+            return best
+
+        for D in np.linspace(bc.floor, 2 * 0.3 * g.measure, 12):
+            assert smallest_drop(D) >= bc.lower * D ** 2 * (1 - 1e-9)
+        assert smallest_drop(bc.D) / bc.D ** 2 == pytest.approx(bc.lower, rel=1e-9)
+
+    def test_no_admissible_distance(self):
+        # the floor (two cells) exceeds the largest move of the one tie cell
+        m = build_model("dirichlet_1d", 4)
+        g = make_grid(m.domain, 8, 3)
+        sol = limit_set(m, g, 0.05)
+        bc = exact_bathtub_constant(m, g, sol)
+        assert (bc.lower, bc.upper, bc.D, bc.witness) == (None, None, None, None)
+        assert bc.floor == pytest.approx(2 * PI / 8, rel=1e-15)
+
+    def test_degenerate_rejected(self, torus, torus_grid):
+        sol = limit_set(torus, torus_grid, 0.5)
+        with pytest.raises(ValueError, match="non-degenerate"):
+            exact_bathtub_constant(torus, torus_grid, sol)
+
+    def test_two_mode_cluster_gets_the_relaxation(self, torus, torus_grid):
+        # #J1 == 2: the relaxation bounds every drop at distance >= floor,
+        # and the exact (one-sided) constant is refused
+        a1 = interval_indicator(torus_grid, 0.3, 0.3 + PI / 2)
+        sol = simple_cluster_solution(torus, torus_grid, a1)
+        with pytest.raises(ValueError, match="#J1 == 1"):
+            exact_bathtub_constant(torus, torus_grid, sol, both_sides=False)
+        bc = exact_bathtub_constant(torus, torus_grid, sol)
+        assert bc.upper is None and bc.witness is None
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            a = random_feasible(torus_grid, 0.25, rng, smooth=bool(rng.integers(2)))
+            d = l1_distance(a, a1)
+            if d >= bc.floor:
+                drop = sol.sigma1_value - sigma1(torus, torus_grid, a)
+                assert drop >= bc.lower * d ** 2 - 1e-12
 
 
 class TestTubeLinearity:
