@@ -210,7 +210,7 @@ class BathtubConstant:
     D is the distance that attains lower; witness is a density there and
     upper its ratio through sigma1. All four are None when no feasible a
     lies at distance >= floor; upper and witness are None for the
-    both-sides relaxation.
+    #J1 > 1 relaxation.
     """
     lower: float | None
     upper: float | None
@@ -235,54 +235,19 @@ def _move_cost(caps: np.ndarray, costs: np.ndarray, x: np.ndarray) -> np.ndarray
     return _cumulative(caps * costs)[i] + costs[i] * (x - start[i])
 
 
-def exact_bathtub_constant(model: SpectralModel, grid: Grid, sol: LimitSolution,
-                           both_sides: bool | None = None) -> BathtubConstant:
-    """The bathtub constant of a non-degenerate limit solution from one sort.
+def _min_ratio(psi: np.ndarray, a1: np.ndarray, w: np.ndarray, mu: float,
+               floor: float, free: np.ndarray, ties: np.ndarray):
+    """Smallest F(D)/D^2 over D >= floor, or None when no D is admissible.
 
-    Psi is a supergradient of sigma1 at a1, so for mean(a) = mean(a1) the
-    drop sigma1(a1) - sigma1(a) is at least sum_c (a1 - a)_c (Psi_c - mu)
-    |c|, with equality when #J1 == 1 (sigma1 is linear). The cheapest
-    move of L1 distance D takes D/2 out of the cells with the smallest
-    Psi - mu and puts D/2 into those with the smallest mu - Psi (the
-    bathtub principle; Lieb and Loss, Analysis, Thm 1.14). Its cost F(D)
-    is piecewise linear and convex with F(0) = 0, so F(D)/D^2 is smallest
-    at a breakpoint, at the floor or at the largest D, and those points
-    are all that is evaluated. mu is the Psi value of a1's tie cells
-    (0 < a1 < 1) when they share one, else mu*; for a bathtub a1 the
-    former makes every cost term nonnegative.
-
-    The floor on D is the measure of the cells whose Psi range straddles
-    mu*, the cells kkt_check leaves undecided. A tie cell gives or
-    receives, not both: each split of the tie cells, the first g giving
-    and the others receiving, is tried, which makes lower exact for
-    #J1 == 1.
-
-    both_sides (the default, and the only choice, when #J1 > 1) lets every
-    cell give down to 0 and receive up to 1 at once. That relaxes the
-    problem, so lower is a rigorous lower end; upper and witness are None.
+    The cells in free give from a1 down to 0 and receive up to 1, each
+    list sorted by its unit cost (Psi - mu to give, mu - Psi to receive);
+    of the tie cells the first g give and the others receive, for every
+    g. Returns (ratio, D, givers, their capacities, receivers, theirs).
     """
-    if sol.degenerate:
-        raise ValueError("the bathtub constant needs a non-degenerate solution")
-    if both_sides is None:
-        both_sides = len(model.J1) > 1
-    if not both_sides and len(model.J1) > 1:
-        raise ValueError("the exact bathtub constant needs #J1 == 1")
-    psi, a1, w = sol.psi.values, sol.a1.values, grid.cell_measures
-    floor = float(w[_straddling(grid, sol)].sum())
-    tie = (a1 > 0.0) & (a1 < 1.0)
-    one_level = tie.any() and np.ptp(psi[tie]) == 0.0
-    mu = float(psi[tie][0]) if one_level else sol.mu_star
-    ties = np.zeros(0, dtype=np.intp)
-    if tie.any() and not both_sides:
-        if not one_level or np.ptp(a1[tie]) != 0.0:
-            raise ValueError("a1 is no bathtub density: its tie cells differ")
-        ties = np.flatnonzero(tie)
-    free = np.ones_like(tie) if both_sides else ~tie
     give = np.flatnonzero(free & (a1 > 0.0))
     give = give[np.argsort(psi[give] - mu, kind="stable")]
     take = np.flatnonzero(free & (a1 < 1.0))
     take = take[np.argsort(mu - psi[take], kind="stable")]
-
     best = None
     for g in range(ties.size + 1):
         gi = np.concatenate((ties[:g], give))
@@ -299,10 +264,50 @@ def exact_bathtub_constant(model: SpectralModel, grid: Grid, sol: LimitSolution,
         i = int(np.argmin(ratio))
         if best is None or ratio[i] < best[0]:
             best = (float(ratio[i]), float(D[i]), gi, gcap, ri, rcap)
+    return best
+
+
+def exact_bathtub_constant(model: SpectralModel, grid: Grid,
+                           sol: LimitSolution) -> BathtubConstant:
+    """The bathtub constant of a non-degenerate limit solution from one sort.
+
+    Psi is a supergradient of sigma1 at a1, so for mean(a) = mean(a1) the
+    drop sigma1(a1) - sigma1(a) is at least sum_c (a1 - a)_c (Psi_c - mu)
+    |c|, with equality when #J1 == 1 (sigma1 is linear). The cheapest
+    move of L1 distance D takes D/2 out of the cells with the smallest
+    Psi - mu and puts D/2 into those with the smallest mu - Psi (the
+    bathtub principle; Lieb and Loss, Analysis, Thm 1.14). Its cost F(D)
+    is piecewise linear and convex with F(0) = 0, so F(D)/D^2 is smallest
+    at a breakpoint, at the floor or at the largest D, and those points
+    are all that is evaluated. mu is the Psi value of a1's tie cells
+    (0 < a1 < 1) when they share one, else mu*; for a bathtub a1 the
+    former makes every cost term nonnegative.
+
+    The floor on D is the measure of the cells whose Psi range straddles
+    mu*, the cells kkt_check leaves undecided. With #J1 == 1 a tie cell
+    gives or receives, not both: each split of the tie cells is tried,
+    which makes lower exact. With #J1 > 1 every cell may give down to 0
+    and receive up to 1 at once. That relaxes the problem, so lower is a
+    rigorous lower end; upper and witness are None.
+    """
+    if sol.degenerate:
+        raise ValueError("the bathtub constant needs a non-degenerate solution")
+    psi, a1, w = sol.psi.values, sol.a1.values, grid.cell_measures
+    floor = float(w[_straddling(grid, sol)].sum())
+    tie = (a1 > 0.0) & (a1 < 1.0)
+    one_level = tie.any() and np.ptp(psi[tie]) == 0.0
+    mu = float(psi[tie][0]) if one_level else sol.mu_star
+    relaxed = len(model.J1) > 1
+    if relaxed:
+        best = _min_ratio(psi, a1, w, mu, floor, np.ones_like(tie), np.zeros(0, np.intp))
+    elif tie.any() and (not one_level or np.ptp(a1[tie]) != 0.0):
+        raise ValueError("a1 is no bathtub density: its tie cells differ")
+    else:
+        best = _min_ratio(psi, a1, w, mu, floor, ~tie, np.flatnonzero(tie))
     if best is None:
         return BathtubConstant(None, None, floor, None, None)
     lower, D, gi, gcap, ri, rcap = best
-    if both_sides:
+    if relaxed:
         return BathtubConstant(lower, None, floor, D, None)
 
     def moved(caps):          # how much of D/2 each list entry carries

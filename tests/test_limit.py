@@ -7,8 +7,9 @@ from obsgrid.cli import load_config
 from obsgrid.geometry import (DensityField, _cell_value_ranges, l1_distance,
                               level_threshold, make_grid)
 from obsgrid.gram import get_basis
-from obsgrid.limit import (cesaro_mean, estimate_bathtub_constant, exact_bathtub_constant,
-                           kkt_check, limit_set, sigma1, sliding_ratio, tube_linearity)
+from obsgrid.limit import (_min_ratio, cesaro_mean, estimate_bathtub_constant,
+                           exact_bathtub_constant, kkt_check, limit_set, sigma1,
+                           sliding_ratio, tube_linearity)
 from obsgrid.optimize import OptOptions, maximize_sigma1
 from obsgrid.spectral import build_model
 
@@ -293,13 +294,16 @@ class TestExactBathtubConstant:
         assert k_hats[0] == pytest.approx(seed0, rel=1e-7)
 
     def test_relaxation_never_above_exact(self, shipped):
-        # letting tie cells give and receive at once undercuts k in 2D
-        name, _, m, g, sol, bc = shipped
-        rb = exact_bathtub_constant(m, g, sol, both_sides=True)
-        assert rb.lower <= bc.lower
-        assert rb.upper is None and rb.witness is None and rb.floor == bc.floor
+        # the #J1 > 1 relaxation, every cell giving and receiving at once,
+        # undercuts k in 2D, where the tie cells would do both
+        name, _, _, g, sol, bc = shipped
+        psi, a1 = sol.psi.values, sol.a1.values
+        tie = (a1 > 0.0) & (a1 < 1.0)
+        relaxed = _min_ratio(psi, a1, g.cell_measures, float(psi[tie][0]), bc.floor,
+                             np.ones_like(tie), np.zeros(0, np.intp))
+        assert relaxed[0] <= bc.lower
         if name == "rect2d_limit":
-            assert rb.lower == pytest.approx(1.423166017, rel=1e-9)
+            assert relaxed[0] == pytest.approx(1.423166017, rel=1e-9)
 
     def test_quadratic_bound_on_random_densities(self, shipped):
         _, cfg, m, g, sol, bc = shipped
@@ -365,12 +369,9 @@ class TestExactBathtubConstant:
             exact_bathtub_constant(torus, torus_grid, sol)
 
     def test_two_mode_cluster_gets_the_relaxation(self, torus, torus_grid):
-        # #J1 == 2: the relaxation bounds every drop at distance >= floor,
-        # and the exact (one-sided) constant is refused
+        # #J1 == 2: the relaxation bounds every drop at distance >= floor
         a1 = interval_indicator(torus_grid, 0.3, 0.3 + PI / 2)
         sol = simple_cluster_solution(torus, torus_grid, a1)
-        with pytest.raises(ValueError, match="#J1 == 1"):
-            exact_bathtub_constant(torus, torus_grid, sol, both_sides=False)
         bc = exact_bathtub_constant(torus, torus_grid, sol)
         assert bc.upper is None and bc.witness is None
         rng = np.random.default_rng(3)
