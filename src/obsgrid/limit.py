@@ -82,6 +82,11 @@ def _straddling(grid: Grid, sol: LimitSolution) -> np.ndarray:
     return (clo < sol.mu_star) & (chi > sol.mu_star)
 
 
+def _k_floor(grid: Grid, sol: LimitSolution) -> float:
+    """Least distance k is taken over: the measure of the _straddling cells."""
+    return float(grid.cell_measures[_straddling(grid, sol)].sum())
+
+
 def kkt_check(grid: Grid, sol: LimitSolution) -> KKTReport:
     """Level-set optimality: Psi >= mu* on {a1 ~ 1} and Psi <= mu* outside.
 
@@ -128,7 +133,7 @@ SAMPLER_FAMILIES = ("slide", "bathtub", "project")
 
 @dataclass
 class KEstimate:
-    k_hat: float
+    k_hat: float | None
     family_mins: dict = field(default_factory=dict)
     n_used: int = 0
     manifest: dict = field(default_factory=dict)
@@ -138,10 +143,11 @@ def estimate_bathtub_constant(model: SpectralModel, grid: Grid, sol: LimitSoluti
                               n_samples: int = 1000, seed: int = 0) -> KEstimate:
     """Sampled upper estimate of k = inf (sigma1(a1) - sigma1(a)) / ||a - a1||_1^2.
 
-    k_hat is the smallest ratio over the samples, so k_hat >= k. Sample i
-    is drawn from family SAMPLER_FAMILIES[i % 3]: slid level sets, bathtub
-    sets of random smooth score functions, and feasibility-projected
-    random perturbations of a1.
+    k_hat is the smallest ratio over the samples at L1 distance >= the
+    floor of exact_bathtub_constant, so k_hat >= k, or None if there is
+    none. Sample i is drawn from family SAMPLER_FAMILIES[i % 3]: slid
+    level sets, bathtub sets of random smooth score functions, and
+    feasibility-projected random perturbations of a1.
     Deterministic given the seed; degenerate solutions are rejected
     (the quantitative inequality has no content there).
     """
@@ -151,6 +157,7 @@ def estimate_bathtub_constant(model: SpectralModel, grid: Grid, sol: LimitSoluti
     L = sol.a1.mean()
     s1 = sol.sigma1_value
     a1 = sol.a1.values
+    floor = max(_k_floor(grid, sol), 1e-9)
     diam = min(hi - lo for lo, hi in grid.domain.bounds)
     # per-axis cell coordinates scaled to [0, 1], shaped to broadcast along
     # their axis of a grid.shape array (C order: neighbours along axis d
@@ -190,16 +197,15 @@ def estimate_bathtub_constant(model: SpectralModel, grid: Grid, sol: LimitSoluti
         kind = SAMPLER_FAMILIES[i % len(SAMPLER_FAMILIES)]
         a = sample(kind)
         d1 = float(np.abs(a - a1) @ grid.cell_measures)
-        if d1 < 1e-9:
+        if d1 < floor:
             continue
         drop = s1 - sigma1(model, grid, a)
         ratio = drop / d1 ** 2
         used += 1
         if kind not in mins or ratio < mins[kind]:
             mins[kind] = ratio
-    k_hat = min(mins.values())
     manifest = {"n_samples": n_samples, "seed": seed}
-    return KEstimate(float(k_hat), mins, used, manifest)
+    return KEstimate(min(mins.values(), default=None), mins, used, manifest)
 
 
 @dataclass
@@ -293,7 +299,7 @@ def exact_bathtub_constant(model: SpectralModel, grid: Grid,
     if sol.degenerate:
         raise ValueError("the bathtub constant needs a non-degenerate solution")
     psi, a1, w = sol.psi.values, sol.a1.values, grid.cell_measures
-    floor = float(w[_straddling(grid, sol)].sum())
+    floor = _k_floor(grid, sol)
     tie = (a1 > 0.0) & (a1 < 1.0)
     one_level = tie.any() and np.ptp(psi[tie]) == 0.0
     mu = float(psi[tie][0]) if one_level else sol.mu_star
@@ -331,33 +337,31 @@ def sliding_ratio(model: SpectralModel, grid: Grid, sol: LimitSolution,
     return drop / d1 ** 2
 
 
-def tube_linearity(grid: Grid, sol: LimitSolution, deltas=None) -> tuple[float, float]:
+def _tube_deltas(grid: Grid, psi: np.ndarray) -> np.ndarray:
+    """tube_linearity's 12 deltas, geometric over [4 h max|Psi'|, 0.1 range(Psi)]
+    for the cell size h, or over the top decade where that range is empty."""
+    h = max((hi - lo) / n for (lo, hi), n in zip(grid.domain.bounds, grid.shape))
+    axes = [lo + (hi - lo) / n * (np.arange(n) + 0.5)
+            for (lo, hi), n in zip(grid.domain.bounds, grid.shape)]
+    grads = np.gradient(psi.reshape(grid.shape), *axes)
+    lo_d = 4.0 * h * float(np.max(np.abs(grads)))
+    hi_d = 0.1 * float(psi.max() - psi.min())
+    if lo_d >= hi_d:
+        lo_d = hi_d / 10.0
+    return np.geomspace(lo_d, hi_d, 12)
+
+
+def tube_linearity(grid: Grid, sol: LimitSolution) -> tuple[float, float]:
     """Least-squares slope of |{|Psi - mu*| < delta}| vs delta, plus residual.
 
     Psi is linear in each cell between its corner values, so boundary
-    cells count fractionally. The delta range defaults to
-    [4 h max|Psi'|, 0.1 range(Psi)] where h is the cell size; a constant
+    cells count fractionally. The deltas are _tube_deltas; a constant
     Psi (no level structure) is rejected.
     """
     psi = sol.psi.values
-    rng_psi = float(psi.max() - psi.min())
-    if rng_psi <= 1e-12 * max(1.0, abs(float(psi.max()))):
+    if float(psi.max() - psi.min()) <= 1e-12 * max(1.0, abs(float(psi.max()))):
         raise ValueError("Psi has no level structure (degenerate)")
-    if deltas is None:
-        h = max((hi - lo) / n for (lo, hi), n in zip(grid.domain.bounds, grid.shape))
-        arr = psi.reshape(grid.shape)
-        axes = [lo + (hi - lo) / n * (np.arange(n) + 0.5)
-                for (lo, hi), n in zip(grid.domain.bounds, grid.shape)]
-        grads = np.gradient(arr, *axes)
-        gmax = float(np.max(np.abs(grads)))
-        lo_d = 4.0 * h * gmax
-        hi_d = 0.1 * rng_psi
-        if lo_d >= hi_d:
-            lo_d = hi_d / 10.0
-        deltas = np.geomspace(lo_d, hi_d, 12)
-    deltas = np.asarray(deltas, dtype=float)
-    if (deltas <= 0).any():
-        raise ValueError("delta must be positive")
+    deltas = _tube_deltas(grid, psi)
     # the tube measure per delta, with the cell ranges of Psi computed once
     lo, hi = _cell_value_ranges(grid, psi)
     meas = np.array([_measure_below(grid, lo, hi, sol.mu_star + d)

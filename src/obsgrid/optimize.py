@@ -37,6 +37,7 @@ from .spectral import SpectralModel, gamma_factored
 
 LINE_SEARCH_XTOL = 1e-13    # final bracket width of the FW step size
 ETA_GAP_FACTOR = 1.5        # eta = factor * gap for the auto nu_T (admissible: (1, 2))
+BANG_BANG_TOL = 0.01        # bang_bang_fraction: values within this of 0 or 1 are decided
 
 
 @dataclass
@@ -280,11 +281,9 @@ def maximize_sigma1(model: SpectralModel, grid: Grid, L: float,
     return _frank_wolfe(obj, grid, L, opts)
 
 
-def bang_bang_fraction(a: DensityField, tol: float = 0.01) -> float:
-    """Fraction of cells with values strictly inside (tol, 1-tol)."""
-    if not 0.0 < tol < 0.5:
-        raise ValueError("tol must be in (0, 0.5)")
-    interior = (a.values > tol) & (a.values < 1.0 - tol)
+def bang_bang_fraction(a: DensityField) -> float:
+    """Fraction of cells strictly inside (BANG_BANG_TOL, 1 - BANG_BANG_TOL)."""
+    interior = (a.values > BANG_BANG_TOL) & (a.values < 1.0 - BANG_BANG_TOL)
     # equal cells (see Grid): a count ratio, which a sum of measures rounds above 1
     return np.count_nonzero(interior) / a.grid.ncells
 

@@ -448,10 +448,15 @@ class TestMainExitCodes:
 class TestLimitRuns:
     @pytest.mark.parametrize("name", ["dirichlet1d_limit", "rect2d_limit"])
     def test_shipped_limit_needs_no_sampler(self, tmp_path, capsys, monkeypatch, name):
+        # nor the box/mean projection, whose only caller is the sampler
+        from obsgrid import geometry, limit
+
         def refuse(*args, **kwargs):
-            raise AssertionError("the k_hat sampler ran")
+            raise AssertionError("the k_hat sampler or the projection ran")
 
         monkeypatch.setattr(cli, "estimate_bathtub_constant", refuse)
+        monkeypatch.setattr(geometry, "project_box_mean", refuse)
+        monkeypatch.setattr(limit, "project_box_mean", refuse)
         out = tmp_path / "out"
         assert main(["limit", "--config", str(CONFIGS / f"{name}.json"),
                      "--out", str(out)]) == 0

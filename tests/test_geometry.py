@@ -151,8 +151,8 @@ def bathtub_by_sort(grid, f, L):
 
 
 def project_by_bisection(grid, v, L):
-    """The box/mean projection by plain bisection on the shift: the
-    definition the bracketed projection must match."""
+    """The box/mean projection by plain bisection on the shift, written
+    out independently: the definition project_box_mean must match."""
     w = grid.cell_measures
 
     def mean_at(s):

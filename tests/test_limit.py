@@ -7,9 +7,10 @@ from obsgrid.cli import load_config
 from obsgrid.geometry import (DensityField, _cell_value_ranges, l1_distance,
                               level_threshold, make_grid)
 from obsgrid.gram import get_basis
-from obsgrid.limit import (_min_ratio, cesaro_mean, estimate_bathtub_constant,
-                           exact_bathtub_constant, kkt_check, limit_set, sigma1,
-                           sliding_ratio, tube_linearity)
+import obsgrid.limit as limit_mod
+from obsgrid.limit import (_min_ratio, _tube_deltas, cesaro_mean,
+                           estimate_bathtub_constant, exact_bathtub_constant,
+                           kkt_check, limit_set, sigma1, sliding_ratio, tube_linearity)
 from obsgrid.optimize import OptOptions, maximize_sigma1
 from obsgrid.spectral import build_model
 
@@ -234,7 +235,48 @@ class TestBathtubConstant:
         assert ke.family_mins == {"bathtub": 2.2301209644957876,
                                   "project": 4.328210227765389,
                                   "slide": 2.1901862001408134}
-        assert ke.n_used == 24
+        assert ke.n_used == 19      # 5 draws lie closer to a1 than the floor
+
+    def test_counts_only_draws_at_or_above_the_floor(self, monkeypatch):
+        # record every draw of the three families, then redo the count
+        # and the minimum over those at distance >= the exact constant's floor
+        m = build_model("dirichlet_rect_2d", 4)
+        g = make_grid(m.domain, (20, 16), 2)
+        sol = limit_set(m, g, 0.3)
+        draws = []
+
+        def recorded(fn, values):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                draws.append(values(out))
+                return out
+            return wrapped
+
+        monkeypatch.setattr(limit_mod, "_shift_density",
+                            recorded(limit_mod._shift_density, np.asarray))
+        monkeypatch.setattr(limit_mod, "bathtub",
+                            recorded(limit_mod.bathtub, lambda out: out[0].values))
+        monkeypatch.setattr(limit_mod, "project_box_mean",
+                            recorded(limit_mod.project_box_mean, lambda out: out.values))
+        ke = estimate_bathtub_constant(m, g, sol, n_samples=24, seed=7)
+        assert len(draws) == 24
+        floor = exact_bathtub_constant(m, g, sol).floor
+        ratios = []
+        for a in draws:
+            d = float(np.abs(a - sol.a1.values) @ g.cell_measures)
+            if d >= floor:
+                ratios.append((sol.sigma1_value - sigma1(m, g, a)) / d ** 2)
+        assert ke.n_used == len(ratios) < len(draws)
+        assert ke.k_hat == min(ratios)
+
+    def test_no_draw_beyond_the_floor_gives_none(self):
+        # 8 cells at L=0.05: the floor exceeds every feasible distance
+        m = build_model("dirichlet_1d", 4)
+        g = make_grid(m.domain, 8, 3)
+        sol = limit_set(m, g, 0.05)
+        assert exact_bathtub_constant(m, g, sol).lower is None
+        ke = estimate_bathtub_constant(m, g, sol, n_samples=30, seed=0)
+        assert ke.k_hat is None and ke.n_used == 0 and ke.family_mins == {}
 
     def test_degenerate_rejected(self, torus, torus_grid):
         sol = limit_set(torus, torus_grid, 0.5)
@@ -397,16 +439,18 @@ class TestTubeLinearity:
             model = build_model("dirichlet_rect_2d", 4)
             grid = make_grid(model.domain, (40, 32), 2)
             sol = limit_set(model, grid, 0.3)
-        rng_psi = float(sol.psi.values.max() - sol.psi.values.min())
-        deltas = np.geomspace(1e-3, 0.1, 12) * rng_psi
+        deltas = _tube_deltas(grid, sol.psi.values)
         meas = np.array([tube(grid, sol.psi.values, sol.mu_star, d) for d in deltas])
         m_ref = float((meas @ deltas) / (deltas @ deltas))
         resid_ref = float(np.max(np.abs(meas - m_ref * deltas) / (m_ref * deltas)))
-        assert tube_linearity(grid, sol, deltas) == (m_ref, resid_ref)
+        assert tube_linearity(grid, sol) == (m_ref, resid_ref)
 
-    def test_nonpositive_delta_rejected(self, grid2048, sol05):
-        with pytest.raises(ValueError, match="delta must be positive"):
-            tube_linearity(grid2048, sol05, [0.01, 0.0, 0.02])
+    def test_deltas_span_the_documented_range(self, grid2048, sol05):
+        deltas = _tube_deltas(grid2048, sol05.psi.values)
+        psi = sol05.psi.values
+        assert deltas.size == 12 and (np.diff(deltas) > 0).all()
+        assert deltas[-1] == pytest.approx(0.1 * (psi.max() - psi.min()), rel=1e-14)
+        assert 0 < deltas[0] < deltas[-1] / 10
 
     def test_constant_psi_rejected(self, grid512):
         from obsgrid.limit import LimitSolution

@@ -219,11 +219,11 @@ class TestMaximizeSigma1:
 class TestBangBangFraction:
     def test_indicator(self, grid512):
         a = interval_indicator(grid512, PI / 4, 3 * PI / 4)
-        assert bang_bang_fraction(a, 0.01) <= 2 / 512   # boundary cells only
+        assert bang_bang_fraction(a) <= 2 / 512   # boundary cells only
 
     def test_constant(self, grid512):
         a = DensityField(grid512, np.full(grid512.ncells, 0.5))
-        assert bang_bang_fraction(a, 0.01) == pytest.approx(1.0)
+        assert bang_bang_fraction(a) == pytest.approx(1.0)
 
     def test_all_interior_is_exactly_one(self, grid1024):
         # the 1024 cell measures of (0, pi) used to sum to 1 + 7e-16 of pi
@@ -236,7 +236,7 @@ class TestBangBangFraction:
         grid = make_grid(model.domain, 100, 2)
         f = np.linspace(1.0, 0.0, 100)
         a, _ = bathtub(grid, f, 0.255)
-        frac = bang_bang_fraction(a, 1e-6)
+        frac = bang_bang_fraction(a)
         assert frac == pytest.approx(0.01, abs=1e-12)
 
     def test_tie_block_splits_evenly(self):
@@ -245,13 +245,8 @@ class TestBangBangFraction:
         f = np.linspace(1.0, 0.0, 100)
         f[30:] = f[30]            # tie block of 70 cells; target cuts inside it
         a, _ = bathtub(grid, f, 0.5)
-        frac = bang_bang_fraction(a, 1e-6)
+        frac = bang_bang_fraction(a)
         assert frac == pytest.approx(0.70, abs=1e-12)
-
-    def test_tol_validation(self, grid512):
-        a = DensityField(grid512, np.full(grid512.ncells, 0.5))
-        with pytest.raises(ValueError):
-            bang_bang_fraction(a, 0.7)
 
 
 class TestCertificate:
