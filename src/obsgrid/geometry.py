@@ -7,6 +7,8 @@ the bathtub tie-splitting and the box/mean projection exact.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,6 +55,14 @@ class Grid:
     @property
     def dim(self) -> int:
         return len(self.shape)
+
+    @property
+    def axis_centers(self) -> list[np.ndarray]:
+        """Cell-center coordinates per axis, as views into `centers`: the
+        centers are their C-order tensor product, so along axis d the next
+        coordinate is prod(shape[d+1:]) cells on."""
+        return [self.centers[:math.prod(self.shape[d:]):math.prod(self.shape[d + 1:]), d]
+                for d in range(self.dim)]
 
     @property
     def pts_per_cell(self) -> int:
@@ -248,15 +258,41 @@ def level_threshold(grid: Grid, psi, L: float) -> float:
     return 0.5 * (a + b)
 
 
+CSV_BLOCK = 64        # cells whose values are formatted together
+
+
+def _center_text(grid: Grid):
+    """Comma-joined "%.16g" center coordinates per cell, in the C order of
+    `Grid.centers`. Each axis value is formatted once; only the strings of
+    the axes after the first are held."""
+    first, *rest = grid.axis_centers
+    rest = [["%.16g" % c for c in x.tolist()] for x in rest]
+    for x in first:
+        yield from map(",".join, itertools.product(["%.16g" % x], *rest))
+
+
+def _value_text(vals: np.ndarray):
+    """The "%.16g" text of each value. Each distinct value is formatted once
+    per block of CSV_BLOCK cells, keyed by its bit pattern so that -0.0
+    keeps its sign; the blocks keep the strings held few at any cell count."""
+    for i in range(0, vals.size, CSV_BLOCK):
+        part = vals[i:i + CSV_BLOCK]
+        bits = part.view(np.uint64).tolist()
+        text = {b: "%.16g" % v for b, v in dict(zip(bits, part.tolist())).items()}
+        yield from map(text.__getitem__, bits)
+
+
 def write_density_csv(path, field: DensityField) -> None:
-    """CSV layout shared by all density outputs: index, center coords, value."""
+    """CSV layout shared by all density outputs: index, center coords, value.
+
+    Every number is written as "%.16g" in csv.writer's dialect (comma
+    separated, \\r\\n line ends, unquoted). Rows are built as they are
+    written, so no copy of the file is held.
+    """
     g = field.grid
     cols = ["cell"] + [f"center_{ax}" for ax in ("x", "y", "z")[:g.dim]] + ["value"]
-    # csv.writer's dialect: comma-separated, \r\n line ends, numbers unquoted;
-    # rows are formatted as they are written, so no copy of the file is held
-    row = "%d" + ",%.16g" * (g.dim + 1) + "\r\n"
-    cells = zip(range(g.ncells), *g.centers.T, field.values)
+    rows = zip(range(g.ncells), _center_text(g),
+               _value_text(np.asarray(field.values, dtype=float)))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(cols) + "\r\n")
-        fh.writelines(row % c for c in cells)
-
+        fh.writelines(f"{i},{c},{v}\r\n" for i, c, v in rows)

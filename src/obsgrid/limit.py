@@ -19,8 +19,9 @@ from .spectral import SpectralModel
 
 
 def _flat(psi: np.ndarray) -> bool:
-    """Psi has no level structure: its range is at most 1e-12."""
-    return float(psi.max() - psi.min()) <= 1e-12
+    """Psi has no level structure: its range is at most 1e-12 max(1, |max Psi|)."""
+    top = float(psi.max())
+    return top - float(psi.min()) <= 1e-12 * max(1.0, abs(top))
 
 
 @dataclass
@@ -160,13 +161,9 @@ def estimate_bathtub_constant(model: SpectralModel, grid: Grid, sol: LimitSoluti
     floor = max(_k_floor(grid, sol), 1e-9)
     diam = min(hi - lo for lo, hi in grid.domain.bounds)
     # per-axis cell coordinates scaled to [0, 1], shaped to broadcast along
-    # their axis of a grid.shape array (C order: neighbours along axis d
-    # are prod(shape[d+1:]) cells apart)
-    axes = []
-    for d, (lo, hi) in enumerate(grid.domain.bounds):
-        step = int(np.prod(grid.shape[d + 1:]))
-        x = grid.centers[:step * grid.shape[d]:step, d]
-        axes.append(((x - lo) / (hi - lo)).reshape((-1,) + (1,) * (grid.dim - 1 - d)))
+    # their axis of a grid.shape array
+    axes = [((x - lo) / (hi - lo)).reshape((-1,) + (1,) * (grid.dim - 1 - d))
+            for d, ((lo, hi), x) in enumerate(zip(grid.domain.bounds, grid.axis_centers))]
 
     def sample(kind: str):
         if kind == "slide":
@@ -261,8 +258,11 @@ def _min_ratio(psi: np.ndarray, a1: np.ndarray, w: np.ndarray, mu: float,
         gcap, gcost = a1[gi] * w[gi], psi[gi] - mu
         rcap, rcost = (1.0 - a1[ri]) * w[ri], mu - psi[ri]
         d_max = 2.0 * min(_cumulative(gcap)[-1], _cumulative(rcap)[-1])
-        D = np.unique(np.concatenate((2.0 * _cumulative(gcap), 2.0 * _cumulative(rcap),
-                                      [floor, d_max])))
+        # sorted with repeats: equal D give equal ratios, so argmin picks the
+        # same (ratio, D) as over unique D; np.unique imports numpy.ma, which
+        # costs 10-15 ms in a fresh process
+        D = np.sort(np.concatenate((2.0 * _cumulative(gcap), 2.0 * _cumulative(rcap),
+                                    [floor, d_max])))
         D = D[(D > 0.0) & (D >= floor) & (D <= d_max)]
         if not D.size:
             continue
@@ -341,9 +341,7 @@ def _tube_deltas(grid: Grid, psi: np.ndarray) -> np.ndarray:
     """tube_linearity's 12 deltas, geometric over [4 h max|Psi'|, 0.1 range(Psi)]
     for the cell size h, or over the top decade where that range is empty."""
     h = max((hi - lo) / n for (lo, hi), n in zip(grid.domain.bounds, grid.shape))
-    axes = [lo + (hi - lo) / n * (np.arange(n) + 0.5)
-            for (lo, hi), n in zip(grid.domain.bounds, grid.shape)]
-    grads = np.gradient(psi.reshape(grid.shape), *axes)
+    grads = np.gradient(psi.reshape(grid.shape), *grid.axis_centers)
     lo_d = 4.0 * h * float(np.max(np.abs(grads)))
     hi_d = 0.1 * float(psi.max() - psi.min())
     if lo_d >= hi_d:
@@ -359,7 +357,7 @@ def tube_linearity(grid: Grid, sol: LimitSolution) -> tuple[float, float]:
     Psi (no level structure) is rejected.
     """
     psi = sol.psi.values
-    if float(psi.max() - psi.min()) <= 1e-12 * max(1.0, abs(float(psi.max()))):
+    if _flat(psi):
         raise ValueError("Psi has no level structure (degenerate)")
     deltas = _tube_deltas(grid, psi)
     # the tube measure per delta, with the cell ranges of Psi computed once

@@ -67,6 +67,22 @@ class TestMakeGrid:
         assert np.array_equal(g.quad_x, x) and g.quad_x.flags.c_contiguous
         assert np.array_equal(g.quad_w, w)
 
+    @pytest.mark.parametrize("bounds, shape", [
+        (((0.0, 1.0), (0.0, 1.0)), (96, 96)),
+        (((0.0, 1.0), (0.0, 2.0)), (7, 5)),
+        (((0.0, PI),), (1024,)),
+        (((0.0, 2 * PI),), (1024,)),
+    ], ids=["96x96", "7x5", "1024", "torus1024"])
+    def test_axis_centers(self, bounds, shape):
+        # the midpoint formula per axis, bitwise, and its C-order tensor
+        # product is `centers`
+        dom = DomainSpec("interval" if len(shape) == 1 else "rectangle", bounds)
+        g = make_grid(dom, shape, 1)
+        axes = g.axis_centers
+        for (lo, hi), n, x in zip(bounds, shape, axes):
+            assert np.array_equal(x, lo + (hi - lo) / n * (np.arange(n) + 0.5))
+        assert np.array_equal(np.array(list(itertools.product(*axes))), g.centers)
+
     def test_build_peak_memory(self):
         # nodes and weights are written in place: the build allocates little
         # beyond the grid it returns (meshgrids and transposed copies of every
@@ -474,15 +490,25 @@ class TestDensityCSV:
         b = np.array([float(r[-1]) for r in rows[1:]])
         assert np.abs(a.values - b).max() <= 1e-15
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_bytes_match_csv_writer(self, tmp_path, dim):
-        if dim == 1:
-            grid = make_grid(DomainSpec("interval", ((0.0, PI),)), 37, 2)
-        else:
-            grid = make_grid(DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0))), (7, 5), 2)
+    @pytest.mark.parametrize("bounds, cells", [
+        (((0.0, PI),), 37),
+        (((0.0, 1.0), (0.0, 2.0)), (7, 5)),
+        (((0.0, 0.5), (-1.0, 3.0)), (9, 23)),       # more cells along y
+    ], ids=["1d", "2d", "tall"])
+    def test_bytes_match_csv_writer(self, tmp_path, bounds, cells):
+        dim = len(bounds)
+        grid = make_grid(DomainSpec("interval" if dim == 1 else "rectangle", bounds),
+                         cells, 2)
         rng = np.random.default_rng(dim)
         vals = rng.uniform(0.0, 1.0, grid.ncells)
-        vals[:4] = (0.0, 1.0, 1e-300, 1.0 / 3.0)   # integral, tiny and repeating values
+        # integral, tiny, signed-zero, non-finite and repeated fractional
+        # values
+        special = (0.0, 1.0, 1e-300, 1.0 / 3.0, -0.0, 0.0, -0.0, np.nan, np.inf,
+                   -np.inf, 0.3, 1.0 / 3.0, 0.3, 1.0, -0.0, np.nan)
+        vals[:len(special)] = special
+        vals[-3:] = (0.3, -0.0, 1.0 / 3.0)
+        if grid.ncells > geometry.CSV_BLOCK + len(special):   # across a block edge
+            vals[geometry.CSV_BLOCK - 5:][:len(special)] = special
         path, ref = tmp_path / "density.csv", tmp_path / "reference.csv"
         write_density_csv(path, DensityField(grid, vals))
         with open(ref, "w", newline="") as fh:
@@ -491,3 +517,4 @@ class TestDensityCSV:
             for i in range(grid.ncells):
                 wr.writerow([i, *(f"{c:.16g}" for c in grid.centers[i]), f"{vals[i]:.16g}"])
         assert path.read_bytes() == ref.read_bytes()
+        assert b",-0\r\n" in path.read_bytes() and b",nan\r\n" in path.read_bytes()

@@ -1,14 +1,18 @@
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from obsgrid.cli import load_config
-from obsgrid.geometry import (DensityField, _cell_value_ranges, l1_distance,
-                              level_threshold, make_grid)
+from obsgrid.geometry import (DensityField, SpatialFunction, _cell_value_ranges,
+                              bathtub, l1_distance, level_threshold, make_grid)
 from obsgrid.gram import get_basis
 import obsgrid.limit as limit_mod
-from obsgrid.limit import (_min_ratio, _tube_deltas, cesaro_mean,
+from obsgrid.limit import (LimitSolution, _min_ratio, _tube_deltas, cesaro_mean,
                            estimate_bathtub_constant, exact_bathtub_constant,
                            kkt_check, limit_set, sigma1, sliding_ratio, tube_linearity)
 from obsgrid.optimize import OptOptions, maximize_sigma1
@@ -18,7 +22,8 @@ from conftest import interval_indicator, random_feasible, simple_cluster_solutio
 
 PI = np.pi
 INV_2PI = 0.1591549430918953357688837633725143620345
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +154,19 @@ class TestKKT:
         bad = LimitSolution(shifted, sol05.mu_star, sol05.psi,
                             sol05.alphas, False, 0.0)
         assert not kkt_check(grid2048, bad).passed
+
+    def test_large_nearly_constant_psi_is_flat(self, grid512):
+        # range 1e-10 at level 1e4 is below the relative rule: kkt_check
+        # used to pass it (absolute 1e-12) and tube_linearity then raised
+        x = grid512.centers[:, 0]
+        psi = SpatialFunction(grid512, 1e4 + 1e-10 * np.sin(x))
+        a1 = bathtub(grid512, psi, 0.5)[0]
+        sol = LimitSolution(a1, level_threshold(grid512, psi, 0.5), psi, np.ones(1),
+                            False, 0.0)
+        assert np.ptp(psi.values) > 1e-12
+        assert not kkt_check(grid512, sol).passed
+        with pytest.raises(ValueError, match="no level structure"):
+            tube_linearity(grid512, sol)
 
     def test_fail_on_constant_density(self, grid2048, sol05):
         from obsgrid.limit import LimitSolution
@@ -409,6 +427,32 @@ class TestExactBathtubConstant:
         sol = limit_set(torus, torus_grid, 0.5)
         with pytest.raises(ValueError, match="non-degenerate"):
             exact_bathtub_constant(torus, torus_grid, sol)
+
+    def test_imports_no_numpy_ma(self):
+        # np.unique imports numpy.ma (10-15 ms in a fresh process); scipy
+        # imports it in the test process, so this runs in a new interpreter
+        code = textwrap.dedent("""
+            import sys
+            from conftest import interval_indicator, simple_cluster_solution
+            from obsgrid.geometry import make_grid
+            from obsgrid.limit import exact_bathtub_constant, limit_set
+            from obsgrid.spectral import build_model
+            m = build_model("dirichlet_1d", 4)
+            g = make_grid(m.domain, 64, 3)
+            single = exact_bathtub_constant(m, g, limit_set(m, g, 0.3))
+            t = build_model("torus_1d", 4)
+            tg = make_grid(t.domain, 256, 3)
+            sol = simple_cluster_solution(t, tg, interval_indicator(tg, 0.3, 1.8))
+            relaxed = exact_bathtub_constant(t, tg, sol)
+            print(len(m.J1), single.upper is not None, len(t.J1), relaxed.upper is None,
+                  "numpy.ma" in sys.modules)
+        """)
+        path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests"),
+                                os.environ.get("PYTHONPATH", "")])
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["1", "True", "2", "True", "False"]
 
     def test_two_mode_cluster_gets_the_relaxation(self, torus, torus_grid):
         # #J1 == 2: the relaxation bounds every drop at distance >= floor
