@@ -81,19 +81,6 @@ class ModeBasis:
         vals = self.form_cells(W) / self.grid.cell_measures
         return SpatialFunction(self.grid, vals)
 
-    def cluster_form(self, Z: np.ndarray, weights=None) -> np.ndarray:
-        """Cellwise max(Re form(conj(Z Z^H) / m * weights), 0) of an eigen-cluster.
-
-        Z holds the m cluster eigenvectors of a Hermitian matrix in this
-        basis, each column scaled alike. The Rayleigh weights of an
-        eigenvector v are conj(v), so this is the uniform average of the
-        member forms: a supergradient of lambda_min at the cluster.
-        """
-        W = (Z @ Z.conj().T).conj() / Z.shape[1]
-        if weights is not None:
-            W = W * weights
-        return np.maximum(self.form_cell_average(W).values.real, 0.0)
-
 
 _basis_cache: dict = {}
 
@@ -151,16 +138,17 @@ class GramForm:
     G(a) = D mantissa(a) D with D = diag(e^{e_j}), e_j = Re(lambda_j) T,
     and mantissa(a) = sym(hhat * M(a)), where hhat holds the bounded tau
     mantissas. hhat is real when the spectrum is (every imaginary part
-    zero), so with real modes every matrix is real.
+    zero), so with real modes every matrix is real. `GramForm.sigma1` is
+    sigma_1's form over J1: hhat = 1 and e_j = 0, so mantissa(a) = M_J1(a).
 
-    Built once per (model, grid, T, N), together with the constants of
-    the factored eigensolve: scale = e^{2 e0} with e0 = min e_j, the
-    grading matrix e^{-(e_i + e_j - 2 e0)} of the inverse and the diagonal
+    Built once per form, together with the constants of the factored
+    eigensolve: scale = e^{2 e0} with e0 = min e_j, the grading matrix
+    e^{-(e_i + e_j - 2 e0)} of the inverse and the diagonal
     ediag = e^{-(e_j - e0)} of E, by which the eigenvectors are recovered.
-    Every density then costs one mass assembly. The form is also the
-    Frank-Wolfe objective C_T^{(N)}: being linear in the density, it maps
-    a convex combination of densities to the same combination of mantissa
-    matrices, so a line search only re-solves the small factored
+    Every density then costs one mass assembly. The form is the
+    Frank-Wolfe objective of both optimizers: being linear in the density,
+    it maps a convex combination of densities to the same combination of
+    mantissa matrices, so a line search only re-solves the small factored
     eigenproblem (`cluster`). Raises OverflowError when 2 e0 exceeds
     OVERFLOW_THETA: then even the smallest Gram entry e^{2 e0} leaves the
     range kept for plain floats.
@@ -171,21 +159,31 @@ class GramForm:
             raise ValueError(f"N must be in 1..{model.n_max}")
         if T <= 0:
             raise ValueError("T must be positive")
-        self.basis = get_basis(model, grid, tuple(range(1, N + 1)))
-        lams = self.basis.lams
+        basis = get_basis(model, grid, tuple(range(1, N + 1)))
+        lams = basis.lams
         hhat = np.empty((N, N), dtype=complex)
         for i in range(N):
             for j in range(i + 1):
                 hhat[i, j] = tau(lams[i], lams[j], T).mantissa
                 hhat[j, i] = np.conj(hhat[i, j])
-        self.hhat = hhat if hhat.imag.any() else hhat.real.copy()
-        self.exps = lams.real * T
-        e0 = float(self.exps.min())
+        self._graded(basis, hhat if hhat.imag.any() else hhat.real.copy(), lams.real * T)
+
+    @classmethod
+    def sigma1(cls, model: SpectralModel, grid: Grid) -> GramForm:
+        """sigma_1's form: unit mantissas and zero exponents over the modes of J1."""
+        form = cls.__new__(cls)
+        n = len(model.J1)
+        form._graded(get_basis(model, grid, model.J1), np.ones((n, n)), np.zeros(n))
+        return form
+
+    def _graded(self, basis: ModeBasis, hhat: np.ndarray, exps: np.ndarray) -> None:
+        self.basis, self.hhat, self.exps = basis, hhat, exps
+        e0 = float(exps.min())
         if 2.0 * e0 > OVERFLOW_THETA:
             raise OverflowError("T too large for N at this precision; reduce N or T")
         self.scale = float(np.exp(2.0 * e0))
-        self.grade = np.exp(-(np.add.outer(self.exps, self.exps) - 2.0 * e0))
-        self.ediag = np.exp(-(self.exps - e0))
+        self.grade = np.exp(-(np.add.outer(exps, exps) - 2.0 * e0))
+        self.ediag = np.exp(-(exps - e0))
 
     def mantissa(self, a) -> np.ndarray:
         Ghat = self.hhat * self.basis.mass(a)
@@ -198,9 +196,12 @@ class GramForm:
         return min_eig_cluster(self.obs(Ghat))
 
     def supergradient(self, cl: EigCluster) -> np.ndarray:
-        # Phi(x) = scale * sum_ij conj(z_i) z_j hhat_ij phi_i(x) conj(phi_j(x))
-        # over the eigenvector z of every mode, so integral(a Phi) = lam
-        return cl.scale * self.basis.cluster_form(cl.Z, self.hhat)
+        # Phi(x) = scale * sum_ij conj(z_i) z_j hhat_ij phi_i(x) conj(phi_j(x)),
+        # the uniform average over the m cluster vectors z, cellwise max(Phi, 0):
+        # at a simple eigenvalue integral(a Phi) = lam
+        Z = cl.Z
+        W = (Z @ Z.conj().T).conj() / Z.shape[1] * self.hhat
+        return cl.scale * np.maximum(self.basis.form_cell_average(W).values.real, 0.0)
 
 
 def assemble(model: SpectralModel, grid: Grid, a, T: float, N: int) -> ObsMatrix:
@@ -282,7 +283,7 @@ class EigCluster(NamedTuple):
     matrix Ghat the form is linear in, scaled so that
     scale * Z^H Ghat Z = diag(lams); it gives both the line-search
     derivatives (`derivatives`) and the supergradient form
-    (`ModeBasis.cluster_form`). For a Gram form G = D Ghat D the columns
+    (`GramForm.supergradient`). For a Gram form G = D Ghat D the columns
     are Z = e^{-e0} D B with B the orthonormal eigenvectors of the factored
     problem, and scale = e^{2 e0}; they are recovered without the row
     scaling D, which overflows for stiff modes, from Ghat Z = E B / mu

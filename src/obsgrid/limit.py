@@ -14,7 +14,7 @@ import numpy as np
 from .geometry import (DensityField, Grid, SpatialFunction, _cell_value_ranges,
                        _measure_below, bathtub, cell_average, l1_distance,
                        level_threshold, project_box_mean)
-from .optimize import OptOptions, _Sigma1Objective, maximize_sigma1, sigma1
+from .optimize import OptOptions, maximize_sigma1, sigma1
 from .spectral import SpectralModel
 
 
@@ -38,24 +38,23 @@ def limit_set(model: SpectralModel, grid: Grid, L: float,
               opts: OptOptions | None = None) -> LimitSolution:
     """Solve the limit problem and reconstruct its level-set structure.
 
-    Maximize sigma_1, rebuild Psi from the minimal eigen-cluster of
-    M_1(a1) with uniform weights, re-bathtub, and flag degeneracy when
-    that changes sigma_1 or the optimum has a repeated eigenvalue. With
+    Maximize sigma_1 and take Psi from the solve: the supergradient of the
+    minimal eigen-cluster of M_1(a1) (uniform weights) that its last gap
+    was computed from. Re-bathtub, and flag degeneracy when that changes
+    sigma_1 or the optimum has a repeated eigenvalue. With
     #J1 = 1 the cluster is phi_1 alone, so Psi = |phi_1|^2 (cell
     averages) and its bathtub set is the maximizer itself.
     """
     res = maximize_sigma1(model, grid, L, opts)
-    obj = _Sigma1Objective(model, grid)
-    cl = obj.cluster(obj.mantissa(res.a_star.values))
-    m = len(cl.lams)
+    m = res.cluster_size
     alphas = np.full(m, 1.0 / m)
-    psi = SpatialFunction(grid, obj.supergradient(cl))
+    psi = SpatialFunction(grid, res.supergradient)
     a_re, _ = bathtub(grid, psi.values, L)
     flat = _flat(psi.values)
     mu = float(psi.values.mean()) if flat else level_threshold(grid, psi, L)
     # a constant Psi has no level structure: every mean-L density maximizes
     degenerate = bool(res.degenerate_flag or m > 1 or flat)
-    s_orig = cl.lam
+    s_orig = res.value
     s_re = sigma1(model, grid, a_re)
     if abs(s_re - s_orig) > 1e-8 * (1.0 + abs(s_orig)):
         degenerate = True
@@ -329,8 +328,12 @@ def exact_bathtub_constant(model: SpectralModel, grid: Grid,
 
 
 def sliding_ratio(model: SpectralModel, grid: Grid, sol: LimitSolution,
-                  h: float) -> float:
-    """Quadratic-drop ratio of the level set slid by h along the first axis."""
+                  h: float) -> float | None:
+    """Quadratic-drop ratio of the level set slid by h along the first axis;
+    None when a1 is constant along it, so that no slide moves a1."""
+    arr = sol.a1.values.reshape(grid.shape)
+    if (np.roll(arr, 1, axis=0) == arr).all():
+        return None
     a_h = _shift_density(grid, sol.a1.values, h)
     d1 = float(np.abs(a_h - sol.a1.values) @ grid.cell_measures)
     drop = sol.sigma1_value - sigma1(model, grid, a_h)

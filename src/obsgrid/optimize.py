@@ -31,7 +31,7 @@ from .geometry import DensityField, Grid, SpatialFunction, bathtub
 # bindings perfbench/test_tracer.py checks; the benchmark harness under
 # perfbench/ stays fixed so that its runs compare across library changes
 from .geometry import project_box_mean  # noqa: F401
-from .gram import CLUSTER_ETA, EigCluster, GramForm, get_basis
+from .gram import GramForm, get_basis
 from .gram import min_eig_cluster, reduce_min_eig  # noqa: F401
 from .spectral import SpectralModel, gamma_factored
 
@@ -50,6 +50,8 @@ class OptResult:
     degenerate_flag: bool = False
     converged: bool = True
     line_search_evals: int = 0       # objective evaluations of all line searches
+    supergradient: np.ndarray | None = None   # Phi at a_star, of the last gap
+    cluster_size: int = 1            # members of its eigen-cluster
 
     def as_dict(self) -> dict:
         """JSON-ready summary (the density itself ships as CSV)."""
@@ -174,28 +176,27 @@ def _stale_end_factor(d_new: float, d_old: float) -> float:
     return m if m > 0.0 else 0.5
 
 
-def _frank_wolfe(obj, grid: Grid, L: float, opts: OptOptions) -> OptResult:
-    """Generic FW loop over a lambda_min objective.
+def _frank_wolfe(form: GramForm, grid: Grid, L: float, opts: OptOptions) -> OptResult:
+    """FW loop over the lambda_min of a `gram.GramForm`.
 
-    The objective (`gram.GramForm` or `_Sigma1Objective`) gives
-    mantissa(a), the matrix it is linear in; cluster(M), the EigCluster
-    of one eigensolve; and supergradient(cluster). The line search solved
-    the eigenproblem at the step it accepts, and that cluster serves the
-    next iterate. Steps never lower the value, so the last evaluated
-    iterate is the best. The loop stops at gap <= tol * max(1, |value|)
-    (converged), once max_iter steps are taken (the gap of the last one
-    is the last history entry), or where the search finds no ascent (a
-    nonsmooth point).
+    The form gives mantissa(a), the matrix it is linear in; cluster(M),
+    the EigCluster of one eigensolve; and supergradient(cluster). The line
+    search solved the eigenproblem at the step it accepts, and that cluster
+    serves the next iterate. Steps never lower the value, so the last
+    evaluated iterate is the best. The loop stops at gap <= tol * max(1,
+    |value|) (converged), once max_iter steps are taken (the gap of the
+    last one is the last history entry), or where the search finds no
+    ascent (a nonsmooth point).
     """
     a = opts.init.values.copy() if opts.init is not None else np.full(grid.ncells, L)
-    Ma = obj.mantissa(a)
-    cl = obj.cluster(Ma)             # EigCluster of Ma
+    Ma = form.mantissa(a)
+    cl = form.cluster(Ma)            # EigCluster of Ma
     history: list[tuple[int, float, float]] = []
     degenerate = converged = False
     ls_evals = 0
     it = 0
     while True:
-        val, f = cl.lam, obj.supergradient(cl)
+        val, f = cl.lam, form.supergradient(cl)
         degenerate = degenerate or len(cl.lams) > 1
         s = bathtub(grid, f, L)[0].values
         gap = float((s - a) * f @ grid.cell_measures)
@@ -205,13 +206,13 @@ def _frank_wolfe(obj, grid: Grid, L: float, opts: OptOptions) -> OptResult:
             break
         if it == opts.max_iter:
             break
-        dM = obj.mantissa(s) - Ma
+        dM = form.mantissa(s) - Ma
         clusters = {}                # t -> EigCluster of Ma + t dM
 
         def phi(t):
             nonlocal ls_evals
             ls_evals += 1
-            c = clusters[t] = obj.cluster(Ma + t * dM)
+            c = clusters[t] = form.cluster(Ma + t * dM)
             return (c.lam, *c.derivatives(dM))
 
         # the eigenvectors at t = 0 give the first slope
@@ -224,7 +225,8 @@ def _frank_wolfe(obj, grid: Grid, L: float, opts: OptOptions) -> OptResult:
         cl = clusters[step]
     return OptResult(DensityField(grid, a), val, gap, iterations=it,
                      history=history, degenerate_flag=degenerate,
-                     converged=converged, line_search_evals=ls_evals)
+                     converged=converged, line_search_evals=ls_evals,
+                     supergradient=f, cluster_size=len(cl.lams))
 
 
 def maximize_obs(model: SpectralModel, grid: Grid, L: float, T: float, N: int,
@@ -243,25 +245,6 @@ def sigma1(model: SpectralModel, grid: Grid, a) -> float:
     return float(np.linalg.eigvalsh(get_basis(model, grid, model.J1).mass(a))[0])
 
 
-class _Sigma1Objective:
-    """lambda_min of the J1 mass matrix as a FW objective."""
-
-    def __init__(self, model: SpectralModel, grid: Grid):
-        self.basis = get_basis(model, grid, model.J1)
-
-    def mantissa(self, a) -> np.ndarray:
-        return self.basis.mass(a)
-
-    def cluster(self, M: np.ndarray) -> EigCluster:
-        w, U = np.linalg.eigh(0.5 * (M + M.conj().T))
-        lam = float(w[0])
-        members = w <= lam + CLUSTER_ETA * (1.0 + abs(lam))
-        return EigCluster(lam, w[members], U[:, members])
-
-    def supergradient(self, cl: EigCluster) -> np.ndarray:
-        return self.basis.cluster_form(cl.Z)
-
-
 def maximize_sigma1(model: SpectralModel, grid: Grid, L: float,
                     opts: OptOptions | None = None) -> OptResult:
     """Maximize sigma_1(a) = lambda_min(M_1(a)) over mean-L densities.
@@ -272,13 +255,14 @@ def maximize_sigma1(model: SpectralModel, grid: Grid, L: float,
     other caller reads.
     """
     opts = opts or OptOptions()
-    obj = _Sigma1Objective(model, grid)
+    form = GramForm.sigma1(model, grid)
     if len(model.J1) == 1:
-        f = obj.basis.form_cell_average(np.ones((1, 1)))
-        a, _ = bathtub(grid, f.values.real, L)
+        f = form.basis.form_cell_average(np.ones((1, 1))).values.real
+        a, _ = bathtub(grid, f, L)
         val = sigma1(model, grid, a)
-        return OptResult(a, val, 0.0, 1, [(0, val, 0.0)], False, True)
-    return _frank_wolfe(obj, grid, L, opts)
+        return OptResult(a, val, 0.0, 1, [(0, val, 0.0)], False, True,
+                         supergradient=f, cluster_size=1)
+    return _frank_wolfe(form, grid, L, opts)
 
 
 def bang_bang_fraction(a: DensityField) -> float:

@@ -7,7 +7,8 @@ from obsgrid.geometry import (DensityField, SpatialFunction, _cell_value_ranges,
                               _measure_below, level_threshold, make_grid,
                               project_box_mean)
 from obsgrid.limit import LimitSolution
-from obsgrid.optimize import _Sigma1Objective, sigma1
+from obsgrid.gram import GramForm
+from obsgrid.optimize import sigma1
 from obsgrid.spectral import build_model
 
 
@@ -51,7 +52,7 @@ def simple_cluster_solution(model, grid, a1):
     No shipped #J1 > 1 model has a non-degenerate limit set (its optimum
     has a repeated eigenvalue), so this is how the #J1 > 1 path is reached.
     """
-    obj = _Sigma1Objective(model, grid)
+    obj = GramForm.sigma1(model, grid)
     cl = obj.cluster(obj.mantissa(a1.values))
     assert len(cl.lams) == 1
     psi = SpatialFunction(grid, obj.supergradient(cl))

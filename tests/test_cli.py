@@ -495,6 +495,19 @@ class TestLimitRuns:
         assert report["checks"]["khat_positive"] is False
         assert not (tmp_path / "out" / "density_k_witness.csv").exists()
 
+    @pytest.mark.parametrize("L", [0.3, 0.7])
+    def test_limit_set_constant_along_slide_axis(self, tmp_path, capsys, L):
+        # a1 is equal across the two x-cells, so no slide moves it; this
+        # used to exit 1 on a ZeroDivisionError in sliding_ratio
+        path = write_config(tmp_path, experiment="limit", drop=("T", "N"),
+                            model={"name": "dirichlet_rect_2d", "n_max": 4},
+                            grid={"cells": [2, 48], "gauss_order": 3}, L=L,
+                            out=str(tmp_path / "out"))
+        assert main(["limit", "--config", str(path)]) == 0
+        rec = json.loads((tmp_path / "out" / "report.json").read_text())["records"][0]
+        assert rec["degenerate"] is False and rec["kkt_pass"] is True
+        assert rec["sliding_ratios"] == [None, None, None]
+
     def test_two_mode_cluster_takes_upper_end_from_sampler(self, tmp_path, capsys,
                                                             monkeypatch):
         from conftest import interval_indicator, simple_cluster_solution

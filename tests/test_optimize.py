@@ -197,7 +197,7 @@ class TestMaximizeSigma1:
         # sum_c a_c |c| Phi_c = sigma1(a) needs the Rayleigh weights
         # conj(v); real modes cannot tell v from conj(v), so phi_2 is complex
         from obsgrid.limit import sigma1
-        from obsgrid.optimize import _Sigma1Objective
+        from obsgrid.gram import GramForm
         c = np.sqrt(2.0 / PI)
 
         def ev(j, x):
@@ -209,11 +209,61 @@ class TestMaximizeSigma1:
         assert model.J1 == (1, 2)
         grid = make_grid(model.domain, 256, 3)
         a = interval_indicator(grid, 0.3, 1.7)
-        obj = _Sigma1Objective(model, grid)
+        obj = GramForm.sigma1(model, grid)
         cl = obj.cluster(obj.mantissa(a.values))
         assert len(cl.lams) == 1
         lhs = float(a.values * obj.supergradient(cl) @ grid.cell_measures)
         assert lhs == pytest.approx(sigma1(model, grid, a), rel=1e-14)
+
+
+def _pairing(res):
+    """integral(a_star * Phi) over the supergradient the solve returned."""
+    return float(res.a_star.values @ (res.supergradient * res.a_star.grid.cell_measures))
+
+
+class TestResultSupergradient:
+    # the Phi of the last gap integrates against a_star to the value: exactly
+    # for a simple cluster, and for an m-member cluster to the mean of its
+    # members, within the cluster width CLUSTER_ETA (1 + |value|) of the value
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_maximize_obs_simple_cluster(self, d1d, grid512, N):
+        res = maximize_obs(d1d, grid512, 0.5, 2.0, N)
+        assert res.cluster_size == 1
+        assert _pairing(res) == pytest.approx(res.value, rel=1e-12)
+
+    def test_maximize_obs_cluster(self, d1d, grid512):
+        from obsgrid.gram import CLUSTER_ETA
+        res = maximize_obs(d1d, grid512, 0.5, 1e-3, 8)
+        assert res.cluster_size == 2
+        assert abs(_pairing(res) - res.value) <= CLUSTER_ETA * (1.0 + abs(res.value))
+
+    def test_maximize_sigma1_single_mode(self, d1d, grid512):
+        res = maximize_sigma1(d1d, grid512, 0.5)
+        assert res.cluster_size == 1
+        assert _pairing(res) == pytest.approx(res.value, rel=1e-12)
+
+    def test_maximize_sigma1_complex_modes(self):
+        c = np.sqrt(2.0 / PI)
+
+        def ev(j, x):
+            v = c * np.sin(j * x[:, 0]) * (np.exp(1j * x[:, 0]) if j == 2 else 1.0)
+            return v.astype(complex)[:, None]
+
+        model = SpectralModel("complex_test", 1, DomainSpec("interval", ((0.0, PI),)),
+                              np.array([1.0, 1.0, 4.0], dtype=complex), ev)
+        res = maximize_sigma1(model, make_grid(model.domain, 256, 3), 0.5)
+        assert res.cluster_size == 1
+        assert _pairing(res) == pytest.approx(res.value, rel=1e-12)
+
+    def test_torus_sigma1_constant_start_is_a_pair(self, torus, torus_grid):
+        res = maximize_sigma1(torus, torus_grid, 0.5)
+        assert res.cluster_size == 2
+        assert res.supergradient.shape == (torus_grid.ncells,)
+
+    def test_fields_stay_out_of_the_report(self, d1d, grid512):
+        res = maximize_sigma1(d1d, grid512, 0.5)
+        assert "supergradient" not in res.as_dict()
+        assert "cluster_size" not in res.as_dict()
 
 
 class TestBangBangFraction:
@@ -459,8 +509,8 @@ class TestValueAndSlope:
             assert cl.derivatives(D)[:2] == (ref, ref)
 
     def test_sigma1_objective_on_torus(self, torus, torus_grid):
-        from obsgrid.optimize import _Sigma1Objective
-        obj = _Sigma1Objective(torus, torus_grid)
+        from obsgrid.gram import GramForm
+        obj = GramForm.sigma1(torus, torus_grid)
         assert len(torus.J1) == 2
         rng = np.random.default_rng(5)
         for _ in range(3):
@@ -468,15 +518,16 @@ class TestValueAndSlope:
             dM = obj.mantissa(random_feasible(torus_grid, 0.5, rng).values) - M
             right, left, curvature = obj.cluster(M).derivatives(dM)
             assert right == left
-            assert curvature is None        # no factored eigensolve behind it
             fd = _fd_slope(lambda h: np.linalg.eigvalsh(M + h * dM)[0])
             assert right == pytest.approx(fd, rel=1e-6)
+            fd2 = _fd_curvature(lambda h: np.linalg.eigvalsh(M + h * dM)[0], h=1e-4)
+            assert curvature == pytest.approx(fd2, rel=1e-3)
 
     def test_multiple_eigenvalue_gives_one_sided_slopes(self, torus, torus_grid):
         # at the constant density M_1 = L I: lambda_min(M + t dM) = L + t
         # lambda_min(dM) for t > 0 and L + t lambda_max(dM) for t < 0
-        from obsgrid.optimize import _Sigma1Objective
-        obj = _Sigma1Objective(torus, torus_grid)
+        from obsgrid.gram import GramForm
+        obj = GramForm.sigma1(torus, torus_grid)
         M = obj.mantissa(np.full(torus_grid.ncells, 0.5))
         b = random_feasible(torus_grid, 0.5, np.random.default_rng(6)).values
         dM = obj.mantissa(b) - M
