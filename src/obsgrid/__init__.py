@@ -7,8 +7,8 @@ from .spectral import (DomainSpec, FactoredScalar, SpectralModel, build_model,
                        gamma_factored, gamma_from_lambda, tau)
 from .geometry import (DensityField, Grid, SpatialFunction, bathtub, l1_distance,
                        make_grid, project_box_mean)
-from .gram import (MassMatrix, ObsMatrix, assemble, mass_matrix, min_eigpair,
-                   obs_constant, obs_constant_rand, quadratic_decomposition)
+from .gram import (ObsMatrix, assemble, min_eigpair, obs_constant, obs_constant_rand,
+                   quadratic_decomposition)
 from .optimize import (Certificate, OptResult, bang_bang_fraction,
                        lower_bound_certificate, maximize_obs, maximize_sigma1,
                        supergradient)

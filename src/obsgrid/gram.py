@@ -99,20 +99,6 @@ def get_basis(model: SpectralModel, grid: Grid, modes) -> ModeBasis:
 
 
 @dataclass
-class MassMatrix:
-    indices: tuple[int, ...]
-    matrix: np.ndarray   # Hermitian; real symmetric when the modes are real
-
-
-def mass_matrix(model: SpectralModel, grid: Grid, a, I) -> MassMatrix:
-    """M_ij = integral a phi_i . conj(phi_j) over the index set I."""
-    I = tuple(I)
-    if not I:
-        raise ValueError("index set must be nonempty")
-    return MassMatrix(I, get_basis(model, grid, I).mass(a))
-
-
-@dataclass
 class ObsMatrix:
     """Factored truncated Gram form G_ij = e^{e_i + e_j} Ghat_ij of one GramForm."""
 

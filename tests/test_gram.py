@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from obsgrid.gram import (ContractViolation, assemble, mass_matrix, min_eig_cluster,
+from obsgrid.gram import (ContractViolation, assemble, get_basis, min_eig_cluster,
                           min_eigpair, obs_constant, obs_constant_rand,
                           quadratic_decomposition, reduce_min_eig)
 from obsgrid.spectral import build_model, gamma_from_lambda
@@ -32,15 +32,15 @@ def indicator(grid1024):
 
 class TestMassMatrix:
     def test_identity_for_full_density(self, d1d, grid1024):
-        M = mass_matrix(d1d, grid1024, np.ones(grid1024.ncells), range(1, 9))
-        assert np.abs(M.matrix - np.eye(8)).max() <= 1e-8
+        M = get_basis(d1d, grid1024, tuple(range(1, 9))).mass(np.ones(grid1024.ncells))
+        assert np.abs(M - np.eye(8)).max() <= 1e-8
 
     def test_constant_density(self, d1d, grid1024):
-        M = mass_matrix(d1d, grid1024, np.full(grid1024.ncells, 0.3), range(1, 5))
-        assert np.abs(M.matrix - 0.3 * np.eye(4)).max() <= 1e-8
+        M = get_basis(d1d, grid1024, tuple(range(1, 5))).mass(np.full(grid1024.ncells, 0.3))
+        assert np.abs(M - 0.3 * np.eye(4)).max() <= 1e-8
 
     def test_indicator_closed_forms(self, d1d, grid1024, indicator):
-        M = mass_matrix(d1d, grid1024, indicator, (1, 2, 3)).matrix
+        M = get_basis(d1d, grid1024, (1, 2, 3)).mass(indicator)
         assert M[0, 0].real == pytest.approx(M11, abs=1e-8)
         assert abs(M[0, 1]) <= 1e-8
         assert M[0, 2].real == pytest.approx(M13, abs=1e-8)
@@ -49,7 +49,7 @@ class TestMassMatrix:
 
     def test_against_adaptive_quadrature(self, d1d, grid1024, indicator):
         # independent oracle: scipy adaptive quadrature of the exact integrand
-        M = mass_matrix(d1d, grid1024, indicator, (2, 4)).matrix
+        M = get_basis(d1d, grid1024, (2, 4)).mass(indicator)
         for (i, j), entry in np.ndenumerate(M):
             mi, mj = (2, 4)[i], (2, 4)[j]
             val, _ = scipy.integrate.quad(
@@ -61,7 +61,7 @@ class TestMassMatrix:
         rng = np.random.default_rng(0)
         for _ in range(5):
             a = random_feasible(grid512, 0.4, rng)
-            M = mass_matrix(d1d, grid512, a, range(1, 7)).matrix
+            M = get_basis(d1d, grid512, tuple(range(1, 7))).mass(a)
             assert np.abs(M - M.conj().T).max() <= 1e-13
             w = np.linalg.eigvalsh(M)
             assert w[0] >= -1e-10 * max(w[-1], 1.0)
@@ -177,7 +177,7 @@ class TestObsConstant:
         obs = assemble(d1d, grid512, a, T, N)
         assert reduce_min_eig(obs) == min_eig_cluster(obs)[0]
 
-    def test_empty_lblock_error(self, d1d, grid512):
+    def test_overflow_past_theta_raises(self, d1d, grid512):
         a = np.full(grid512.ncells, 0.5)
         with pytest.raises(OverflowError):
             obs_constant(d1d, grid512, a, 400.0, 2)
@@ -214,7 +214,7 @@ class TestObsConstant:
         g1 = gamma_from_lambda(1.0, 1.5)
         for _ in range(10):
             a = random_feasible(grid512, 0.5, rng)
-            sigma1 = mass_matrix(d1d, grid512, a, (1,)).matrix[0, 0].real
+            sigma1 = get_basis(d1d, grid512, (1,)).mass(a)[0, 0].real
             val = obs_constant(d1d, grid512, a, 1.5, 8)
             assert val <= g1 * sigma1 + 1e-9
 
@@ -265,7 +265,7 @@ class TestQuadraticDecomposition:
         A, B, D = quadratic_decomposition(d1d, grid512, a, 1.0, 4, 1.0,
                                           [1.0], np.ones(3) / np.sqrt(3))
         g1 = gamma_from_lambda(1.0, 1.0)
-        m11 = mass_matrix(d1d, grid512, a, (1,)).matrix[0, 0].real
+        m11 = get_basis(d1d, grid512, (1,)).mass(a)[0, 0].real
         assert A == pytest.approx(g1 * m11, rel=1e-10)
 
     def test_cauchy_schwarz(self, d1d, grid512):

@@ -120,6 +120,26 @@ class TestLimitSet:
         assert sol.degenerate
         assert sol.sigma1_value == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("L", [0.25, 0.5])
+    @pytest.mark.parametrize("name, cells", [("torus_1d", 2), ("torus_1d", 3),
+                                             ("torus_1d", 64),
+                                             ("coupled_rect_2d", (8, 8))])
+    def test_multi_mode_heads_are_degenerate(self, name, cells, L):
+        # M_J1(a) is a multiple of I for every FW iterate of these models,
+        # so the limit run never needs an upper end for k with #J1 > 1
+        if name == "torus_1d":
+            m = build_model(name, 4)
+        else:
+            u = np.linalg.qr(np.arange(1, 10).reshape(3, 3).astype(complex)
+                             + 1j * np.eye(3))[0].conj().T
+            m = build_model(name, 6, mu=[1 + 2j, 1 - 2j, 3.0], u=u)
+        assert len(m.J1) > 1
+        sol = limit_set(m, make_grid(m.domain, cells, 3), L)
+        assert sol.degenerate, (
+            f"{name} on {cells} cells reaches a non-degenerate #J1 > 1 limit at "
+            f"L={L}: run_limit needs an upper end for k again (the relaxed "
+            f"exact_bathtub_constant gives only the lower end)")
+
     @pytest.mark.parametrize("name, cells", [("dirichlet_1d", 2),
                                              ("dirichlet_rect_2d", (2, 2))])
     def test_constant_psi_degenerate(self, name, cells):
