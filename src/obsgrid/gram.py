@@ -13,6 +13,7 @@ whose smallest exponent has 2 e_min > OVERFLOW_THETA is rejected.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -32,18 +33,19 @@ class ContractViolation(ValueError):
 
 
 class ModeBasis:
-    """Eigenfunction values of a mode subset at the grid's Gauss nodes.
+    """Eigenfunction values of a mode subset at the grid's Gauss nodes,
+    reduced into the per-cell Gram tensor (`_kernels.CellGram`).
 
-    V (nmodes, npts, q) holds the values in the one dtype the model's
-    modes share (float64 for real modes, complex otherwise), each mode
-    written into its slice as it is evaluated; a mode of another dtype or
-    shape raises ContractViolation, so no imaginary part is ever dropped
-    and no value is broadcast; so does an empty mode set or one that names
-    a mode twice (its every mass matrix would be singular).
-    V is reduced once into the per-cell Gram tensor (`_kernels.CellGram`),
-    through which every density-dependent quantity is one matrix-vector
-    product, real when every value of V is real. Reused across all
-    assemblies on one (model, grid, modes) triple.
+    The modes are evaluated one block of cells at a time, straight into
+    the reduction's block buffer, so no table of all values is kept. Every
+    mode has values of the one dtype the model's modes share (float64 for
+    real modes, complex otherwise) and shape (npts, q); a mode of another
+    dtype or shape raises ContractViolation, so no imaginary part is ever
+    dropped and no value is broadcast; so does an empty mode set or one
+    that names a mode twice (its every mass matrix would be singular).
+    Through the tensor every density-dependent quantity is one
+    matrix-vector product, real when every mode value is real. Reused
+    across all assemblies on one (model, grid, modes) triple.
     """
 
     def __init__(self, model: SpectralModel, grid: Grid, modes):
@@ -54,19 +56,36 @@ class ModeBasis:
             raise ContractViolation(
                 f"modes {self.modes} of {model.name}: a mode basis needs at least "
                 "one mode and no mode twice")
-        self.V = None
-        for k, j in enumerate(self.modes):
-            v = model.phi(j, grid.quad_x)
-            if self.V is None:
-                self.V = np.empty((len(self.modes),) + v.shape, dtype=v.dtype)
-            elif v.dtype != self.V.dtype or v.shape != self.V.shape[1:]:
+        # the first mode's value at the first point fixes the dtype and the
+        # shape per point that every mode shares
+        ref = model.phi(self.modes[0], grid.quad_x[:1])
+
+        def values(k, p0, p1):
+            v = model.phi(self.modes[k], grid.quad_x[p0:p1])
+            if v.dtype != ref.dtype or v.shape != (p1 - p0,) + ref.shape[1:]:
                 raise ContractViolation(
-                    f"mode {j} of {model.name} has values of dtype {v.dtype} and shape "
-                    f"{v.shape}, mode {self.modes[0]} of {self.V.dtype} and {self.V.shape[1:]}: "
-                    "all modes of a model share one dtype and shape")
-            self.V[k] = v
+                    f"mode {self.modes[k]} of {model.name} has values of dtype {v.dtype} "
+                    f"and shape {v.shape}, mode {self.modes[0]} of {ref.dtype} and "
+                    f"{(p1 - p0,) + ref.shape[1:]}: all modes of a model share one dtype "
+                    "and shape")
+            return v
+
+        for k in range(1, len(self.modes)):
+            values(k, 0, 1)       # a mismatch fails before the table shape is read
         self.lams = np.array([model.eigenvalues[j - 1] for j in self.modes])
-        self.gram = _kernels.CellGram(self.V, grid.quad_w, grid.pts_per_cell)
+        self.gram = _kernels.CellGram(values, (len(self.modes),) + grid.quad_x.shape[:1]
+                                      + ref.shape[1:], ref.dtype, grid.quad_w,
+                                      grid.pts_per_cell)
+
+    @functools.cached_property
+    def V(self) -> np.ndarray:
+        """The whole mode table (nmodes, npts, q), evaluated on first read.
+
+        Nothing in obsgrid reads it: the Gram tensor is built block by
+        block. perfbench/tracer.py reads its shape in traced runs; ROADMAP
+        item 7 deletes it.
+        """
+        return np.stack([self.model.phi(j, self.grid.quad_x) for j in self.modes])
 
     def mass(self, a) -> np.ndarray:
         """Hermitian mass matrix M_ij = integral a phi_i . conj(phi_j)."""

@@ -11,7 +11,7 @@ and the supergradient form the oracle reads, so integral(a * Phi) equals
 the objective in every regime. At a simple
 eigenvalue the same eigensolve gives the exact curvature, so the search
 takes Newton steps on the slope, with a safeguarded regula falsi where
-they leave the bracket: about 3.4 eigensolves per step. The cluster of
+they leave the bracket: about 3.1 eigensolves per step. The cluster of
 the accepted step serves the next iterate.
 Eigenvalue clusters (nonsmooth points) use the uniform average of the
 cluster supergradients, and a multiple eigenvalue the one-sided slopes of

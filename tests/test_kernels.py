@@ -5,7 +5,9 @@ written here from the definitions, on the real 1D Dirichlet and torus, the
 real 2D and the complex q=3 coupled model, and on random complex mode
 values. The per-cell tensor itself is checked bit for bit against the
 reduction of a complex-stacked mode table, and, split into several blocks
-of cells, against a reduction of whole-table copies.
+of cells, against a reduction of whole-table copies. The reference tables
+are evaluated here from `model.phi`; CellGram reads them through a source
+that slices one block of one mode.
 """
 
 import dataclasses
@@ -57,6 +59,20 @@ def _weights(basis, seed, hermitian):
     return A + A.conj().T if hermitian else A
 
 
+def _table(model, grid, modes):
+    """The whole mode table (nmodes, npts, q), evaluated from model.phi."""
+    return np.stack([model.phi(j, grid.quad_x) for j in modes])
+
+
+def _basis_table(basis):
+    return _table(basis.model, basis.grid, basis.modes)
+
+
+def _gram(V, quad_w, pc):
+    """CellGram of a whole table, read block by block through slices."""
+    return CellGram(lambda k, p0, p1: V[k, p0:p1], V.shape, V.dtype, quad_w, pc)
+
+
 def _point_mass(V, quad_w, pc, a):
     """M_ij = sum_p a(cell(p)) w_p V_i(p) . conj(V_j(p))."""
     wa = quad_w * np.repeat(a, pc)
@@ -78,7 +94,7 @@ def test_mass_matches_point_quadrature(bases, name):
     basis = bases[name]
     a = _density(basis, 0)
     g = basis.grid
-    ref = _point_mass(basis.V, g.quad_w, g.pts_per_cell, a)
+    ref = _point_mass(_basis_table(basis), g.quad_w, g.pts_per_cell, a)
     assert _rel_err(basis.mass(a), ref) <= REL
 
 
@@ -88,7 +104,7 @@ def test_form_cells_matches_point_quadrature(bases, name, hermitian):
     basis = bases[name]
     W = _weights(basis, 1, hermitian)
     g = basis.grid
-    ref = _point_form_cells(basis.V, g.quad_w, g.pts_per_cell, W)
+    ref = _point_form_cells(_basis_table(basis), g.quad_w, g.pts_per_cell, W)
     assert _rel_err(basis.form_cells(W), ref) <= REL
 
 
@@ -110,7 +126,7 @@ def test_complex_gram_matches_point_quadrature():
     n, nc, pc, q = 5, 40, 6, 2
     V = rng.standard_normal((n, nc * pc, q)) + 1j * rng.standard_normal((n, nc * pc, q))
     quad_w = rng.uniform(0.5, 1.0, nc * pc)
-    gram = CellGram(V, quad_w, pc)
+    gram = _gram(V, quad_w, pc)
     assert np.abs(gram.K.imag).max() > 0.1 * np.abs(gram.K).max()
     a = rng.uniform(0.0, 1.0, nc)
     W = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -133,8 +149,8 @@ def test_mass_is_hermitian(bases):
 def _complex_stacked_K(basis):
     """K reduced from every mode cast to complex and stacked into one table."""
     g = basis.grid
-    V = np.stack([basis.model.phi(j, g.quad_x).astype(complex) for j in basis.modes])
-    return CellGram(V, g.quad_w, g.pts_per_cell).K
+    V = _basis_table(basis).astype(complex)
+    return _gram(V, g.quad_w, g.pts_per_cell).K
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -147,8 +163,9 @@ def test_tensor_real_exactly_for_real_modes(bases):
     for name, basis in bases.items():
         real_modes = name != "coupled_rect_2d"
         # the mode table keeps the dtype the model's modes have
-        assert basis.V.dtype == (np.float64 if real_modes else np.complex128)
-        assert basis.V.imag.any() != real_modes
+        V = _basis_table(basis)
+        assert V.dtype == (np.float64 if real_modes else np.complex128)
+        assert V.imag.any() != real_modes
         assert np.isrealobj(basis.gram.K) == real_modes
         n = len(basis.modes)
         assert basis.gram.K.shape == (n * (n + 1) // 2, basis.grid.ncells)
@@ -188,7 +205,7 @@ def test_tensor_bitwise_equal_to_full_copy_reduction(monkeypatch, name):
     model = _model(name)[0]
     cells = 97 if model.domain.dim == 1 else (37, 23)
     grid = make_grid(model.domain, cells, 3)
-    V = ModeBasis(model, grid, tuple(range(1, model.n_max + 1))).V
+    V = _table(model, grid, range(1, model.n_max + 1))
     quad_w = grid.quad_w * np.random.default_rng(8).uniform(0.5, 1.5, grid.quad_w.size)
     ref = _full_copy_K(V, quad_w, grid.pts_per_cell)
     n, nc = V.shape[0], grid.ncells
@@ -196,7 +213,7 @@ def test_tensor_bitwise_equal_to_full_copy_reduction(monkeypatch, name):
     assert math.ceil(nc / B) >= 3 and nc % B
     m = grid.pts_per_cell * V.shape[2]
     monkeypatch.setattr(_kernels, "BLOCK_BYTES", B * n * m * ref.itemsize)
-    K = CellGram(V, quad_w, grid.pts_per_cell).K
+    K = _gram(V, quad_w, grid.pts_per_cell).K
     assert K.dtype == ref.dtype and np.array_equal(K, ref)
 
 
@@ -206,9 +223,9 @@ def test_tensor_bitwise_equal_at_two_cell_blocks(monkeypatch):
     # a one-cell buffer in another order
     model = build_model("dirichlet_rect_2d", 16)
     grid = make_grid(model.domain, (7, 5), 3)
-    V = ModeBasis(model, grid, tuple(range(1, 17))).V
+    V = _table(model, grid, range(1, 17))
     monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1)
-    K = CellGram(V, grid.quad_w, grid.pts_per_cell).K
+    K = _gram(V, grid.quad_w, grid.pts_per_cell).K
     assert np.array_equal(K, _full_copy_K(V, grid.quad_w, grid.pts_per_cell))
 
 
@@ -243,10 +260,11 @@ def test_empty_or_repeated_modes_raise(modes):
 
 
 def test_mode_table_build_peak_memory():
-    # 64x64 cells, 16 real modes: the table V is 4.5 MiB, K 4.25 MiB, the
-    # two block buffers CellGram reduces through 1 MiB each and the point
-    # weights 0.28 MiB, 11.4 MiB in all; two whole-table copies made it
-    # 18.0 MiB, and a list of complex modes stacked into a complex V 31.3 MiB
+    # 64x64 cells, 16 real modes: K is 4.25 MiB, the two block buffers
+    # CellGram reduces through 1 MiB each and the point weights 0.28 MiB;
+    # a resident table V (4.5 MiB) made the peak 11.4 MiB, two whole-table
+    # copies 18.0 MiB, and a list of complex modes stacked into a complex V
+    # 31.3 MiB. After the build only K and the packing indices stay.
     model = build_model("dirichlet_rect_2d", 16)
     grid = make_grid(model.domain, (64, 64), 3)
     tracing = tracemalloc.is_tracing()
@@ -255,9 +273,51 @@ def test_mode_table_build_peak_memory():
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        ModeBasis(model, grid, range(1, 17))
-        peak = tracemalloc.get_traced_memory()[1] - before
+        basis = ModeBasis(model, grid, range(1, 17))
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 12.5 * 2 ** 20
+    K = basis.gram.K
+    assert peak <= K.nbytes + 2 * _kernels.BLOCK_BYTES + 2 ** 20
+    assert held <= K.nbytes + 2 ** 19
+    basis.mass(np.full(grid.ncells, 0.5))
+    basis.form_cells(np.eye(16))
+    assert "V" not in vars(basis)
+
+
+def _coupled_real_u():
+    u = np.linalg.qr(np.arange(1, 10).reshape(3, 3) + np.eye(3))[0].T
+    return build_model("coupled_rect_2d", 9, mu=[1 + 2j, 1 - 2j, 3.0], u=u)
+
+
+def test_complex_values_without_imaginary_parts_reduce_real(monkeypatch):
+    # coupled_rect_2d with a real orthonormal u: complex values whose every
+    # imaginary part is zero, in at least 3 blocks of cells, give the real
+    # K of the real table, bit for bit
+    model = _coupled_real_u()
+    grid = make_grid(model.domain, (17, 13), 3)
+    modes = range(1, 10)
+    V = _table(model, grid, modes)
+    assert V.dtype == np.complex128 and not V.imag.any()
+    ref = _full_copy_K(V.real.copy(), grid.quad_w, grid.pts_per_cell)
+    m = grid.pts_per_cell * V.shape[2]
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 40 * 9 * m * 8)
+    assert math.ceil(grid.ncells / 40) >= 3
+    K = ModeBasis(model, grid, modes).gram.K
+    assert K.dtype == np.float64 and np.array_equal(K, ref)
+
+
+def test_imaginary_part_in_last_block_gives_complex_tensor(monkeypatch):
+    # the table's only nonzero imaginary part is at its last point, in the
+    # last of at least 3 blocks: the scan finds it and K stays complex
+    rng = np.random.default_rng(9)
+    n, nc, pc, q = 4, 50, 4, 2
+    V = rng.standard_normal((n, nc * pc, q)).astype(complex)
+    V[-1, -1, -1] += 0.5j
+    quad_w = rng.uniform(0.5, 1.0, nc * pc)
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 16 * n * pc * q * 16)
+    assert math.ceil(nc / 16) >= 3
+    K = _gram(V, quad_w, pc).K
+    assert K.dtype == np.complex128 and np.abs(K.imag).max() > 0.0
+    assert np.array_equal(K, _full_copy_K(V, quad_w, pc))

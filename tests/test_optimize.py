@@ -101,7 +101,7 @@ class TestMaximizeObs:
         from obsgrid.spectral import tau
         basis = get_basis(model, grid, (1, 2, 3))
         pc = grid.pts_per_cell
-        V = basis.V                     # (3, npts, 1)
+        V = np.stack([model.phi(j, grid.quad_x) for j in basis.modes])   # (3, npts, 1)
         W = grid.quad_w.reshape(grid.ncells, pc)
         P = np.einsum("icpq,jcpq,cp->cij",
                       V.reshape(3, grid.ncells, pc, 1),
