@@ -9,12 +9,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .spectral import DomainSpec
+
+
+CSV_BLOCK = 128       # cells per density CSV template
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,24 @@ class Grid:
         coordinate is prod(shape[d+1:]) cells on."""
         return [self.centers[:math.prod(self.shape[d:]):math.prod(self.shape[d + 1:]), d]
                 for d in range(self.dim)]
+
+    @cached_property
+    def csv_templates(self) -> tuple[bytes, ...]:
+        """The density CSV text of each block of CSV_BLOCK cells (C order)
+        with b"%s" for each value: the cell index and its "%.16g" center
+        coordinates, comma separated, \\r\\n line ends. Each axis value is
+        formatted once, and the text once per grid, for every field
+        `write_density_csv` writes on it."""
+        *outer, last = ([b"%.16g" % c for c in x.tolist()] for x in self.axis_centers)
+        heads = [b"".join(b"," + c for c in coords) + b"," for coords in itertools.product(*outer)]
+        tails = [c + b",%s\r\n" for c in last]
+        # index + head + tail per cell, by C-level iterators
+        cells = map(operator.add, map(b"%d".__mod__, itertools.count()),
+                    itertools.starmap(operator.add, itertools.product(heads, tails)))
+        templates = []
+        while block := b"".join(itertools.islice(cells, CSV_BLOCK)):
+            templates.append(block)
+        return tuple(templates)
 
     @property
     def pts_per_cell(self) -> int:
@@ -217,19 +239,32 @@ def _corner_values(grid: Grid, vals: np.ndarray) -> np.ndarray:
 
 
 def _cell_value_ranges(grid: Grid, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell (min, max) of the corner-interpolated profile."""
+    """Per-cell (min, max) of the corner-interpolated profile.
+
+    Reduced elementwise over the 2^dim corner views, one view at a time,
+    in the order of np.ndindex: the values of a min/max over the stacked
+    corners (a nan aside, whose sign neither fixes), without the copy."""
     arr = _corner_values(grid, vals)
-    slices = np.stack([arr[tuple(slice(o, o + s) for o, s in zip(off, grid.shape))]
-                       for off in np.ndindex(*(2,) * grid.dim)], axis=-1)
-    flat = slices.reshape(grid.ncells, -1)
-    return flat.min(axis=1), flat.max(axis=1)
+    first, *rest = (arr[tuple(slice(o, o + s) for o, s in zip(off, grid.shape))]
+                    for off in np.ndindex(*(2,) * grid.dim))
+    lo, hi = first.copy(), first.copy()
+    for view in rest:
+        np.minimum(lo, view, out=lo)
+        np.maximum(hi, view, out=hi)
+    return lo.reshape(-1), hi.reshape(-1)
 
 
-def _measure_below(grid: Grid, lo: np.ndarray, hi: np.ndarray, t: float) -> float:
+def _fraction_below(lo: np.ndarray, hi: np.ndarray, t: float) -> np.ndarray:
+    """Per cell, the fraction of a linear profile from lo to hi lying below t:
+    clipped to [0, 1]; a constant cell (lo == hi) is 1 if lo < t, else 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         fr = (t - lo) / (hi - lo)
     fr = np.where(hi > lo, fr, np.where(lo < t, 1.0, 0.0))
-    return float(np.clip(fr, 0.0, 1.0) @ grid.cell_measures)
+    return np.clip(fr, 0.0, 1.0)
+
+
+def _measure_below(grid: Grid, lo: np.ndarray, hi: np.ndarray, t: float) -> float:
+    return float(_fraction_below(lo, hi, t) @ grid.cell_measures)
 
 
 def level_threshold(grid: Grid, psi, L: float) -> float:
@@ -239,6 +274,14 @@ def level_threshold(grid: Grid, psi, L: float) -> float:
     Bisection of at most 100 steps, stopped at the first step that moves
     neither end: from there on every step repeats it, so mu is bit for bit
     that of all 100 steps.
+
+    Each step evaluates _fraction_below only on the cells whose range
+    [lo, hi] still meets the bracket [a, b]. Every later midpoint lies in
+    [a, b], so a cell with hi < a is below it whole (fraction 1) and one
+    with lo >= b not at all (0); a cell with lo == hi == a stays, as it is 0
+    at t = a and 1 above. The fractions are kept in one array over all
+    cells, so the dot with cell_measures sums the values of _measure_below
+    in its order, and mu is that of the bisection over every cell.
     """
     if not 0.0 < L < 1.0:
         raise ValueError("L must be in (0,1)")
@@ -246,53 +289,48 @@ def level_threshold(grid: Grid, psi, L: float) -> float:
     lo, hi = _cell_value_ranges(grid, vals)
     target = (1.0 - L) * grid.measure       # measure below the threshold
     a, b = float(lo.min()), float(hi.max())
+    # a finite corner value is half a finite sum, so no a + b overflows
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("Psi and its corner values must be finite")
+    fr = np.empty(grid.ncells)
+    cells = np.arange(grid.ncells)           # the cells that meet the bracket
     for _ in range(100):
         mid = 0.5 * (a + b)
-        below = _measure_below(grid, lo, hi, mid) < target
+        fr[cells] = _fraction_below(lo, hi, mid)
+        below = float(fr @ grid.cell_measures) < target
         if mid == (a if below else b):
             break       # a fixed point: every later step would repeat this one
         if below:
             a = mid
+            done, value = hi < a, 1.0
         else:
             b = mid
+            done, value = lo >= b, 0.0
+        if done.any():
+            fr[cells[done]] = value
+            keep = ~done
+            cells, lo, hi = cells[keep], lo[keep], hi[keep]
     return 0.5 * (a + b)
-
-
-CSV_BLOCK = 64        # cells whose values are formatted together
-
-
-def _center_text(grid: Grid):
-    """Comma-joined "%.16g" center coordinates per cell, in the C order of
-    `Grid.centers`. Each axis value is formatted once; only the strings of
-    the axes after the first are held."""
-    first, *rest = grid.axis_centers
-    rest = [["%.16g" % c for c in x.tolist()] for x in rest]
-    for x in first:
-        yield from map(",".join, itertools.product(["%.16g" % x], *rest))
-
-
-def _value_text(vals: np.ndarray):
-    """The "%.16g" text of each value. Each distinct value is formatted once
-    per block of CSV_BLOCK cells, keyed by its bit pattern so that -0.0
-    keeps its sign; the blocks keep the strings held few at any cell count."""
-    for i in range(0, vals.size, CSV_BLOCK):
-        part = vals[i:i + CSV_BLOCK]
-        bits = part.view(np.uint64).tolist()
-        text = {b: "%.16g" % v for b, v in dict(zip(bits, part.tolist())).items()}
-        yield from map(text.__getitem__, bits)
 
 
 def write_density_csv(path, field: DensityField) -> None:
     """CSV layout shared by all density outputs: index, center coords, value.
 
     Every number is written as "%.16g" in csv.writer's dialect (comma
-    separated, \\r\\n line ends, unquoted). Rows are built as they are
-    written, so no copy of the file is held.
+    separated, \\r\\n line ends, unquoted). Each block of CSV_BLOCK cells
+    is one of `Grid.csv_templates` filled with its value text; a distinct
+    value is formatted once per block, keyed by its bit pattern so that
+    -0.0 stays -0. The file is written one block at a time.
     """
     g = field.grid
+    vals = np.asarray(field.values, dtype=float).reshape(-1)
+    if vals.size != g.ncells:
+        raise ValueError(f"density has {vals.size} values for a grid of {g.ncells} cells")
     cols = ["cell"] + [f"center_{ax}" for ax in ("x", "y", "z")[:g.dim]] + ["value"]
-    rows = zip(range(g.ncells), _center_text(g),
-               _value_text(np.asarray(field.values, dtype=float)))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\r\n")
-        fh.writelines(f"{i},{c},{v}\r\n" for i, c, v in rows)
+    with open(path, "wb") as fh:
+        fh.write(",".join(cols).encode() + b"\r\n")
+        for k, template in enumerate(g.csv_templates):
+            part = vals[k * CSV_BLOCK:(k + 1) * CSV_BLOCK]
+            bits = part.view(np.uint64).tolist()
+            text = {b: b"%.16g" % v for b, v in dict(zip(bits, part.tolist())).items()}
+            fh.write(template % tuple(map(text.__getitem__, bits)))

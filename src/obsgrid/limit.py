@@ -226,13 +226,14 @@ def _cumulative(caps: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(caps)))
 
 
-def _move_cost(caps: np.ndarray, costs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cost of moving x through a list of cells in order (capacities, unit costs).
+def _move_cost(caps: np.ndarray, start: np.ndarray, costs: np.ndarray,
+               x: np.ndarray) -> np.ndarray:
+    """Cost of moving x through a list of cells in order (capacities, their
+    _cumulative starts, unit costs).
 
     Summed from the whole entries before x plus the partial entry at x,
     so nonnegative costs give a nonnegative result.
     """
-    start = _cumulative(caps)
     i = np.clip(np.searchsorted(start, x) - 1, 0, caps.size - 1)
     return _cumulative(caps * costs)[i] + costs[i] * (x - start[i])
 
@@ -256,16 +257,17 @@ def _min_ratio(psi: np.ndarray, a1: np.ndarray, w: np.ndarray, mu: float,
         ri = np.concatenate((ties[g:], take))
         gcap, gcost = a1[gi] * w[gi], psi[gi] - mu
         rcap, rcost = (1.0 - a1[ri]) * w[ri], mu - psi[ri]
-        d_max = 2.0 * min(_cumulative(gcap)[-1], _cumulative(rcap)[-1])
+        gstart, rstart = _cumulative(gcap), _cumulative(rcap)
+        d_max = 2.0 * min(gstart[-1], rstart[-1])
         # sorted with repeats: equal D give equal ratios, so argmin picks the
         # same (ratio, D) as over unique D; np.unique imports numpy.ma, which
         # costs 10-15 ms in a fresh process
-        D = np.sort(np.concatenate((2.0 * _cumulative(gcap), 2.0 * _cumulative(rcap),
-                                    [floor, d_max])))
+        D = np.sort(np.concatenate((2.0 * gstart, 2.0 * rstart, [floor, d_max])))
         D = D[(D > 0.0) & (D >= floor) & (D <= d_max)]
         if not D.size:
             continue
-        ratio = (_move_cost(gcap, gcost, 0.5 * D) + _move_cost(rcap, rcost, 0.5 * D)) / D ** 2
+        ratio = (_move_cost(gcap, gstart, gcost, 0.5 * D)
+                 + _move_cost(rcap, rstart, rcost, 0.5 * D)) / D ** 2
         i = int(np.argmin(ratio))
         if best is None or ratio[i] < best[0]:
             best = (float(ratio[i]), float(D[i]), gi, gcap, ri, rcap)

@@ -190,6 +190,16 @@ def project_by_bisection(grid, v, L):
     return np.clip(v + 0.5 * (lo + hi), 0.0, 1.0)
 
 
+def ranges_by_stacked_corners(grid, vals):
+    """_cell_value_ranges as a min and a max over the stacked 2^dim corner
+    views: the reduction the elementwise one must match."""
+    arr = geometry._corner_values(grid, vals)
+    corners = np.stack([arr[tuple(slice(o, o + s) for o, s in zip(off, grid.shape))]
+                        for off in np.ndindex(*(2,) * grid.dim)], axis=-1)
+    flat = corners.reshape(grid.ncells, -1)
+    return flat.min(axis=1), flat.max(axis=1)
+
+
 def threshold_by_full_bisection(grid, psi, L):
     """level_threshold's bisection run for all of its 100 steps: the
     definition the early-stopping threshold must match."""
@@ -432,23 +442,60 @@ class TestTubeMeasure:
         assert tube(grid512, psi, 0.7, 1e-6) == pytest.approx(PI, rel=1e-12)
 
 
+class TestCellValueRanges:
+    @pytest.mark.parametrize("bounds, cells", [
+        (((0.0, PI),), 37),
+        (((0.0, 1.0), (0.0, 2.0)), (7, 5)),
+        (((0.0, 0.5), (-1.0, 3.0)), (9, 23)),
+    ], ids=["1d", "2d", "tall"])
+    def test_bitwise_equal_to_stacked_reduction(self, bounds, cells):
+        dim = len(bounds)
+        grid = make_grid(DomainSpec("interval" if dim == 1 else "rectangle", bounds),
+                         cells, 2)
+        rng = np.random.default_rng(5)
+        special = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
+        for trial in range(40):
+            vals = special[rng.integers(0, special.size, grid.ncells)]
+            if trial % 2:           # half of the cells smooth values
+                vals = np.where(rng.random(grid.ncells) < 0.5, vals,
+                                rng.standard_normal(grid.ncells))
+            with np.errstate(invalid="ignore"):     # inf - inf in the corners
+                got, ref = _cell_value_ranges(grid, vals), ranges_by_stacked_corners(grid, vals)
+            for x, y in zip(got, ref):
+                # the same bits, -0.0 and +-inf included; a nan stays a nan,
+                # whose sign numpy's min and max do not fix
+                nan = np.isnan(y)
+                assert np.array_equal(np.isnan(x), nan)
+                assert np.array_equal(x[~nan].view(np.uint64), y[~nan].view(np.uint64))
+
+
 class TestLevelThreshold:
     def test_sin2_quantile(self, grid1024):
         psi = (2 / PI) * np.sin(grid1024.centers[:, 0]) ** 2
         mu = level_threshold(grid1024, psi, 0.5)
         assert mu == pytest.approx(1 / PI, abs=1e-8)
 
-    @pytest.mark.parametrize("kind", ["random", "smooth", "few_levels"])
-    def test_bitwise_equal_to_full_bisection(self, any_grid, kind):
+    @staticmethod
+    def assert_full_bisection(grid, kind):
         rng = np.random.default_rng(13)
-        n = any_grid.ncells
-        x = any_grid.centers[:, 0]
+        n = grid.ncells
+        x = grid.centers[:, 0]
         for L in (1e-9, 0.05, 0.3, 0.5, 0.9, 1 - 1e-9):
             psi = {"random": lambda: rng.standard_normal(n),
                    "smooth": lambda: np.cos(3.0 * x + rng.uniform(0.0, 6.0)),
                    "few_levels": lambda: rng.integers(0, 3, n).astype(float)}[kind]()
-            assert (level_threshold(any_grid, psi, L)
-                    == threshold_by_full_bisection(any_grid, psi, L))
+            assert level_threshold(grid, psi, L) == threshold_by_full_bisection(grid, psi, L)
+
+    @pytest.mark.parametrize("kind", ["random", "smooth", "few_levels"])
+    def test_bitwise_equal_to_full_bisection(self, any_grid, kind):
+        self.assert_full_bisection(any_grid, kind)
+
+    @pytest.mark.parametrize("kind", ["random", "smooth", "few_levels"])
+    def test_bitwise_equal_on_96x96(self, kind):
+        # the size of the shipped 2D limit config, where most cells leave
+        # the bracket in the first steps
+        self.assert_full_bisection(
+            make_grid(DomainSpec("rectangle", ((0.0, 1.0), (0.0, 1.0))), (96, 96), 1), kind)
 
     @pytest.mark.parametrize("name", ["dirichlet1d_limit", "rect2d_limit"])
     def test_bitwise_equal_on_limit_configs(self, name, monkeypatch):
@@ -457,12 +504,37 @@ class TestLevelThreshold:
         model, grid = cli._build(cfg)
         sol = limit_set(model, grid, cfg["L"], cli._opts(cfg))
         steps = []
-        monkeypatch.setattr(geometry, "_measure_below",
-                            lambda *args: steps.append(1) or _measure_below(*args))
+        fraction_below = geometry._fraction_below
+        monkeypatch.setattr(geometry, "_fraction_below",
+                            lambda *args: steps.append(1) or fraction_below(*args))
         mu = level_threshold(grid, sol.psi, cfg["L"])
+        assert 0 < len(steps) < 100      # one evaluation a step, to its fixed point
+        monkeypatch.undo()
         assert mu == sol.mu_star
         assert mu == threshold_by_full_bisection(grid, sol.psi.values, cfg["L"])
-        assert len(steps) < 100      # it stopped at its fixed point
+
+    def test_constant_cells_on_bracket_ends(self):
+        # Psi constant on blocks of cells at the levels 0, 1/4, 1/2, 3/4, 1:
+        # bisection midpoints of [0, 1], so cells with lo == hi sit on a
+        # bracket end, where their fraction is 0 at t = lo and 1 above it
+        grid = make_grid(DomainSpec("rectangle", ((0.0, 1.0), (0.0, 1.0))), (40, 40), 1)
+        x, y = grid.centers.T
+        psi = np.floor(5.0 * x) / 4.0
+        lo, hi = _cell_value_ranges(grid, psi)
+        assert set(lo[lo == hi]) == {0.0, 0.25, 0.5, 0.75, 1.0}
+        for L in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.15, 0.55):
+            mu = level_threshold(grid, psi, L)
+            assert mu == threshold_by_full_bisection(grid, psi, L)
+            # and with a second level set that cuts across the blocks
+            psi2 = psi + np.where(y < 0.5, 0.0, 0.25)
+            assert level_threshold(grid, psi2, L) == threshold_by_full_bisection(grid, psi2, L)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_psi_rejected(self, any_grid, bad):
+        psi = np.cos(any_grid.centers[:, 0])
+        psi[any_grid.ncells // 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            level_threshold(any_grid, psi, 0.5)
 
     def test_rectangular_nonsquare_grid(self):
         # Psi = x on (0,2)x(0,3): {Psi > mu} has measure (2-mu)*3
@@ -507,14 +579,62 @@ class TestDensityCSV:
                    -np.inf, 0.3, 1.0 / 3.0, 0.3, 1.0, -0.0, np.nan)
         vals[:len(special)] = special
         vals[-3:] = (0.3, -0.0, 1.0 / 3.0)
-        if grid.ncells > geometry.CSV_BLOCK + len(special):   # across a block edge
+        if grid.ncells > geometry.CSV_BLOCK + len(special):   # across a template edge
             vals[geometry.CSV_BLOCK - 5:][:len(special)] = special
-        path, ref = tmp_path / "density.csv", tmp_path / "reference.csv"
+        path = tmp_path / "density.csv"
         write_density_csv(path, DensityField(grid, vals))
-        with open(ref, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["cell"] + [f"center_{ax}" for ax in "xy"[:dim]] + ["value"])
-            for i in range(grid.ncells):
-                wr.writerow([i, *(f"{c:.16g}" for c in grid.centers[i]), f"{vals[i]:.16g}"])
-        assert path.read_bytes() == ref.read_bytes()
+        assert path.read_bytes() == csv_writer_bytes(tmp_path, grid, vals)
         assert b",-0\r\n" in path.read_bytes() and b",nan\r\n" in path.read_bytes()
+
+    def test_fields_share_a_grid(self, tmp_path):
+        # the templates are built once per grid and filled per file: two
+        # fields on one grid, and fields on two grids of one shape whose
+        # domains differ, each give the csv.writer bytes
+        shape = (6, 11)
+        grids = [make_grid(DomainSpec("rectangle", b), shape, 2)
+                 for b in (((0.0, 1.0), (0.0, 2.0)), ((-1.0, 3.0), (0.5, 0.75)))]
+        rng = np.random.default_rng(3)
+        for k, grid in enumerate(grids):
+            for vals in (rng.uniform(0.0, 1.0, grid.ncells),
+                         rng.integers(0, 2, grid.ncells).astype(float)):
+                path = tmp_path / f"density{k}.csv"
+                write_density_csv(path, DensityField(grid, vals))
+                assert path.read_bytes() == csv_writer_bytes(tmp_path, grid, vals)
+        assert grids[0].csv_templates != grids[1].csv_templates
+
+    @pytest.mark.parametrize("count", [5, 12])
+    def test_value_count_must_match_cells(self, tmp_path, count):
+        # used to write min(count, ncells) rows without a word
+        grid = make_grid(DomainSpec("interval", ((0.0, 1.0),)), 8, 2)
+        path = tmp_path / "density.csv"
+        with pytest.raises(ValueError, match=f"{count} values for a grid of 8 cells"):
+            write_density_csv(path, DensityField(grid, np.zeros(count)))
+
+    def test_limit_run_files(self, tmp_path, monkeypatch, capsys):
+        # the shipped 96x96 limit run's two density files, against the
+        # csv.writer bytes of the fields that the run wrote
+        written = {}
+
+        def keep(path, field):
+            written[Path(path).name] = field
+            write_density_csv(path, field)
+
+        monkeypatch.setattr(cli, "write_density_csv", keep)
+        config = Path(__file__).resolve().parents[1] / "configs" / "rect2d_limit.json"
+        out = tmp_path / "out"
+        assert cli.main(["limit", "--config", str(config), "--out", str(out)]) == 0
+        assert sorted(written) == ["density_a1.csv", "density_k_witness.csv"]
+        for name, field in written.items():
+            ref = csv_writer_bytes(tmp_path, field.grid, field.values)
+            assert (out / name).read_bytes() == ref
+
+
+def csv_writer_bytes(tmp_path, grid, vals):
+    """The density CSV of vals on grid as csv.writer writes it, row by row."""
+    ref = tmp_path / "reference.csv"
+    with open(ref, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["cell"] + [f"center_{ax}" for ax in "xy"[:grid.dim]] + ["value"])
+        for i in range(grid.ncells):
+            wr.writerow([i, *(f"{c:.16g}" for c in grid.centers[i]), f"{vals[i]:.16g}"])
+    return ref.read_bytes()
