@@ -4,10 +4,10 @@ oracle, the sigma_1 limit problem, and asymptotic experiment harnesses.
 """
 
 from .spectral import (DomainSpec, FactoredScalar, SpectralModel, build_model,
-                       gamma_factored, gamma_from_lambda, tau)
+                       gamma_from_lambda, tau)
 from .geometry import (DensityField, Grid, SpatialFunction, bathtub, l1_distance,
                        make_grid, project_box_mean)
-from .gram import (ObsMatrix, assemble, min_eigpair, obs_constant, obs_constant_rand,
+from .gram import (GramForm, min_eigpair, obs_constant, obs_constant_rand,
                    quadratic_decomposition)
 from .optimize import (Certificate, OptResult, bang_bang_fraction,
                        lower_bound_certificate, maximize_obs, maximize_sigma1,

@@ -35,7 +35,7 @@ from .limit import (cesaro_mean, exact_bathtub_constant, kkt_check, limit_set,
 from .limit import estimate_bathtub_constant  # noqa: F401
 from .optimize import (OptOptions, bang_bang_fraction, lower_bound_certificate,
                        maximize_obs, maximize_sigma1)
-from .spectral import ConfigurationError, build_model, check_coupling, gamma_factored
+from .spectral import MODEL_NAMES, ConfigurationError, build_model, check_coupling, tau
 
 SCHEMA_VERSION = 1
 
@@ -236,6 +236,8 @@ def validate_config(raw: dict) -> dict:
     model = cfg["model"]
     if "name" not in model:
         raise ConfigError("model.name is required")
+    if model["name"] not in MODEL_NAMES:
+        raise ConfigError(f"model.name must be one of {MODEL_NAMES}, got {model['name']!r}")
     _check_sizes(model, cfg["grid"])
     _check_coupling(model)
     if "L" in cfg and not _is_fraction(cfg["L"]):
@@ -245,14 +247,13 @@ def validate_config(raw: dict) -> dict:
     if "N" in keys:
         cfg["N"] = _check_N(raw, kind, model)
     if "optimizer" in cfg:
-        opt = cfg["optimizer"]
-        _check_int(opt["max_iter"], "optimizer.max_iter")
-        if not _positive_list([opt["tol"]]):
-            raise ConfigError(f"optimizer.tol must be a finite number > 0, "
-                              f"got {opt['tol']!r}")
+        try:
+            OptOptions(**cfg["optimizer"])
+        except ValueError as e:
+            raise ConfigError(f"optimizer.{e}") from None
     target = cfg.get("acceptance", {}).get("mhat_target")   # null: no m_hat check
-    if not (target is None or _is_real(target)):
-        raise ConfigError(f"acceptance.mhat_target must be a finite number or null, "
+    if not (target is None or _positive_list([target])):
+        raise ConfigError(f"acceptance.mhat_target must be a finite number > 0 or null, "
                           f"got {target!r}")
     nu = cfg.get("certificate", {}).get("nu")      # null: the automatic nu_T
     if nu is not None and not _is_fraction(nu):
@@ -445,7 +446,8 @@ def _sweep_point(model, grid, cfg, T, a1, sigma1_max):
     except (ValueError, OverflowError) as e:
         lower = upper = None
         warning = f"no certificate at T={T:g}: {e}"
-    g1 = gamma_factored(complex(model.eigenvalues[0]), T).value().real
+    lam1 = model.eigenvalues[0]
+    g1 = tau(lam1, lam1, T).value().real
     ratio = res.value / (g1 * sigma1_max)
     d = l1_distance(res.a_star, a1)
     return res, lower, upper, ratio, d, warning

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -117,26 +116,6 @@ def get_basis(model: SpectralModel, grid: Grid, modes) -> ModeBasis:
     return basis
 
 
-@dataclass
-class ObsMatrix:
-    """Factored truncated Gram form G_ij = e^{e_i + e_j} Ghat_ij of one GramForm."""
-
-    form: GramForm
-    Ghat: np.ndarray          # bounded Hermitian mantissa matrix
-
-    @property
-    def exps(self) -> np.ndarray:
-        """Per-mode real exponents e_j = Re(lambda_j) T."""
-        return self.form.exps
-
-    def reconstruct(self) -> np.ndarray:
-        """Plain G; raises OverflowError if any entry exceeds the double range."""
-        E = np.add.outer(self.exps, self.exps)
-        if E.max() > 700.0:
-            raise OverflowError("Gram entries exceed the double range; use the factored path")
-        return np.exp(E) * self.Ghat
-
-
 class GramForm:
     """The truncated Gram form over modes 1..N at horizon T, linear in a.
 
@@ -194,11 +173,15 @@ class GramForm:
         Ghat = self.hhat * self.basis.mass(a)
         return 0.5 * (Ghat + Ghat.conj().T)
 
-    def obs(self, Ghat: np.ndarray) -> ObsMatrix:
-        return ObsMatrix(self, Ghat)
+    def reconstruct(self, Ghat: np.ndarray) -> np.ndarray:
+        """Plain G = D Ghat D; raises OverflowError if any entry exceeds the double range."""
+        E = np.add.outer(self.exps, self.exps)
+        if E.max() > 700.0:
+            raise OverflowError("Gram entries exceed the double range; use the factored path")
+        return np.exp(E) * Ghat
 
     def cluster(self, Ghat: np.ndarray) -> EigCluster:
-        return min_eig_cluster(self.obs(Ghat))
+        return min_eig_cluster(self, Ghat)
 
     def supergradient(self, cl: EigCluster) -> np.ndarray:
         # Phi(x) = scale * sum_ij conj(z_i) z_j hhat_ij phi_i(x) conj(phi_j(x)),
@@ -207,12 +190,6 @@ class GramForm:
         Z = cl.Z
         W = (Z @ Z.conj().T).conj() / Z.shape[1] * self.hhat
         return cl.scale * np.maximum(self.basis.form_cell_average(W).values.real, 0.0)
-
-
-def assemble(model: SpectralModel, grid: Grid, a, T: float, N: int) -> ObsMatrix:
-    """Truncated Gram form over modes 1..N at horizon T, factored."""
-    form = GramForm(model, grid, T, N)
-    return form.obs(form.mantissa(a))
 
 
 def min_eigpair(H: np.ndarray) -> tuple[float, np.ndarray]:
@@ -250,7 +227,7 @@ class _Factors(NamedTuple):
     Sinv: np.ndarray | None
 
 
-def _factored_spectrum(obs: ObsMatrix) -> tuple[float, _Factors]:
+def _factored_spectrum(form: GramForm, Ghat: np.ndarray) -> tuple[float, _Factors]:
     """lambda_min of the Gram form and the factors it came from.
 
     With D = diag(e^exps) and e0 = min(exps), C = e^{2 e0} D^-1 Ghat^-1 D^-1
@@ -261,10 +238,9 @@ def _factored_spectrum(obs: ObsMatrix) -> tuple[float, _Factors]:
     accuracy. Ghat is exactly Hermitian, as `GramForm.mantissa` and every
     combination of such matrices are; its eigenvalues are clamped at
     1e-300 of the largest, so singular directions give lambda_min ~ 0.
-    The grading constants come from `obs.form`.
+    The grading constants come from `form`.
     """
-    form = obs.form
-    w, U = np.linalg.eigh(obs.Ghat)
+    w, U = np.linalg.eigh(Ghat)
     if w[-1] <= 0.0:                 # vanishing form (e.g. a == 0): lambda_min ~ 0
         wc, Uc, Sinv = np.full(len(w), np.inf), U, None
     else:
@@ -275,9 +251,9 @@ def _factored_spectrum(obs: ObsMatrix) -> tuple[float, _Factors]:
     return float(form.scale / wc[-1]), _Factors(form, wc, Uc, Sinv)
 
 
-def reduce_min_eig(obs: ObsMatrix) -> float:
-    """Smallest eigenvalue of the full Gram form from its factored parts."""
-    return _factored_spectrum(obs)[0]
+def reduce_min_eig(form: GramForm, Ghat: np.ndarray) -> float:
+    """Smallest eigenvalue of the Gram form D Ghat D from its factored parts."""
+    return _factored_spectrum(form, Ghat)[0]
 
 
 class EigCluster(NamedTuple):
@@ -354,7 +330,7 @@ class EigCluster(NamedTuple):
         return 2.0 * self.scale * float(mu * p * p - q - cross)
 
 
-def min_eig_cluster(obs: ObsMatrix) -> EigCluster:
+def min_eig_cluster(form: GramForm, Ghat: np.ndarray) -> EigCluster:
     """lambda_min of the Gram form with its eigen-cluster.
 
     The cluster collects eigenvalues within CLUSTER_ETA * (1 + |lambda_min|)
@@ -368,8 +344,7 @@ def min_eig_cluster(obs: ObsMatrix) -> EigCluster:
     A vanishing form (lambda_min = 0 for every vector) gets the one member
     Z = e_1: mode 1 has the exponent e0, so its form grows least.
     """
-    lam, f = _factored_spectrum(obs)
-    form = obs.form
+    lam, f = _factored_spectrum(form, Ghat)
     if f.Sinv is None:
         return EigCluster(lam, np.zeros(1), np.eye(len(f.wc), 1, dtype=f.Uc.dtype),
                           form.scale, f)
@@ -378,13 +353,14 @@ def min_eig_cluster(obs: ObsMatrix) -> EigCluster:
     members = slice(min(k, len(f.wc) - 1), None)
     R = form.ediag[:, None] * f.Uc[:, members] / f.wc[members]
     Z = f.Sinv @ R
-    Z += f.Sinv @ (R - obs.Ghat @ Z)
+    Z += f.Sinv @ (R - Ghat @ Z)
     return EigCluster(lam, form.scale / f.wc[members], Z, form.scale, f)
 
 
 def obs_constant(model: SpectralModel, grid: Grid, a, T: float, N: int) -> float:
     """Truncated observability constant C_T^{(N)}(a)."""
-    return reduce_min_eig(assemble(model, grid, a, T, N))
+    form = GramForm(model, grid, T, N)
+    return reduce_min_eig(form, form.mantissa(a))
 
 
 def obs_constant_rand(model: SpectralModel, grid: Grid, a, T: float, N: int) -> float:
@@ -428,8 +404,8 @@ def quadratic_decomposition(model: SpectralModel, grid: Grid, a, T: float, N: in
         if abs(np.linalg.norm(c) - 1.0) > 1e-10:
             raise ValueError(f"{name} coefficients must have unit norm")
 
-    obs = assemble(model, grid, a, T, N)
-    G = obs.reconstruct()
+    form = GramForm(model, grid, T, N)
+    G = form.reconstruct(form.mantissa(a))
     hidx = np.array([j - 1 for j in head])
     tidx = np.array([j - 1 for j in tail])
 

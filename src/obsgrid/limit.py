@@ -245,7 +245,8 @@ def _min_ratio(psi: np.ndarray, a1: np.ndarray, w: np.ndarray, mu: float,
     The cells in free give from a1 down to 0 and receive up to 1, each
     list sorted by its unit cost (Psi - mu to give, mu - Psi to receive);
     of the tie cells the first g give and the others receive, for every
-    g. Returns (ratio, D, givers, their capacities, receivers, theirs).
+    g. Returns (ratio, D, givers, their capacities and _cumulative starts,
+    receivers, theirs).
     """
     give = np.flatnonzero(free & (a1 > 0.0))
     give = give[np.argsort(psi[give] - mu, kind="stable")]
@@ -270,7 +271,7 @@ def _min_ratio(psi: np.ndarray, a1: np.ndarray, w: np.ndarray, mu: float,
                  + _move_cost(rcap, rstart, rcost, 0.5 * D)) / D ** 2
         i = int(np.argmin(ratio))
         if best is None or ratio[i] < best[0]:
-            best = (float(ratio[i]), float(D[i]), gi, gcap, ri, rcap)
+            best = (float(ratio[i]), float(D[i]), gi, gcap, gstart, ri, rcap, rstart)
     return best
 
 
@@ -313,16 +314,16 @@ def exact_bathtub_constant(model: SpectralModel, grid: Grid,
         best = _min_ratio(psi, a1, w, mu, floor, ~tie, np.flatnonzero(tie))
     if best is None:
         return BathtubConstant(None, None, floor, None, None)
-    lower, D, gi, gcap, ri, rcap = best
+    lower, D, gi, gcap, gstart, ri, rcap, rstart = best
     if relaxed:
         return BathtubConstant(lower, None, floor, D, None)
 
-    def moved(caps):          # how much of D/2 each list entry carries
-        return np.clip(0.5 * D - _cumulative(caps)[:-1], 0.0, caps)
+    def moved(caps, start):   # how much of D/2 each list entry carries
+        return np.clip(0.5 * D - start[:-1], 0.0, caps)
 
     a = a1.copy()
-    a[gi] -= moved(gcap) / w[gi]
-    a[ri] += moved(rcap) / w[ri]
+    a[gi] -= moved(gcap, gstart) / w[gi]
+    a[ri] += moved(rcap, rstart) / w[ri]
     witness = DensityField(grid, np.clip(a, 0.0, 1.0))
     d = l1_distance(witness, sol.a1)
     upper = (sol.sigma1_value - sigma1(model, grid, witness)) / d ** 2

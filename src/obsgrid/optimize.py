@@ -33,7 +33,7 @@ from .geometry import DensityField, Grid, SpatialFunction, bathtub
 from .geometry import project_box_mean  # noqa: F401
 from .gram import GramForm, get_basis
 from .gram import min_eig_cluster, reduce_min_eig  # noqa: F401
-from .spectral import SpectralModel, gamma_factored
+from .spectral import SpectralModel, tau
 
 LINE_SEARCH_XTOL = 1e-13    # final bracket width of the FW step size
 ETA_GAP_FACTOR = 1.5        # eta = factor * gap for the auto nu_T (admissible: (1, 2))
@@ -287,8 +287,8 @@ def lower_bound_certificate(model: SpectralModel, grid: Grid, a1: DensityField,
         L = a1.mean()
     lam1 = complex(model.eigenvalues[0])
     lamp = complex(model.eigenvalues[model.p0 - 1])
-    g1 = gamma_factored(lam1, T)
-    gp = gamma_factored(lamp, T)
+    g1 = tau(lam1, lam1, T)
+    gp = tau(lamp, lamp, T)
     # ratio gamma_1 / gamma_p0 in factored form (always <= 1 here)
     log_ratio = g1.log_abs() - gp.log_abs()
     ratio = math.exp(log_ratio) if log_ratio > -745.0 else 0.0

@@ -7,9 +7,9 @@ the lowest-real-part index set J1, the first index p0 beyond it, and
 the spectral gap Re(lambda_p0 - lambda_1).
 
 Time weights are exposed in two forms: plain floats (`gamma_from_lambda`)
-for the well-scaled regime and mantissa/exponent pairs (`FactoredScalar`,
-`gamma_factored`, `tau`) that never overflow, used by the Gram
-assembly for stiff modes.
+for the well-scaled regime and the mantissa/exponent pairs of `tau`
+(`FactoredScalar`) that never overflow, used by the Gram form for stiff
+modes; gamma_j(T) is tau(lambda_j, lambda_j, T).
 """
 
 from __future__ import annotations
@@ -72,25 +72,21 @@ class SpectralModel:
     domain: DomainSpec
     eigenvalues: np.ndarray          # complex, nondecreasing real parts
     evaluator: Callable[[int, np.ndarray], np.ndarray]
-    J1: tuple[int, ...] = field(default=())
-    p0: int = 0
-    gap: float = 0.0
     axis_index: tuple[int, ...] = ()
+    J1: tuple[int, ...] = field(init=False)
+    p0: int = field(init=False)
+    gap: float = field(init=False)
 
     def __post_init__(self):
         lams = np.asarray(self.eigenvalues, dtype=complex)
         re = lams.real
         if np.any(np.diff(re) < -1e-12):
             raise ConfigurationError("eigenvalue real parts must be nondecreasing")
-        if not self.J1:
-            j1 = tuple(int(i) + 1 for i in np.flatnonzero(re <= re[0] + 1e-12))
-            object.__setattr__(self, "J1", j1)
-        if self.p0 == 0:
-            p0 = len(self.J1) + 1
-            if p0 > len(lams):
-                raise ConfigurationError("need N_max > #J1 so that p0 exists")
-            object.__setattr__(self, "p0", p0)
-            object.__setattr__(self, "gap", float(re[p0 - 1] - re[0]))
+        self.J1 = tuple(int(i) + 1 for i in np.flatnonzero(re <= re[0] + 1e-12))
+        self.p0 = len(self.J1) + 1
+        if self.p0 > len(lams):
+            raise ConfigurationError("need N_max > #J1 so that p0 exists")
+        self.gap = float(re[self.p0 - 1] - re[0])
         if self.gap <= 0:
             raise ConfigurationError("spectral gap must be positive")
         self.eigenvalues = lams
@@ -118,11 +114,16 @@ def _dirichlet_1d(n_max: int) -> SpectralModel:
                          axis_index=tuple(range(1, n_max + 1)))
 
 
+def _rect_pairs(n_max: int) -> list[tuple[int, int]]:
+    """(m, n) candidates enough to cover the n_max lowest eigenvalues of the
+    (0,1)^2 Dirichlet Laplacian, in m-major order."""
+    kmax = int(np.ceil(np.sqrt(n_max))) + 2
+    return [(m, n) for m in range(1, kmax + 1) for n in range(1, kmax + 1)]
+
+
 def _dirichlet_rect_2d(n_max: int) -> SpectralModel:
     dom = DomainSpec("rectangle", ((0.0, 1.0), (0.0, 1.0)))
-    # enough (m, n) candidates to cover the n_max lowest eigenvalues
-    kmax = int(np.ceil(np.sqrt(n_max))) + 2
-    pairs = [(m, n) for m in range(1, kmax + 1) for n in range(1, kmax + 1)]
+    pairs = _rect_pairs(n_max)
     pairs.sort(key=lambda mn: (mn[0] ** 2 + mn[1] ** 2, mn))  # lexicographic tie-break
     pairs = pairs[:n_max]
     lams = np.array([np.pi ** 2 * (m * m + n * n) for m, n in pairs], dtype=complex)
@@ -131,10 +132,8 @@ def _dirichlet_rect_2d(n_max: int) -> SpectralModel:
         m, n = pairs[j - 1]
         return (2.0 * np.sin(m * np.pi * x[:, 0]) * np.sin(n * np.pi * x[:, 1]))[:, None]
 
-    model = SpectralModel("dirichlet_rect_2d", 1, dom, lams, ev,
-                          axis_index=tuple(max(mn) for mn in pairs))
-    model.mode_pairs = pairs  # exposed for reports
-    return model
+    return SpectralModel("dirichlet_rect_2d", 1, dom, lams, ev,
+                         axis_index=tuple(max(mn) for mn in pairs))
 
 
 def _torus_1d(n_max: int) -> SpectralModel:
@@ -188,9 +187,7 @@ def _coupled_rect_2d(n_max: int, mu, u) -> SpectralModel:
     """
     mu, u = check_coupling(mu, u)
     dom = DomainSpec("rectangle", ((0.0, 1.0), (0.0, 1.0)))
-    kmax = int(np.ceil(np.sqrt(n_max))) + 2
-    pairs = [(m, n) for m in range(1, kmax + 1) for n in range(1, kmax + 1)]
-    modes = [(m, n, i) for (m, n) in pairs for i in range(3)]
+    modes = [(m, n, i) for (m, n) in _rect_pairs(n_max) for i in range(3)]
     modes.sort(key=lambda t: (np.pi ** 2 * (t[0] ** 2 + t[1] ** 2) + mu[t[2]].real, t))
     modes = modes[:n_max]
     lams = np.array([np.pi ** 2 * (m * m + n * n) + mu[i] for m, n, i in modes])
@@ -227,8 +224,9 @@ class FactoredScalar:
     mantissa: complex
 
     def value(self) -> complex:
-        # deliberate overflow to inf if the exponent is out of range
-        with np.errstate(over="ignore"):
+        # deliberate overflow to inf if the exponent is out of range; a zero
+        # imaginary part times inf is nan, without a warning either
+        with np.errstate(over="ignore", invalid="ignore"):
             return self.mantissa * np.exp(self.exponent)
 
     def log_abs(self) -> float:
@@ -244,25 +242,17 @@ def _stable_ratio(z: complex, t: float) -> complex:
     return (1.0 - np.exp(-zt)) / z
 
 
-def gamma_factored(lam: complex, T: float) -> FactoredScalar:
-    """gamma(T) for one eigenvalue as exponent/mantissa; total (never overflows)."""
-    r = lam.real if isinstance(lam, complex) else float(lam)
-    return FactoredScalar(2.0 * r * T, complex(_stable_ratio(complex(2.0 * r), T)).real)
-
-
 def gamma_from_lambda(lam: complex, T: float) -> float:
     """gamma(T) = (e^{2 Re(lam) T} - 1) / (2 Re lam), or T when Re lam = 0.
 
     Raises OverflowError once 2 Re(lam) T exceeds OVERFLOW_THETA; use
-    gamma_factored for the stiff regime.
+    the factored tau(lam, lam, T) for the stiff regime.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    fac = gamma_factored(complex(lam), T)
+    fac = tau(lam, lam, T)
     if fac.exponent > OVERFLOW_THETA:
         raise OverflowError(
             f"2*Re(lambda)*T = {fac.exponent:.3g} exceeds {OVERFLOW_THETA:.3g}; "
-            "use gamma_factored")
+            "use tau(lam, lam, T)")
     return float(fac.value().real)
 
 

@@ -79,8 +79,8 @@ def random_feasible(grid, L, rng, smooth=False):
     return project_box_mean(grid, v, L)
 
 
-def mp_min_eig(obs, dGhat=None):
-    """Reference lambda_min of the Gram form D Ghat D of an ObsMatrix, and
+def mp_min_eig(form, Ghat, dGhat=None):
+    """Reference lambda_min of the Gram form D Ghat D of a GramForm, and
     its slope along D dGhat D, from an mpmath eigensolve of that matrix.
 
     Ghat, dGhat and the exponents e enter as the doubles they are; the
@@ -90,7 +90,7 @@ def mp_min_eig(obs, dGhat=None):
     """
     import mpmath
 
-    e = obs.exps
+    e = form.exps
     with mpmath.workdps(40 + math.ceil(2.0 * max(e.max(), 0.0) / math.log(10.0))):
         D = [mpmath.exp(float(x)) for x in e]
 
@@ -99,7 +99,7 @@ def mp_min_eig(obs, dGhat=None):
                                    for j, x in enumerate(row)]
                                   for i, row in enumerate(M.tolist())])
 
-        w, Q = mpmath.eigh(graded(obs.Ghat))
+        w, Q = mpmath.eigh(graded(Ghat))
         if dGhat is None:
             return float(w[0]), None
         v = Q[:, 0]

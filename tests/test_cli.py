@@ -295,6 +295,14 @@ class TestConfigValidation:
         # "2pi" used to fail with a TypeError only after the full solve
         ("limit", {"drop": ("T", "N"), "acceptance": {"mhat_target": "2pi"}},
          "acceptance.mhat_target"),
+        # a target <= 0 made the mhat check fail on every run
+        ("limit", {"drop": ("T", "N"), "acceptance": {"mhat_target": -2 * math.pi}},
+         "acceptance.mhat_target"),
+        ("limit", {"drop": ("T", "N"), "acceptance": {"mhat_target": 0}},
+         "acceptance.mhat_target"),
+        # an unknown model name used to fail only once the runner built it
+        ("solve", {"model": {"name": "foo", "n_max": 4}}, "model.name"),
+        ("solve", {"model": {"name": 5, "n_max": 4}}, "model.name"),
     ])
     def test_bad_horizons_and_sizes_exit_1_before_any_work(self, tmp_path, capsys,
                                                            experiment, overrides, key):

@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from obsgrid.gram import (ContractViolation, assemble, get_basis, min_eig_cluster,
+from obsgrid.gram import (ContractViolation, GramForm, get_basis, min_eig_cluster,
                           min_eigpair, obs_constant, obs_constant_rand,
                           quadratic_decomposition, reduce_min_eig)
 from obsgrid.spectral import build_model, gamma_from_lambda
@@ -70,15 +70,15 @@ class TestMassMatrix:
 class TestAssemble:
     def test_single_mode(self, d1d, grid512, ):
         a = np.full(grid512.ncells, 0.5)
-        obs = assemble(d1d, grid512, a, 1.0, 1)
-        G = obs.reconstruct()
+        form = GramForm(d1d, grid512, 1.0, 1)
+        G = form.reconstruct(form.mantissa(a))
         expected = gamma_from_lambda(1.0, 1.0) * 0.5
         assert G[0, 0].real == pytest.approx(expected, rel=1e-9)
 
     def test_constant_density_diagonal(self, d1d, grid1024):
         a = np.full(grid1024.ncells, 0.5)
-        obs = assemble(d1d, grid1024, a, 0.5, 4)
-        G = obs.reconstruct()
+        form = GramForm(d1d, grid1024, 0.5, 4)
+        G = form.reconstruct(form.mantissa(a))
         for j in range(4):
             expected = 0.5 * gamma_from_lambda((j + 1) ** 2, 0.5)
             assert G[j, j].real == pytest.approx(expected, rel=1e-9)
@@ -86,8 +86,8 @@ class TestAssemble:
         assert np.abs(off).max() <= 1e-6   # quadrature-level off-diagonals
 
     def test_indicator_diagonal_case(self, d1d, grid1024, indicator):
-        obs = assemble(d1d, grid1024, indicator, 0.5, 2)
-        G = obs.reconstruct()
+        form = GramForm(d1d, grid1024, 0.5, 2)
+        G = form.reconstruct(form.mantissa(indicator))
         assert G[0, 0].real == pytest.approx(G11_T05, rel=1e-8)
         assert G[1, 1].real == pytest.approx(G22_T05, rel=1e-8)
         assert abs(G[0, 1]) <= 1e-7
@@ -166,29 +166,39 @@ class TestObsConstant:
     def test_graded_solve_matches_naive_eigensolve(self, d1d, grid1024, indicator):
         # window where the naive dense eigensolve is trustworthy: mild
         # grading at T=0.3
-        obs = assemble(d1d, grid1024, indicator, 0.3, 8)
-        naive = float(np.linalg.eigvalsh(obs.reconstruct())[0])
+        form = GramForm(d1d, grid1024, 0.3, 8)
+        naive = float(np.linalg.eigvalsh(form.reconstruct(form.mantissa(indicator)))[0])
         graded = obs_constant(d1d, grid1024, indicator, 0.3, 8)
         assert graded == pytest.approx(naive, rel=1e-9)
 
     @pytest.mark.parametrize("T,N", [(0.5, 8), (2.0, 16)])
     def test_cluster_value_is_reduce_value(self, d1d, grid512, T, N):
         a = random_feasible(grid512, 0.5, np.random.default_rng(7))
-        obs = assemble(d1d, grid512, a, T, N)
-        assert reduce_min_eig(obs) == min_eig_cluster(obs)[0]
+        form = GramForm(d1d, grid512, T, N)
+        Ghat = form.mantissa(a)
+        assert reduce_min_eig(form, Ghat) == min_eig_cluster(form, Ghat)[0]
 
     def test_overflow_past_theta_raises(self, d1d, grid512):
         a = np.full(grid512.ncells, 0.5)
         with pytest.raises(OverflowError):
             obs_constant(d1d, grid512, a, 400.0, 2)
 
+    def test_reconstruct_past_double_range_raises(self, d1d, grid512):
+        # the form builds (2 e_1 = 4), but e_16 + e_16 = 1024 leaves the doubles
+        form = GramForm(d1d, grid512, 2.0, 16)
+        Ghat = form.mantissa(np.full(grid512.ncells, 0.5))
+        with pytest.raises(OverflowError, match="double range"):
+            form.reconstruct(Ghat)
+
     # (T, N) with the exponent spread 2 (e_N - e_1) at 1020, 715 and 2550
     @pytest.mark.parametrize("T,N", [(2.0, 16), (2.5, 12), (5.0, 16)])
     def test_stiff_spread_matches_mpmath(self, d1d, grid1024, T, N):
         rng = np.random.default_rng(int(10 * T) + N)
         for _ in range(2):
-            obs = assemble(d1d, grid1024, random_feasible(grid1024, 0.5, rng), T, N)
-            assert reduce_min_eig(obs) == pytest.approx(mp_min_eig(obs)[0], rel=1e-13)
+            form = GramForm(d1d, grid1024, T, N)
+            Ghat = form.mantissa(random_feasible(grid1024, 0.5, rng))
+            assert reduce_min_eig(form, Ghat) == pytest.approx(mp_min_eig(form, Ghat)[0],
+                                                               rel=1e-13)
 
     def test_monotone_truncation(self, d1d, grid512):
         rng = np.random.default_rng(4)
@@ -319,6 +329,6 @@ class TestCoupledModel:
         model, grid = coupled
         rng = np.random.default_rng(14)
         a = random_feasible(grid, 0.5, rng)
-        obs = assemble(model, grid, a, 0.2, 6)
-        assert np.abs(obs.Ghat - obs.Ghat.conj().T).max() <= 1e-13
+        Ghat = GramForm(model, grid, 0.2, 6).mantissa(a)
+        assert np.abs(Ghat - Ghat.conj().T).max() <= 1e-13
 

@@ -446,13 +446,13 @@ class TestValueAndSlope:
             dG = obj.mantissa(random_feasible(grid1024, 0.5, rng)) - Ga
             cl = obj.cluster(Ga)
             right, left, curvature = cl.derivatives(dG)
-            assert cl.lam == reduce_min_eig(obj.obs(Ga))
+            assert cl.lam == reduce_min_eig(obj, Ga)
             assert right == left
 
             def phi(h):
-                return reduce_min_eig(obj.obs(Ga + h * dG))
+                return reduce_min_eig(obj, Ga + h * dG)
 
-            assert right == pytest.approx(mp_min_eig(obj.obs(Ga), dG)[1], rel=1e-9)
+            assert right == pytest.approx(mp_min_eig(obj, Ga, dG)[1], rel=1e-9)
             assert curvature < 0.0
             assert curvature == pytest.approx(_fd_curvature(phi), rel=1e-5)
 
@@ -472,7 +472,7 @@ class TestValueAndSlope:
             dG = obj.mantissa(random_feasible(grid, 0.4, rng)) - Ga
             right, left, _ = obj.cluster(Ga).derivatives(dG)
             assert right == left
-            fd = _fd_slope(lambda h: reduce_min_eig(obj.obs(Ga + h * dG)))
+            fd = _fd_slope(lambda h: reduce_min_eig(obj, Ga + h * dG))
             assert right == pytest.approx(fd, rel=1e-6)
 
     @pytest.mark.parametrize("T", [0.03, 0.5])
@@ -489,7 +489,7 @@ class TestValueAndSlope:
             dG = obj.mantissa(random_feasible(grid, 0.4, rng)) - Ga
             assert np.iscomplexobj(Ga)
             curvature = obj.cluster(Ga).derivatives(dG)[2]
-            fd = _fd_curvature(lambda h: reduce_min_eig(obj.obs(Ga + h * dG)))
+            fd = _fd_curvature(lambda h: reduce_min_eig(obj, Ga + h * dG))
             assert curvature == pytest.approx(fd, rel=1e-5)
 
     @pytest.mark.parametrize("T,N", [(2.0, 8), (2.0, 16)])
@@ -551,8 +551,8 @@ class TestRealArithmetic:
         Ga = obj.mantissa(random_feasible(grid1024, 0.5, rng))
         dG = obj.mantissa(random_feasible(grid1024, 0.5, rng)) - Ga
         assert np.isrealobj(obj.hhat) and np.isrealobj(Ga)
-        re = min_eig_cluster(obj.obs(Ga))
-        cx = min_eig_cluster(obj.obs(Ga.astype(complex)))
+        re = min_eig_cluster(obj, Ga)
+        cx = min_eig_cluster(obj, Ga.astype(complex))
         assert np.isrealobj(re.Z) and np.iscomplexobj(cx.Z)
         assert re.lam == pytest.approx(cx.lam, rel=1e-13, abs=0)
         assert re.lams == pytest.approx(cx.lams, rel=1e-13, abs=0)
@@ -674,11 +674,11 @@ class TestLineSearchWork:
         eigensolves = 0
         complex_matrices = 0
 
-        def counted(obs):
+        def counted(form, Ghat):
             nonlocal eigensolves, complex_matrices
             eigensolves += 1
-            complex_matrices += not np.isrealobj(obs.Ghat)
-            return solve(obs)
+            complex_matrices += not np.isrealobj(Ghat)
+            return solve(form, Ghat)
 
         monkeypatch.setattr(gram, "min_eig_cluster", counted)
         res = maximize_obs(d1d, grid1024, 0.5, 2.0, 8)

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from obsgrid.geometry import make_grid
 from obsgrid.gram import get_basis
-from obsgrid.spectral import (ConfigurationError, build_model, gamma_factored,
+from obsgrid.spectral import (ConfigurationError, SpectralModel, build_model,
                               gamma_from_lambda, tau)
 
 # frozen oracle: (e^2 - 1)/2 at 40 digits
@@ -33,7 +35,19 @@ class TestBuildModel:
         m = build_model("dirichlet_rect_2d", 6)
         lam = m.eigenvalues.real / np.pi ** 2
         assert np.allclose(lam, [2, 5, 5, 8, 10, 10])
-        assert m.mode_pairs[:4] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        # phi_j = 2 sin(m pi x) sin(n pi y) at (1/4, 1/2) is sqrt(2) for
+        # (m, n) = (1, 1), 0 for (1, 2) and (2, 2) and 2 for (2, 1): the
+        # lexicographic tie-break of lambda_2 = lambda_3 puts (1, 2) first
+        x = np.array([[0.25, 0.5]])
+        vals = [m.phi(j, x)[0, 0] for j in range(1, 5)]
+        assert vals == pytest.approx([np.sqrt(2.0), 0.0, 2.0, 0.0], abs=1e-15)
+
+    @pytest.mark.parametrize("key,value", [("J1", (1,)), ("p0", 2), ("gap", 3.0)])
+    def test_metadata_is_derived_not_passed(self, key, value):
+        m = build_model("dirichlet_1d", 3)
+        with pytest.raises(TypeError):
+            SpectralModel(m.name, m.q, m.domain, m.eigenvalues, m.evaluator,
+                          **{key: value})
 
     def test_coupled_structure(self):
         mu = [1.0 + 2.0j, 1.0 - 2.0j, 3.0]
@@ -111,9 +125,16 @@ class TestGamma:
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):
             gamma_from_lambda(100.0, 4.0)
-        fac = gamma_factored(100.0, 4.0)
+        fac = tau(100.0, 100.0, 4.0)
         assert fac.exponent == pytest.approx(800.0)
         assert fac.mantissa == pytest.approx(1.0 / 200.0)
+
+    def test_overflowing_value_is_inf_without_warning(self):
+        # the mantissa is complex with a zero imaginary part, which times
+        # the overflowed e^800 is nan: neither may warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tau(100.0, 100.0, 4.0).value().real == np.inf
 
     def test_strictly_increasing_in_T(self):
         Ts = np.linspace(0.1, 3.0, 30)
