@@ -38,6 +38,11 @@ class Grid:
     cell_measures: np.ndarray     # (ncells,), all equal
     quad_x: np.ndarray            # (npts, dim), cell-major blocks of pts_per_cell
     quad_w: np.ndarray            # (npts,)
+    # per axis d: the Gauss nodes and weights of the 1D rule on that
+    # axis's cells, cell-major (shape[d] * gauss_order,); quad_x and quad_w
+    # are their tensor products
+    axis_quad_x: tuple[np.ndarray, ...]
+    axis_quad_w: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         w = self.cell_measures
@@ -147,7 +152,9 @@ def make_grid(domain: DomainSpec, cells_per_axis, gauss_order: int = 3) -> Grid:
         xv[..., d] = axes_nodes[d].reshape(axis_shape)
         wv *= axes_wts[d].reshape(axis_shape)
 
-    return Grid(domain, shape, gauss_order, centers, cell_meas, quad_x, wts)
+    return Grid(domain, shape, gauss_order, centers, cell_meas, quad_x, wts,
+                tuple(x.reshape(-1) for x in axes_nodes),
+                tuple(w.reshape(-1) for w in axes_wts))
 
 
 def cell_average(grid: Grid, fn) -> np.ndarray:

@@ -32,19 +32,24 @@ class ContractViolation(ValueError):
 
 
 class ModeBasis:
-    """Eigenfunction values of a mode subset at the grid's Gauss nodes,
-    reduced into the per-cell Gram tensor (`_kernels.CellGram`).
+    """A mode subset on a grid, reduced to its separable Gram operator
+    (`_kernels.SeparableGram`).
 
-    The modes are evaluated one block of cells at a time, straight into
-    the reduction's block buffer, so no table of all values is kept. Every
-    mode has values of the one dtype the model's modes share (float64 for
-    real modes, complex otherwise) and shape (npts, q); a mode of another
-    dtype or shape raises ContractViolation, so no imaginary part is ever
-    dropped and no value is broadcast; so does an empty mode set or one
-    that names a mode twice (its every mass matrix would be singular).
-    Through the tensor every density-dependent quantity is one
-    matrix-vector product, real when every mode value is real. Reused
-    across all assemblies on one (model, grid, modes) triple.
+    Each mode is a product of per-axis factors times a constant vector
+    (`SpectralModel`), so the basis reduces one per-axis table
+    (`_kernels.CellGram`) per grid axis from the factors at that axis's
+    Gauss nodes, evaluated one block of cells at a time straight into the
+    reduction's block buffer, plus one coefficient u_i . conj(u_j) per mode
+    pair. No per-cell Gram array and no table of mode values is kept: on
+    64x64 cells with 16 modes the two tables hold 136 x 64 values each.
+    Along each axis every mode's factor has the dtype of the first mode's
+    and shape (points,); a factor of another dtype or shape raises
+    ContractViolation, so no imaginary part is ever dropped and no value is
+    broadcast; so does an empty mode set or one that names a mode twice
+    (its every mass matrix would be singular). Every density-dependent
+    quantity is then two small matrix products (one on a 1D grid), real
+    when every factor and vector is real. Reused across all assemblies on
+    one (model, grid, modes) triple.
     """
 
     def __init__(self, model: SpectralModel, grid: Grid, modes):
@@ -55,34 +60,34 @@ class ModeBasis:
             raise ContractViolation(
                 f"modes {self.modes} of {model.name}: a mode basis needs at least "
                 "one mode and no mode twice")
-        # the first mode's value at the first point fixes the dtype and the
-        # shape per point that every mode shares
-        ref = model.phi(self.modes[0], grid.quad_x[:1])
+        n, g = len(self.modes), grid.gauss_order
+        tables = []
+        for d, (t, w) in enumerate(zip(grid.axis_quad_x, grid.axis_quad_w)):
+            # the first mode's factor at the first node fixes the axis dtype
+            ref = model.factors(self.modes[0])[d](t[:1])
 
-        def values(k, p0, p1):
-            v = model.phi(self.modes[k], grid.quad_x[p0:p1])
-            if v.dtype != ref.dtype or v.shape != (p1 - p0,) + ref.shape[1:]:
-                raise ContractViolation(
-                    f"mode {self.modes[k]} of {model.name} has values of dtype {v.dtype} "
-                    f"and shape {v.shape}, mode {self.modes[0]} of {ref.dtype} and "
-                    f"{(p1 - p0,) + ref.shape[1:]}: all modes of a model share one dtype "
-                    "and shape")
-            return v
+            def values(k, p0, p1, d=d, t=t, ref=ref):
+                v = model.factors(self.modes[k])[d](t[p0:p1])
+                if v.dtype != ref.dtype or v.shape != (p1 - p0,):
+                    raise ContractViolation(
+                        f"mode {self.modes[k]} of {model.name} has axis-{d} factor values "
+                        f"of dtype {v.dtype} and shape {v.shape}, mode {self.modes[0]} of "
+                        f"{ref.dtype} and {(p1 - p0,)}: all modes of a model share one "
+                        "dtype and shape")
+                return v[:, None]
 
-        for k in range(1, len(self.modes)):
-            values(k, 0, 1)       # a mismatch fails before the table shape is read
+            tables.append(_kernels.CellGram(values, (n, t.size, 1), ref.dtype, w, g).K)
         self.lams = np.array([model.eigenvalues[j - 1] for j in self.modes])
-        self.gram = _kernels.CellGram(values, (len(self.modes),) + grid.quad_x.shape[:1]
-                                      + ref.shape[1:], ref.dtype, grid.quad_w,
-                                      grid.pts_per_cell)
+        self.gram = _kernels.SeparableGram(tables, model.u[[j - 1 for j in self.modes]],
+                                           grid.shape)
 
     @functools.cached_property
     def V(self) -> np.ndarray:
         """The whole mode table (nmodes, npts, q), evaluated on first read.
 
-        Nothing in obsgrid reads it: the Gram tensor is built block by
-        block. perfbench/tracer.py reads its shape in traced runs; ROADMAP
-        item 7 deletes it.
+        Nothing in obsgrid reads it: the Gram operator is built from
+        per-axis factors. perfbench/tracer.py reads its shape in traced
+        runs; ROADMAP item 7 deletes it.
         """
         return np.stack([self.model.phi(j, self.grid.quad_x) for j in self.modes])
 

@@ -1,8 +1,9 @@
 """Explicit spectral models for the example parabolic systems.
 
 Each model carries a closed-form spectrum (complex eigenvalues with
-nondecreasing real parts), vectorized orthonormal eigenfunction
-evaluators, and the metadata that drives the large-time analysis:
+nondecreasing real parts), orthonormal eigenfunctions defined as products
+of vectorized per-axis factors times constant vectors, and the metadata
+that drives the large-time analysis:
 the lowest-real-part index set J1, the first index p0 beyond it, and
 the spectral gap Re(lambda_p0 - lambda_1).
 
@@ -58,20 +59,22 @@ class DomainSpec:
 class SpectralModel:
     """Spectrum + eigenfunctions of one named example system.
 
-    `evaluator(j, x)` maps a 1-based mode index and an (npts, dim) array
-    of points to an (npts, q) array of eigenfunction values, in one dtype
-    for all modes of a model: float64 where the modes are real, complex
-    otherwise.
+    Mode j is separable: phi_j(x) = prod_d f_jd(x_d) u_j. `factors(j)`
+    (1-based mode index j) returns the per-axis factors (f_j1, ..., f_jdim),
+    each a map of a 1D array of axis coordinates to values of its shape,
+    and u_j = `u[j-1]` is a constant q-vector. Along each axis every
+    mode's factor has one dtype; phi_j is float64 where the factors and u
+    are real, complex otherwise.
     `axis_index[j-1]` is the largest per-axis frequency index of mode j:
     along an axis of length l, a product of two modes up to j oscillates
     with wavelength no shorter than l / axis_index[j-1].
     """
 
     name: str
-    q: int
     domain: DomainSpec
     eigenvalues: np.ndarray          # complex, nondecreasing real parts
-    evaluator: Callable[[int, np.ndarray], np.ndarray]
+    factors: Callable[[int], tuple[Callable[[np.ndarray], np.ndarray], ...]]
+    u: np.ndarray                    # (n_max, q)
     axis_index: tuple[int, ...] = ()
     J1: tuple[int, ...] = field(init=False)
     p0: int = field(init=False)
@@ -90,16 +93,28 @@ class SpectralModel:
         if self.gap <= 0:
             raise ConfigurationError("spectral gap must be positive")
         self.eigenvalues = lams
+        self.u = np.asarray(self.u)
+        if self.u.ndim != 2 or len(self.u) != len(lams):
+            raise ConfigurationError("u must hold one constant vector per eigenvalue")
 
     @property
     def n_max(self) -> int:
         return len(self.eigenvalues)
 
+    @property
+    def q(self) -> int:
+        return self.u.shape[1]
+
     def phi(self, j: int, x: np.ndarray) -> np.ndarray:
         """Values of eigenfunction j at points x, shape (npts, q)."""
         if not 1 <= j <= self.n_max:
             raise IndexError(f"mode index {j} outside 1..{self.n_max}")
-        return self.evaluator(j, np.atleast_2d(np.asarray(x, dtype=float)))
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        f0, *rest = self.factors(j)
+        v = f0(x[:, 0])
+        for d, f in enumerate(rest, 1):
+            v = v * f(x[:, d])
+        return v[:, None] * self.u[j - 1]
 
 
 def _dirichlet_1d(n_max: int) -> SpectralModel:
@@ -107,10 +122,10 @@ def _dirichlet_1d(n_max: int) -> SpectralModel:
     lams = np.array([j * j for j in range(1, n_max + 1)], dtype=complex)
     c = np.sqrt(2.0 / np.pi)
 
-    def ev(j, x):
-        return (c * np.sin(j * x[:, 0]))[:, None]
+    def factors(j):
+        return (lambda t: c * np.sin(j * t),)
 
-    return SpectralModel("dirichlet_1d", 1, dom, lams, ev,
+    return SpectralModel("dirichlet_1d", dom, lams, factors, np.ones((n_max, 1)),
                          axis_index=tuple(range(1, n_max + 1)))
 
 
@@ -121,6 +136,11 @@ def _rect_pairs(n_max: int) -> list[tuple[int, int]]:
     return [(m, n) for m in range(1, kmax + 1) for n in range(1, kmax + 1)]
 
 
+def _rect_factors(m: int, n: int):
+    """The per-axis factors of 2 sin(m pi x) sin(n pi y)."""
+    return lambda t: 2.0 * np.sin(m * np.pi * t), lambda t: np.sin(n * np.pi * t)
+
+
 def _dirichlet_rect_2d(n_max: int) -> SpectralModel:
     dom = DomainSpec("rectangle", ((0.0, 1.0), (0.0, 1.0)))
     pairs = _rect_pairs(n_max)
@@ -128,11 +148,10 @@ def _dirichlet_rect_2d(n_max: int) -> SpectralModel:
     pairs = pairs[:n_max]
     lams = np.array([np.pi ** 2 * (m * m + n * n) for m, n in pairs], dtype=complex)
 
-    def ev(j, x):
-        m, n = pairs[j - 1]
-        return (2.0 * np.sin(m * np.pi * x[:, 0]) * np.sin(n * np.pi * x[:, 1]))[:, None]
+    def factors(j):
+        return _rect_factors(*pairs[j - 1])
 
-    return SpectralModel("dirichlet_rect_2d", 1, dom, lams, ev,
+    return SpectralModel("dirichlet_rect_2d", dom, lams, factors, np.ones((n_max, 1)),
                          axis_index=tuple(max(mn) for mn in pairs))
 
 
@@ -145,13 +164,13 @@ def _torus_1d(n_max: int) -> SpectralModel:
     lams = np.array([k * k for k, _ in ks], dtype=complex)
     c = 1.0 / np.sqrt(np.pi)
 
-    def ev(j, x):
+    def factors(j):
         k, trig = ks[j - 1]
         f = np.cos if trig == "cos" else np.sin
-        return (c * f(k * x[:, 0]))[:, None]
+        return (lambda t: c * f(k * t),)
 
     # cos(kx)^2 oscillates twice as fast as cos(kx)
-    return SpectralModel("torus_1d", 1, dom, lams, ev,
+    return SpectralModel("torus_1d", dom, lams, factors, np.ones((n_max, 1)),
                          axis_index=tuple(2 * k for k, _ in ks))
 
 
@@ -192,12 +211,11 @@ def _coupled_rect_2d(n_max: int, mu, u) -> SpectralModel:
     modes = modes[:n_max]
     lams = np.array([np.pi ** 2 * (m * m + n * n) + mu[i] for m, n, i in modes])
 
-    def ev(j, x):
-        m, n, i = modes[j - 1]
-        s = 2.0 * np.sin(m * np.pi * x[:, 0]) * np.sin(n * np.pi * x[:, 1])
-        return s[:, None] * u[i][None, :]
+    def factors(j):
+        return _rect_factors(*modes[j - 1][:2])
 
-    return SpectralModel("coupled_rect_2d", 3, dom, lams, ev,
+    return SpectralModel("coupled_rect_2d", dom, lams, factors,
+                         np.array([u[i] for _, _, i in modes]),
                          axis_index=tuple(max(m, n) for m, n, _ in modes))
 
 

@@ -1,13 +1,14 @@
-"""The per-cell Gram operator behind ModeBasis.mass and form_cells.
+"""The separable Gram operator behind ModeBasis.mass and form_cells.
 
 Both maps are checked against a direct quadrature over every Gauss point,
 written here from the definitions, on the real 1D Dirichlet and torus, the
 real 2D and the complex q=3 coupled model, and on random complex mode
-values. The per-cell tensor itself is checked bit for bit against the
-reduction of a complex-stacked mode table, and, split into several blocks
-of cells, against a reduction of whole-table copies. The reference tables
-are evaluated here from `model.phi`; CellGram reads them through a source
-that slices one block of one mode.
+values. The per-axis tables are checked bit for bit against the reduction
+of complex-stacked factor tables (on a 1D grid the one table is the
+per-cell tensor of the whole mode table), and a table of values split into
+several blocks of cells against a reduction of whole-table copies. The
+reference tables are evaluated here from `model.phi` and `model.factors`;
+CellGram reads them through a source that slices one block of one mode.
 """
 
 import dataclasses
@@ -19,10 +20,10 @@ import numpy as np
 import pytest
 
 from obsgrid import _kernels
-from obsgrid._kernels import CellGram
+from obsgrid._kernels import CellGram, SeparableGram
 from obsgrid.geometry import make_grid
 from obsgrid.gram import ContractViolation, ModeBasis
-from obsgrid.spectral import build_model
+from obsgrid.spectral import DomainSpec, SpectralModel, build_model
 
 REL = 1e-13
 MODELS = ("dirichlet_1d", "torus_1d", "dirichlet_rect_2d", "coupled_rect_2d")
@@ -68,9 +69,22 @@ def _basis_table(basis):
     return _table(basis.model, basis.grid, basis.modes)
 
 
+def _axis_table(model, grid, modes, d):
+    """Axis d's factor table (nmodes, points on the axis, 1), from model.factors."""
+    t = grid.axis_quad_x[d]
+    return np.stack([model.factors(j)[d](t) for j in modes])[:, :, None]
+
+
 def _gram(V, quad_w, pc):
     """CellGram of a whole table, read block by block through slices."""
     return CellGram(lambda k, p0, p1: V[k, p0:p1], V.shape, V.dtype, quad_w, pc)
+
+
+def _one_axis_operator(V, quad_w, pc):
+    """The separable operator of a raw table on a 1D grid: its per-cell
+    tensor with unit coefficients."""
+    n, npts, _ = V.shape
+    return SeparableGram((_gram(V, quad_w, pc).K,), np.ones((n, 1)), (npts // pc,))
 
 
 def _point_mass(V, quad_w, pc, a):
@@ -126,12 +140,44 @@ def test_complex_gram_matches_point_quadrature():
     n, nc, pc, q = 5, 40, 6, 2
     V = rng.standard_normal((n, nc * pc, q)) + 1j * rng.standard_normal((n, nc * pc, q))
     quad_w = rng.uniform(0.5, 1.0, nc * pc)
-    gram = _gram(V, quad_w, pc)
-    assert np.abs(gram.K.imag).max() > 0.1 * np.abs(gram.K).max()
+    gram = _one_axis_operator(V, quad_w, pc)
+    K, = gram.tables
+    assert np.abs(K.imag).max() > 0.1 * np.abs(K).max()
     a = rng.uniform(0.0, 1.0, nc)
     W = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     assert _rel_err(gram.mass(a), _point_mass(V, quad_w, pc, a)) <= REL
     assert _rel_err(gram.form(W), _point_form_cells(V, quad_w, pc, W)) <= REL
+
+
+def test_complex_factors_and_vectors_match_point_quadrature():
+    # complex per-axis factors and complex constant vectors on a 2D grid:
+    # complex tables and coefficients both enter the two products
+    rng = np.random.default_rng(12)
+    n, q = 5, 2
+    kx, ky = rng.uniform(0.5, 3.0, (2, n))
+    u = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
+
+    def factors(j):
+        return (lambda t: np.exp(1j * kx[j - 1] * t) * (1.0 + t),
+                lambda t: np.exp(-1j * ky[j - 1] * t) + 0.5)
+
+    model = SpectralModel("complex_2d", DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0))),
+                          np.arange(1, n + 1, dtype=complex), factors, u)
+    grid = make_grid(model.domain, (7, 9), 3)
+    basis = ModeBasis(model, grid, range(1, n + 1))
+    assert all(np.iscomplexobj(A) for A in basis.gram.tables)
+    V, g = _basis_table(basis), basis.grid
+    a, W = _density(basis, 13), _weights(basis, 14, False)
+    assert _rel_err(basis.mass(a), _point_mass(V, g.quad_w, g.pts_per_cell, a)) <= REL
+    assert _rel_err(basis.form_cells(W),
+                    _point_form_cells(V, g.quad_w, g.pts_per_cell, W)) <= REL
+
+
+def test_three_axes_rejected():
+    # the products cover one or two axes; a third table would be ignored
+    A = np.ones((3, 4))
+    with pytest.raises(ValueError, match="one or two axes, not 3"):
+        SeparableGram((A, A, A), np.ones((2, 1)), (4, 4, 4))
 
 
 def test_mass_is_hermitian(bases):
@@ -146,29 +192,57 @@ def test_mass_is_hermitian(bases):
         assert (M == M.conj().T).all()
 
 
-def _complex_stacked_K(basis):
-    """K reduced from every mode cast to complex and stacked into one table."""
-    g = basis.grid
-    V = _basis_table(basis).astype(complex)
-    return _gram(V, g.quad_w, g.pts_per_cell).K
-
-
 @pytest.mark.parametrize("name", MODELS)
-def test_tensor_bitwise_equal_to_complex_stacked_table(bases, name):
-    K, ref = bases[name].gram.K, _complex_stacked_K(bases[name])
-    assert K.dtype == ref.dtype and np.array_equal(K, ref)
+def test_tables_bitwise_equal_to_complex_stacked_tables(bases, name):
+    # each axis's table is the reduction of its factors, every one cast to
+    # complex and stacked into one table
+    basis = bases[name]
+    g = basis.grid
+    assert len(basis.gram.tables) == g.dim
+    for d, A in enumerate(basis.gram.tables):
+        F = _axis_table(basis.model, g, basis.modes, d).astype(complex)
+        ref = _gram(F, g.axis_quad_w[d], g.gauss_order).K
+        if d == 0 and name == "coupled_rect_2d":
+            # the first table carries the coefficients u_i . conj(u_j)
+            iu, ju = np.triu_indices(len(basis.modes))
+            U = basis.model.u[[j - 1 for j in basis.modes]]
+            ref = (U @ U.conj().T)[iu, ju][:, None] * ref
+            assert A.dtype == ref.dtype and _rel_err(A, ref) <= 1e-15
+        else:
+            assert A.dtype == ref.dtype and np.array_equal(A, ref)
 
 
-def test_tensor_real_exactly_for_real_modes(bases):
+@pytest.mark.parametrize("name", ["dirichlet_1d", "torus_1d"])
+def test_1d_table_is_the_per_cell_tensor(bases, name):
+    # on one axis the table is the per-cell tensor of the whole mode table,
+    # reduced from every mode cast to complex, bit for bit (the unit
+    # coefficients scale it exactly), and mass and form_cells are that
+    # tensor's GEMVs
+    basis = bases[name]
+    g = basis.grid
+    K = _gram(_basis_table(basis).astype(complex), g.quad_w, g.pts_per_cell).K
+    A, = basis.gram.tables
+    assert A.dtype == K.dtype and np.array_equal(A, K)
+    a, W = _density(basis, 10), _weights(basis, 11, True)
+    iu, ju = np.triu_indices(len(basis.modes))
+    w = np.where(iu == ju, W[iu, ju], W[iu, ju] + W[ju, iu].conj())
+    assert np.array_equal(basis.mass(a)[iu, ju], K @ a)
+    assert np.array_equal(basis.form_cells(W), w.real @ K)
+
+
+def test_tables_real_exactly_for_real_factors(bases):
     for name, basis in bases.items():
         real_modes = name != "coupled_rect_2d"
-        # the mode table keeps the dtype the model's modes have
+        # the mode table keeps the dtype the model's modes have; the
+        # coupled model's complex part is all in its constant vectors, so in
+        # the coefficients that scale the first table
         V = _basis_table(basis)
         assert V.dtype == (np.float64 if real_modes else np.complex128)
         assert V.imag.any() != real_modes
-        assert np.isrealobj(basis.gram.K) == real_modes
         n = len(basis.modes)
-        assert basis.gram.K.shape == (n * (n + 1) // 2, basis.grid.ncells)
+        for d, (A, cells) in enumerate(zip(basis.gram.tables, basis.grid.shape)):
+            assert np.isrealobj(A) == (real_modes or d > 0)
+            assert A.shape == (n * (n + 1) // 2, cells)
 
 
 def test_results_stable_across_calls(bases):
@@ -229,23 +303,28 @@ def test_tensor_bitwise_equal_at_two_cell_blocks(monkeypatch):
     assert np.array_equal(K, _full_copy_K(V, grid.quad_w, grid.pts_per_cell))
 
 
-MIXED = {"complex": lambda v: v.astype(complex), "flat": lambda v: v[:, 0],
-         "wide": lambda v: np.repeat(v, 2, axis=1)}
+MIXED = {"complex": lambda v: v.astype(complex), "column": lambda v: v[:, None],
+         "wide": lambda v: np.repeat(v, 2)}
 
 
+@pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
 @pytest.mark.parametrize("modes", [(1, 2), (2, 1)], ids=["other-second", "other-first"])
 @pytest.mark.parametrize("other", MIXED)
-def test_mixed_dtype_modes_raise(other, modes):
-    # mode 2 has values of another dtype or shape: neither is cast nor broadcast
-    base = build_model("dirichlet_1d", 4)
+def test_mixed_dtype_modes_raise(other, modes, axis):
+    # mode 2's factor along one axis has values of another dtype or shape:
+    # neither is cast nor broadcast
+    base = build_model("dirichlet_rect_2d", 4)
 
-    def mixed(j, x):
-        v = base.evaluator(j, x)
-        return MIXED[other](v) if j == 2 else v
+    def mixed(j):
+        fs = list(base.factors(j))
+        if j == 2:
+            f = fs[axis]
+            fs[axis] = lambda t: MIXED[other](f(t))
+        return tuple(fs)
 
-    model = dataclasses.replace(base, evaluator=mixed)
-    grid = make_grid(model.domain, 16, 3)
-    with pytest.raises(ContractViolation, match="one dtype and shape"):
+    model = dataclasses.replace(base, factors=mixed)
+    grid = make_grid(model.domain, (6, 5), 3)
+    with pytest.raises(ContractViolation, match=f"axis-{axis} .* one dtype and shape"):
         ModeBasis(model, grid, modes)
 
 
@@ -260,11 +339,12 @@ def test_empty_or_repeated_modes_raise(modes):
 
 
 def test_mode_table_build_peak_memory():
-    # 64x64 cells, 16 real modes: K is 4.25 MiB, the two block buffers
-    # CellGram reduces through 1 MiB each and the point weights 0.28 MiB;
-    # a resident table V (4.5 MiB) made the peak 11.4 MiB, two whole-table
-    # copies 18.0 MiB, and a list of complex modes stacked into a complex V
-    # 31.3 MiB. After the build only K and the packing indices stay.
+    # 64x64 cells, 16 real modes: the per-cell tensor K (4.25 MiB) made the
+    # build's peak 6.8 MiB; a resident table V (4.5 MiB) 11.4 MiB, two
+    # whole-table copies 18.0 MiB, and a list of complex modes stacked into
+    # a complex V 31.3 MiB. The separable build keeps no per-cell array:
+    # two 136 x 64 tables and the packing indices stay, and its block
+    # buffers and axis temporaries are O(n (nx + ny)).
     model = build_model("dirichlet_rect_2d", 16)
     grid = make_grid(model.domain, (64, 64), 3)
     tracing = tracemalloc.is_tracing()
@@ -278,9 +358,10 @@ def test_mode_table_build_peak_memory():
     finally:
         if not tracing:
             tracemalloc.stop()
-    K = basis.gram.K
-    assert peak <= K.nbytes + 2 * _kernels.BLOCK_BYTES + 2 ** 20
-    assert held <= K.nbytes + 2 ** 19
+    tables = basis.gram.tables
+    assert [A.shape for A in tables] == [(136, 64), (136, 64)]
+    assert held <= sum(A.nbytes for A in tables) + 2 ** 14
+    assert peak <= 2 ** 19
     basis.mass(np.full(grid.ncells, 0.5))
     basis.form_cells(np.eye(16))
     assert "V" not in vars(basis)
@@ -294,7 +375,9 @@ def _coupled_real_u():
 def test_complex_values_without_imaginary_parts_reduce_real(monkeypatch):
     # coupled_rect_2d with a real orthonormal u: complex values whose every
     # imaginary part is zero, in at least 3 blocks of cells, give the real
-    # K of the real table, bit for bit
+    # K of the real table, bit for bit; the basis's coefficients, complex
+    # with zero imaginary parts, reduce to real ones, and so do its first
+    # table and M(a)
     model = _coupled_real_u()
     grid = make_grid(model.domain, (17, 13), 3)
     modes = range(1, 10)
@@ -304,8 +387,12 @@ def test_complex_values_without_imaginary_parts_reduce_real(monkeypatch):
     m = grid.pts_per_cell * V.shape[2]
     monkeypatch.setattr(_kernels, "BLOCK_BYTES", 40 * 9 * m * 8)
     assert math.ceil(grid.ncells / 40) >= 3
-    K = ModeBasis(model, grid, modes).gram.K
+    K = _gram(V, grid.quad_w, grid.pts_per_cell).K
     assert K.dtype == np.float64 and np.array_equal(K, ref)
+    assert model.u.dtype == np.complex128
+    basis = ModeBasis(model, grid, modes)
+    assert basis.gram.tables[0].dtype == np.float64
+    assert basis.mass(np.full(grid.ncells, 0.5)).dtype == np.float64
 
 
 def test_imaginary_part_in_last_block_gives_complex_tensor(monkeypatch):

@@ -200,12 +200,13 @@ class TestMaximizeSigma1:
         from obsgrid.gram import GramForm
         c = np.sqrt(2.0 / PI)
 
-        def ev(j, x):
-            v = c * np.sin(j * x[:, 0]) * (np.exp(1j * x[:, 0]) if j == 2 else 1.0)
-            return v.astype(complex)[:, None]
+        def factors(j):
+            return (lambda t: (c * np.sin(j * t) * (np.exp(1j * t) if j == 2 else 1.0))
+                    .astype(complex),)
 
-        model = SpectralModel("complex_test", 1, DomainSpec("interval", ((0.0, PI),)),
-                              np.array([1.0, 1.0, 4.0], dtype=complex), ev)
+        model = SpectralModel("complex_test", DomainSpec("interval", ((0.0, PI),)),
+                              np.array([1.0, 1.0, 4.0], dtype=complex), factors,
+                              np.ones((3, 1)))
         assert model.J1 == (1, 2)
         grid = make_grid(model.domain, 256, 3)
         a = interval_indicator(grid, 0.3, 1.7)
@@ -245,12 +246,13 @@ class TestResultSupergradient:
     def test_maximize_sigma1_complex_modes(self):
         c = np.sqrt(2.0 / PI)
 
-        def ev(j, x):
-            v = c * np.sin(j * x[:, 0]) * (np.exp(1j * x[:, 0]) if j == 2 else 1.0)
-            return v.astype(complex)[:, None]
+        def factors(j):
+            return (lambda t: (c * np.sin(j * t) * (np.exp(1j * t) if j == 2 else 1.0))
+                    .astype(complex),)
 
-        model = SpectralModel("complex_test", 1, DomainSpec("interval", ((0.0, PI),)),
-                              np.array([1.0, 1.0, 4.0], dtype=complex), ev)
+        model = SpectralModel("complex_test", DomainSpec("interval", ((0.0, PI),)),
+                              np.array([1.0, 1.0, 4.0], dtype=complex), factors,
+                              np.ones((3, 1)))
         res = maximize_sigma1(model, make_grid(model.domain, 256, 3), 0.5)
         assert res.cluster_size == 1
         assert _pairing(res) == pytest.approx(res.value, rel=1e-12)

@@ -46,8 +46,36 @@ class TestBuildModel:
     def test_metadata_is_derived_not_passed(self, key, value):
         m = build_model("dirichlet_1d", 3)
         with pytest.raises(TypeError):
-            SpectralModel(m.name, m.q, m.domain, m.eigenvalues, m.evaluator,
+            SpectralModel(m.name, m.domain, m.eigenvalues, m.factors, m.u,
                           **{key: value})
+
+    def test_phi_bitwise_equal_to_closed_forms(self):
+        # phi is the product of a mode's per-axis factors and its constant
+        # vector, bit for bit the closed form of each built-in model
+        rng = np.random.default_rng(0)
+        x1, x2 = rng.uniform(0.0, 2 * np.pi, (40, 1)), rng.uniform(0.0, 1.0, (40, 2))
+        c, ct = np.sqrt(2.0 / np.pi), 1.0 / np.sqrt(np.pi)
+        u = np.linalg.qr(np.arange(1, 10).reshape(3, 3) + 1j * np.eye(3))[0].T
+        coupled = build_model("coupled_rect_2d", 3, mu=[1 + 2j, 1 - 2j, 3.0], u=u)
+        rect = build_model("dirichlet_rect_2d", 6)
+        torus = build_model("torus_1d", 4)
+        dirichlet = build_model("dirichlet_1d", 4)
+
+        def sines(m, n):
+            return 2.0 * np.sin(m * np.pi * x2[:, 0]) * np.sin(n * np.pi * x2[:, 1])
+
+        cases = [(dirichlet.phi(j, x1), (c * np.sin(j * x1[:, 0]))[:, None])
+                 for j in range(1, 5)]
+        cases += [(torus.phi(j, x1), (ct * f(k * x1[:, 0]))[:, None])
+                  for j, (k, f) in enumerate([(1, np.cos), (1, np.sin), (2, np.cos),
+                                              (2, np.sin)], 1)]
+        cases += [(rect.phi(j, x2), sines(m, n)[:, None])
+                  for j, (m, n) in enumerate([(1, 1), (1, 2), (2, 1), (2, 2), (1, 3),
+                                              (3, 1)], 1)]
+        cases += [(coupled.phi(j, x2), sines(1, 1)[:, None] * u[j - 1][None, :])
+                  for j in range(1, 4)]
+        for got, ref in cases:
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
     def test_coupled_structure(self):
         mu = [1.0 + 2.0j, 1.0 - 2.0j, 3.0]
