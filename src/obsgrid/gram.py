@@ -37,46 +37,45 @@ class ModeBasis:
 
     Each mode is a product of per-axis factors times a constant vector
     (`SpectralModel`), so the basis reduces one per-axis table
-    (`_kernels.CellGram`) per grid axis from the factors at that axis's
-    Gauss nodes, evaluated one block of cells at a time straight into the
-    reduction's block buffer, plus one coefficient u_i . conj(u_j) per mode
-    pair. No per-cell Gram array and no table of mode values is kept: on
-    64x64 cells with 16 modes the two tables hold 136 x 64 values each.
-    Along each axis every mode's factor has the dtype of the first mode's
-    and shape (points,); a factor of another dtype or shape raises
-    ContractViolation, so no imaginary part is ever dropped and no value is
-    broadcast; so does an empty mode set or one that names a mode twice
-    (its every mass matrix would be singular). Every density-dependent
-    quantity is then two small matrix products (one on a 1D grid), real
-    when every factor and vector is real. Reused across all assemblies on
-    one (model, grid, modes) triple.
+    (`_kernels.axis_table`) per grid axis from the factors evaluated once
+    at all of that axis's Gauss nodes, plus one coefficient
+    u_i . conj(u_j) per mode pair. No per-cell Gram array and no table of
+    mode values is kept: on 64x64 cells with 16 modes the two tables hold
+    136 x 64 values each. Along each axis every mode's factor has the
+    dtype of the first mode's and shape (points,); a factor of another
+    dtype or shape raises ContractViolation, so no imaginary part is ever
+    dropped and no value is broadcast; so does an empty mode set, a mode
+    outside 1..n_max or one named twice (its every mass matrix would be
+    singular). Every density-dependent quantity is then two small matrix
+    products (one on a 1D grid), real when every factor and vector is
+    real. Reused across all assemblies on one (model, grid, modes) triple.
     """
 
     def __init__(self, model: SpectralModel, grid: Grid, modes):
         self.model = model
         self.grid = grid
         self.modes = tuple(int(j) for j in modes)
-        if not self.modes or len(set(self.modes)) < len(self.modes):
+        if (not self.modes or len(set(self.modes)) < len(self.modes)
+                or not all(1 <= j <= model.n_max for j in self.modes)):
             raise ContractViolation(
                 f"modes {self.modes} of {model.name}: a mode basis needs at least "
-                "one mode and no mode twice")
+                f"one mode, each in 1..{model.n_max} and none twice")
         n, g = len(self.modes), grid.gauss_order
         tables = []
         for d, (t, w) in enumerate(zip(grid.axis_quad_x, grid.axis_quad_w)):
-            # the first mode's factor at the first node fixes the axis dtype
-            ref = model.factors(self.modes[0])[d](t[:1])
-
-            def values(k, p0, p1, d=d, t=t, ref=ref):
-                v = model.factors(self.modes[k])[d](t[p0:p1])
-                if v.dtype != ref.dtype or v.shape != (p1 - p0,):
+            X = None
+            for k, j in enumerate(self.modes):
+                v = model.factors(j)[d](t)
+                if X is None:       # the first mode's factor fixes the axis dtype
+                    X = np.empty((n, g, t.size // g), dtype=v.dtype)
+                if v.dtype != X.dtype or v.shape != t.shape:
                     raise ContractViolation(
-                        f"mode {self.modes[k]} of {model.name} has axis-{d} factor values "
+                        f"mode {j} of {model.name} has axis-{d} factor values "
                         f"of dtype {v.dtype} and shape {v.shape}, mode {self.modes[0]} of "
-                        f"{ref.dtype} and {(p1 - p0,)}: all modes of a model share one "
+                        f"{X.dtype} and {t.shape}: all modes of a model share one "
                         "dtype and shape")
-                return v[:, None]
-
-            tables.append(_kernels.CellGram(values, (n, t.size, 1), ref.dtype, w, g).K)
+                X[k] = v.reshape(-1, g).T
+            tables.append(_kernels.axis_table(X, w.reshape(-1, g).T))
         self.lams = np.array([model.eigenvalues[j - 1] for j in self.modes])
         self.gram = _kernels.SeparableGram(tables, model.u[[j - 1 for j in self.modes]],
                                            grid.shape)
@@ -146,8 +145,6 @@ class GramForm:
     def __init__(self, model: SpectralModel, grid: Grid, T: float, N: int):
         if not 1 <= N <= model.n_max:
             raise ValueError(f"N must be in 1..{model.n_max}")
-        if T <= 0:
-            raise ValueError("T must be positive")
         basis = get_basis(model, grid, tuple(range(1, N + 1)))
         lams = basis.lams
         hhat = np.empty((N, N), dtype=complex)

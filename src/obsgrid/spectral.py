@@ -15,6 +15,7 @@ modes; gamma_j(T) is tau(lambda_j, lambda_j, T).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -281,8 +282,8 @@ def tau(lam_i: complex, lam_j: complex, T: float) -> FactoredScalar:
     oscillatory part e^{i Im(lam_i - lam_j) T} (1 - e^{-sT})/s with
     s = lam_i + conj(lam_j), and equals T when s = 0.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"T must be finite and positive, got {T}")
     lam_i = complex(lam_i)
     lam_j = complex(lam_j)
     s = lam_i + lam_j.conjugate()

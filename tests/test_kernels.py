@@ -3,24 +3,21 @@
 Both maps are checked against a direct quadrature over every Gauss point,
 written here from the definitions, on the real 1D Dirichlet and torus, the
 real 2D and the complex q=3 coupled model, and on random complex mode
-values. The per-axis tables are checked bit for bit against the reduction
-of complex-stacked factor tables (on a 1D grid the one table is the
-per-cell tensor of the whole mode table), and a table of values split into
-several blocks of cells against a reduction of whole-table copies. The
-reference tables are evaluated here from `model.phi` and `model.factors`;
-CellGram reads them through a source that slices one block of one mode.
+values. The per-axis tables are checked bit for bit against a reduction
+of whole-table copies of complex-stacked factor tables (on a 1D grid the
+one table is the per-cell tensor of the whole mode table), and
+`axis_table` on whole mode tables against that reduction. The reference
+tables are evaluated here from `model.phi` and `model.factors`.
 """
 
 import dataclasses
-import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from obsgrid import _kernels
-from obsgrid._kernels import CellGram, SeparableGram
+from obsgrid._kernels import SeparableGram, axis_table
 from obsgrid.geometry import make_grid
 from obsgrid.gram import ContractViolation, ModeBasis
 from obsgrid.spectral import DomainSpec, SpectralModel, build_model
@@ -75,16 +72,13 @@ def _axis_table(model, grid, modes, d):
     return np.stack([model.factors(j)[d](t) for j in modes])[:, :, None]
 
 
-def _gram(V, quad_w, pc):
-    """CellGram of a whole table, read block by block through slices."""
-    return CellGram(lambda k, p0, p1: V[k, p0:p1], V.shape, V.dtype, quad_w, pc)
-
-
-def _one_axis_operator(V, quad_w, pc):
-    """The separable operator of a raw table on a 1D grid: its per-cell
-    tensor with unit coefficients."""
-    n, npts, _ = V.shape
-    return SeparableGram((_gram(V, quad_w, pc).K,), np.ones((n, 1)), (npts // pc,))
+def _cell_major(V, quad_w, pc):
+    """A table (nmodes, npts, q) and its point weights as `axis_table`
+    takes them: the pc * q values of each cell outermost, cells inner."""
+    n, npts, q = V.shape
+    nc, m = npts // pc, pc * q
+    X = np.ascontiguousarray(V.reshape(n, nc, m).transpose(0, 2, 1))
+    return X, np.repeat(quad_w, q).reshape(nc, m).T
 
 
 def _point_mass(V, quad_w, pc, a):
@@ -137,10 +131,11 @@ def test_complex_gram_matches_point_quadrature():
     # the coupled model's cross-mode integrals are real (orthonormal u), so
     # random complex mode values exercise the conjugations of the packing
     rng = np.random.default_rng(7)
-    n, nc, pc, q = 5, 40, 6, 2
-    V = rng.standard_normal((n, nc * pc, q)) + 1j * rng.standard_normal((n, nc * pc, q))
+    n, nc, pc = 5, 40, 6
+    V = rng.standard_normal((n, nc * pc, 1)) + 1j * rng.standard_normal((n, nc * pc, 1))
     quad_w = rng.uniform(0.5, 1.0, nc * pc)
-    gram = _one_axis_operator(V, quad_w, pc)
+    # the separable operator of one axis: its table with unit coefficients
+    gram = SeparableGram((axis_table(*_cell_major(V, quad_w, pc)),), np.ones((n, 1)), (nc,))
     K, = gram.tables
     assert np.abs(K.imag).max() > 0.1 * np.abs(K).max()
     a = rng.uniform(0.0, 1.0, nc)
@@ -194,14 +189,14 @@ def test_mass_is_hermitian(bases):
 
 @pytest.mark.parametrize("name", MODELS)
 def test_tables_bitwise_equal_to_complex_stacked_tables(bases, name):
-    # each axis's table is the reduction of its factors, every one cast to
-    # complex and stacked into one table
+    # each axis's table is the whole-table reduction of its factors, every
+    # one cast to complex and stacked into one table
     basis = bases[name]
     g = basis.grid
     assert len(basis.gram.tables) == g.dim
     for d, A in enumerate(basis.gram.tables):
         F = _axis_table(basis.model, g, basis.modes, d).astype(complex)
-        ref = _gram(F, g.axis_quad_w[d], g.gauss_order).K
+        ref = _full_copy_K(F, g.axis_quad_w[d], g.gauss_order)
         if d == 0 and name == "coupled_rect_2d":
             # the first table carries the coefficients u_i . conj(u_j)
             iu, ju = np.triu_indices(len(basis.modes))
@@ -220,7 +215,7 @@ def test_1d_table_is_the_per_cell_tensor(bases, name):
     # tensor's GEMVs
     basis = bases[name]
     g = basis.grid
-    K = _gram(_basis_table(basis).astype(complex), g.quad_w, g.pts_per_cell).K
+    K = _full_copy_K(_basis_table(basis).astype(complex), g.quad_w, g.pts_per_cell)
     A, = basis.gram.tables
     assert A.dtype == K.dtype and np.array_equal(A, K)
     a, W = _density(basis, 10), _weights(basis, 11, True)
@@ -255,11 +250,10 @@ def test_results_stable_across_calls(bases):
 def _full_copy_K(V, quad_w, pc):
     """K reduced from whole-table copies: the transposed table, its weighted
     conjugate and one einsum per mode row over all cells at once."""
-    n, npts, q = V.shape
-    nc, m = npts // pc, pc * q
     real = np.isrealobj(V) or not V.imag.any()
-    X = np.ascontiguousarray((V.real if real else V).reshape(n, nc, m).transpose(0, 2, 1))
-    Xw = np.conj(X * np.repeat(quad_w, q).reshape(nc, m).T)
+    X, w = _cell_major(V.real if real else V, quad_w, pc)
+    Xw = np.conj(X * w)
+    n, _, nc = X.shape
     iu, ju = np.triu_indices(n)
     K = np.empty((len(iu), nc), dtype=X.dtype)
     k = 0
@@ -272,35 +266,17 @@ def _full_copy_K(V, quad_w, pc):
 
 
 @pytest.mark.parametrize("name", MODELS)
-def test_tensor_bitwise_equal_to_full_copy_reduction(monkeypatch, name):
-    # prime cell counts, 4 blocks of which the last is partial; weights
-    # that differ from cell to cell, so a block read at another cell's
-    # weights shows
+def test_tensor_bitwise_equal_to_full_copy_reduction(name):
+    # whole mode tables on prime cell counts; weights that differ from cell
+    # to cell, so a value reduced at another cell's weights shows
     model = _model(name)[0]
     cells = 97 if model.domain.dim == 1 else (37, 23)
     grid = make_grid(model.domain, cells, 3)
     V = _table(model, grid, range(1, model.n_max + 1))
     quad_w = grid.quad_w * np.random.default_rng(8).uniform(0.5, 1.5, grid.quad_w.size)
     ref = _full_copy_K(V, quad_w, grid.pts_per_cell)
-    n, nc = V.shape[0], grid.ncells
-    B = nc // 3 - 1
-    assert math.ceil(nc / B) >= 3 and nc % B
-    m = grid.pts_per_cell * V.shape[2]
-    monkeypatch.setattr(_kernels, "BLOCK_BYTES", B * n * m * ref.itemsize)
-    K = _gram(V, quad_w, grid.pts_per_cell).K
+    K = axis_table(*_cell_major(V, quad_w, grid.pts_per_cell))
     assert K.dtype == ref.dtype and np.array_equal(K, ref)
-
-
-def test_tensor_bitwise_equal_at_two_cell_blocks(monkeypatch):
-    # a budget below one cell still reduces two cells per block (the last
-    # one cell of a wider buffer): einsum sums the contiguous point axis of
-    # a one-cell buffer in another order
-    model = build_model("dirichlet_rect_2d", 16)
-    grid = make_grid(model.domain, (7, 5), 3)
-    V = _table(model, grid, range(1, 17))
-    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1)
-    K = _gram(V, grid.quad_w, grid.pts_per_cell).K
-    assert np.array_equal(K, _full_copy_K(V, grid.quad_w, grid.pts_per_cell))
 
 
 MIXED = {"complex": lambda v: v.astype(complex), "column": lambda v: v[:, None],
@@ -328,42 +304,50 @@ def test_mixed_dtype_modes_raise(other, modes, axis):
         ModeBasis(model, grid, modes)
 
 
-@pytest.mark.parametrize("modes", [(), (1, 1), (2, 1, 2)],
-                         ids=["empty", "repeated", "repeated-apart"])
+@pytest.mark.parametrize("modes", [(), (1, 1), (2, 1, 2), (0,), (-1, 1), (5,)],
+                         ids=["empty", "repeated", "repeated-apart", "zero", "negative",
+                              "above-n-max"])
 def test_empty_or_repeated_modes_raise(modes):
-    # an empty basis has no table; a repeated mode makes every mass singular
+    # an empty basis has no table; a repeated mode makes every mass singular;
+    # a mode outside 1..n_max would alias another mode's factors or eigenvalue
     model = build_model("dirichlet_1d", 4)
     grid = make_grid(model.domain, 16, 3)
     with pytest.raises(ContractViolation, match=re.escape(f"modes {modes}")):
         ModeBasis(model, grid, modes)
 
 
-def test_mode_table_build_peak_memory():
+@pytest.mark.parametrize("name, n, cells", [("dirichlet_rect_2d", 16, (64, 64)),
+                                           ("dirichlet_1d", 16, 1024)],
+                         ids=["solve2d", "smallt"])
+def test_mode_table_build_peak_memory(name, n, cells):
     # 64x64 cells, 16 real modes: the per-cell tensor K (4.25 MiB) made the
     # build's peak 6.8 MiB; a resident table V (4.5 MiB) 11.4 MiB, two
     # whole-table copies 18.0 MiB, and a list of complex modes stacked into
-    # a complex V 31.3 MiB. The separable build keeps no per-cell array:
-    # two 136 x 64 tables and the packing indices stay, and its block
-    # buffers and axis temporaries are O(n (nx + ny)).
-    model = build_model("dirichlet_rect_2d", 16)
-    grid = make_grid(model.domain, (64, 64), 3)
+    # a complex V 31.3 MiB. The separable build keeps only its tables and
+    # the packing indices; its peak is twice the tables (SeparableGram
+    # scales a copy of the first) plus each axis's factor values and their
+    # weighted conjugate, so no whole-grid array is built. In 1D the one
+    # table is the per-cell tensor (smallt's largest basis: 1.1 MB).
+    model = build_model(name, n)
+    grid = make_grid(model.domain, cells, 3)
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        basis = ModeBasis(model, grid, range(1, 17))
+        basis = ModeBasis(model, grid, range(1, n + 1))
         held, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         if not tracing:
             tracemalloc.stop()
     tables = basis.gram.tables
-    assert [A.shape for A in tables] == [(136, 64), (136, 64)]
-    assert held <= sum(A.nbytes for A in tables) + 2 ** 14
-    assert peak <= 2 ** 19
+    assert [A.shape for A in tables] == [(n * (n + 1) // 2, c) for c in grid.shape]
+    table_bytes = sum(A.nbytes for A in tables)
+    assert held <= table_bytes + 2 ** 14
+    assert peak <= 2 * table_bytes + 2 * n * grid.gauss_order * sum(grid.shape) * 8
     basis.mass(np.full(grid.ncells, 0.5))
-    basis.form_cells(np.eye(16))
+    basis.form_cells(np.eye(n))
     assert "V" not in vars(basis)
 
 
@@ -372,39 +356,13 @@ def _coupled_real_u():
     return build_model("coupled_rect_2d", 9, mu=[1 + 2j, 1 - 2j, 3.0], u=u)
 
 
-def test_complex_values_without_imaginary_parts_reduce_real(monkeypatch):
-    # coupled_rect_2d with a real orthonormal u: complex values whose every
-    # imaginary part is zero, in at least 3 blocks of cells, give the real
-    # K of the real table, bit for bit; the basis's coefficients, complex
-    # with zero imaginary parts, reduce to real ones, and so do its first
-    # table and M(a)
+def test_complex_values_without_imaginary_parts_reduce_real():
+    # coupled_rect_2d with a real orthonormal u: the basis's coefficients,
+    # complex with zero imaginary parts, reduce to real ones, and so do its
+    # first table and M(a)
     model = _coupled_real_u()
     grid = make_grid(model.domain, (17, 13), 3)
-    modes = range(1, 10)
-    V = _table(model, grid, modes)
-    assert V.dtype == np.complex128 and not V.imag.any()
-    ref = _full_copy_K(V.real.copy(), grid.quad_w, grid.pts_per_cell)
-    m = grid.pts_per_cell * V.shape[2]
-    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 40 * 9 * m * 8)
-    assert math.ceil(grid.ncells / 40) >= 3
-    K = _gram(V, grid.quad_w, grid.pts_per_cell).K
-    assert K.dtype == np.float64 and np.array_equal(K, ref)
-    assert model.u.dtype == np.complex128
-    basis = ModeBasis(model, grid, modes)
+    assert model.u.dtype == np.complex128 and not model.u.imag.any()
+    basis = ModeBasis(model, grid, range(1, 10))
     assert basis.gram.tables[0].dtype == np.float64
     assert basis.mass(np.full(grid.ncells, 0.5)).dtype == np.float64
-
-
-def test_imaginary_part_in_last_block_gives_complex_tensor(monkeypatch):
-    # the table's only nonzero imaginary part is at its last point, in the
-    # last of at least 3 blocks: the scan finds it and K stays complex
-    rng = np.random.default_rng(9)
-    n, nc, pc, q = 4, 50, 4, 2
-    V = rng.standard_normal((n, nc * pc, q)).astype(complex)
-    V[-1, -1, -1] += 0.5j
-    quad_w = rng.uniform(0.5, 1.0, nc * pc)
-    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 16 * n * pc * q * 16)
-    assert math.ceil(nc / 16) >= 3
-    K = _gram(V, quad_w, pc).K
-    assert K.dtype == np.complex128 and np.abs(K.imag).max() > 0.0
-    assert np.array_equal(K, _full_copy_K(V, quad_w, pc))

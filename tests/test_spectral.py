@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from obsgrid.geometry import make_grid
-from obsgrid.gram import get_basis
+from obsgrid.gram import get_basis, obs_constant_rand
 from obsgrid.spectral import (ConfigurationError, SpectralModel, build_model,
                               gamma_from_lambda, tau)
 
@@ -215,3 +215,11 @@ class TestTau:
         t = tau(400.0, 500.0, 2.0)
         assert t.exponent == pytest.approx(1800.0)
         assert abs(t.mantissa) < 2.0 + 1.0 / 3.0
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_horizon(self, d1d, grid1024, T):
+        # a NaN horizon gave a NaN tau, and so a zero randomized constant
+        with pytest.raises(ValueError, match="T must be finite and positive"):
+            tau(1.0, 1.0, T)
+        with pytest.raises(ValueError, match="T must be finite and positive"):
+            obs_constant_rand(d1d, grid1024, np.ones(grid1024.ncells), T, 4)
