@@ -371,6 +371,11 @@ def _write_records_csv(path, header, records) -> None:
                               for r in records))
 
 
+def _horizon(T: float) -> str:
+    """T as text that reads back as T: repr without a trailing ".0"."""
+    return repr(float(T)).removesuffix(".0")
+
+
 def _write_solution(out: Path, res, suffix: str = "") -> None:
     """A FW solve's density{suffix}.csv and history{suffix}.csv."""
     write_density_csv(out / f"density{suffix}.csv", res.a_star)
@@ -390,7 +395,7 @@ def _solve_record(rep, model, grid, T: float, N: int, res, **fields) -> None:
         rep.warnings.append(warning)
     if not res.converged:
         rel = res.fw_gap / abs(res.value) if res.value else math.inf
-        rep.warnings.append(f"FW solve at T={T:g}, N={N} stopped unconverged: "
+        rep.warnings.append(f"FW solve at T={_horizon(T)}, N={N} stopped unconverged: "
                             f"gap/value = {rel:.3g}")
     rep.records.append({"T": T, "N": N, **res.as_dict(),
                         "bangbang_frac": bang_bang_fraction(res.a_star), **fields})
@@ -445,7 +450,7 @@ def _sweep_point(model, grid, cfg, T, a1, sigma1_max):
         lower, upper = cert.lower_bound, cert.upper_bound
     except (ValueError, OverflowError) as e:
         lower = upper = None
-        warning = f"no certificate at T={T:g}: {e}"
+        warning = f"no certificate at T={_horizon(T)}: {e}"
     lam1 = model.eigenvalues[0]
     g1 = tau(lam1, lam1, T).value().real
     ratio = res.value / (g1 * sigma1_max)
@@ -473,7 +478,7 @@ def run_sweep(cfg) -> ExperimentReport:
             rep.warnings.append(warning)
         _solve_record(rep, model, grid, T, cfg["N"], res, lower_bound=lower,
                       upper_bound=upper, l1_dist=d, ratio=ratio)
-        _write_solution(out, res, f"_T{T:g}")
+        _write_solution(out, res, f"_T{_horizon(T)}")
     rep.timing["sweep_s"] = time.perf_counter() - t0
     if not rep.records:                  # the warnings are the failures
         raise RuntimeError("all sweep points failed: " + "; ".join(rep.warnings))

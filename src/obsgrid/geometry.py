@@ -1,4 +1,4 @@
-"""Tensor-product grids, quadrature, relaxed densities and the bathtub oracle.
+"""Tensor grids with per-axis quadrature, relaxed densities and the bathtub oracle.
 
 Densities are piecewise constant per cell; the relaxed feasible set
 {0 <= a <= 1, mean = L} is closed under that discretization, which makes
@@ -28,7 +28,8 @@ class Grid:
     Every cell has the same measure, and construction rejects anything
     else: the bathtub oracle reads its quantile by selection, which is
     exact only when the measure of the k largest cells does not depend on
-    which cells they are.
+    which cells they are. Its one quadrature rule is the Gauss rule on
+    each axis's cells; a cell's rule is their tensor product, never stored.
     """
 
     domain: DomainSpec
@@ -36,11 +37,7 @@ class Grid:
     gauss_order: int
     centers: np.ndarray           # (ncells, dim), cell-major C order
     cell_measures: np.ndarray     # (ncells,), all equal
-    quad_x: np.ndarray            # (npts, dim), cell-major blocks of pts_per_cell
-    quad_w: np.ndarray            # (npts,)
-    # per axis d: the Gauss nodes and weights of the 1D rule on that
-    # axis's cells, cell-major (shape[d] * gauss_order,); quad_x and quad_w
-    # are their tensor products
+    # per axis d: the Gauss nodes and weights on its cells, cell-major (shape[d] * g,)
     axis_quad_x: tuple[np.ndarray, ...]
     axis_quad_w: tuple[np.ndarray, ...]
 
@@ -92,10 +89,6 @@ class Grid:
         return tuple(templates)
 
     @property
-    def pts_per_cell(self) -> int:
-        return self.gauss_order ** self.dim
-
-    @property
     def measure(self) -> float:
         return self.domain.measure
 
@@ -116,7 +109,7 @@ class SpatialFunction:
 
 
 def make_grid(domain: DomainSpec, cells_per_axis, gauss_order: int = 3) -> Grid:
-    """Uniform tensor grid with per-cell Gauss-Legendre nodes."""
+    """Uniform tensor grid with a Gauss-Legendre rule on each axis's cells."""
     if not 1 <= gauss_order <= 5:
         raise ValueError("gauss_order must be in 1..5")
     if np.isscalar(cells_per_axis):
@@ -132,36 +125,15 @@ def make_grid(domain: DomainSpec, cells_per_axis, gauss_order: int = 3) -> Grid:
         c = lo + h * (np.arange(n) + 0.5)
         axes_centers.append(c)
         axes_h.append(h)
-        axes_nodes.append(c[:, None] + (h / 2) * gx[None, :])   # (n, g)
-        axes_wts.append(np.full(n, 1.0)[:, None] * (h / 2) * gw[None, :])
+        axes_nodes.append((c[:, None] + (h / 2) * gx).reshape(-1))    # cell-major
+        axes_wts.append(np.tile((h / 2) * gw, n))
 
-    mesh = np.meshgrid(*axes_centers, indexing="ij")
-    centers = np.stack([m.ravel() for m in mesh], axis=1)
+    mesh = np.meshgrid(*axes_centers, indexing="ij", copy=False)    # views, no copies
+    centers = np.stack(mesh, axis=-1).reshape(-1, len(shape))
     cell_meas = np.full(int(np.prod(shape)), float(np.prod(axes_h)))
 
-    # quadrature points cell-major: for each cell, the g^dim tensor nodes,
-    # written in place through an (cells..., gauss..., dim) view
-    dim, g = len(shape), gauss_order
-    quad_x = np.empty((cell_meas.size * g ** dim, dim))
-    wts = np.ones(quad_x.shape[0])
-    xv = quad_x.reshape(shape + (g,) * dim + (dim,))
-    wv = wts.reshape(shape + (g,) * dim)
-    for d in range(dim):
-        axis_shape = [1] * (2 * dim)
-        axis_shape[d], axis_shape[dim + d] = shape[d], g
-        xv[..., d] = axes_nodes[d].reshape(axis_shape)
-        wv *= axes_wts[d].reshape(axis_shape)
-
-    return Grid(domain, shape, gauss_order, centers, cell_meas, quad_x, wts,
-                tuple(x.reshape(-1) for x in axes_nodes),
-                tuple(w.reshape(-1) for w in axes_wts))
-
-
-def cell_average(grid: Grid, fn) -> np.ndarray:
-    """Cell averages of a callable via the per-cell Gauss rule."""
-    vals = np.asarray(fn(grid.quad_x)).reshape(grid.ncells, grid.pts_per_cell)
-    w = grid.quad_w.reshape(grid.ncells, grid.pts_per_cell)
-    return (vals * w).sum(axis=1) / grid.cell_measures
+    return Grid(domain, shape, gauss_order, centers, cell_meas,
+                tuple(axes_nodes), tuple(axes_wts))
 
 
 def bathtub(grid: Grid, f, L: float) -> tuple[DensityField, float]:

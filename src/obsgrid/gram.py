@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -45,21 +46,22 @@ class ModeBasis:
     dtype of the first mode's and shape (points,); a factor of another
     dtype or shape raises ContractViolation, so no imaginary part is ever
     dropped and no value is broadcast; so does an empty mode set, a mode
-    outside 1..n_max or one named twice (its every mass matrix would be
-    singular). Every density-dependent quantity is then two small matrix
-    products (one on a 1D grid), real when every factor and vector is
-    real. Reused across all assemblies on one (model, grid, modes) triple.
+    not an integer in 1..n_max or one named twice (its every mass matrix
+    would be singular). Every density-dependent quantity is then two small
+    matrix products (one on a 1D grid), real when every factor and vector
+    is real. Reused across all assemblies on one (model, grid, modes) triple.
     """
 
     def __init__(self, model: SpectralModel, grid: Grid, modes):
         self.model = model
         self.grid = grid
-        self.modes = tuple(int(j) for j in modes)
-        if (not self.modes or len(set(self.modes)) < len(self.modes)
-                or not all(1 <= j <= model.n_max for j in self.modes)):
+        modes = tuple(modes)
+        if (not modes or len(set(modes)) < len(modes) or not all(
+                isinstance(j, numbers.Integral) and 1 <= j <= model.n_max for j in modes)):
             raise ContractViolation(
-                f"modes {self.modes} of {model.name}: a mode basis needs at least "
-                f"one mode, each in 1..{model.n_max} and none twice")
+                f"modes {modes} of {model.name}: a mode basis needs at least "
+                f"one mode, each an integer in 1..{model.n_max} and none twice")
+        self.modes = tuple(map(int, modes))
         n, g = len(self.modes), grid.gauss_order
         tables = []
         for d, (t, w) in enumerate(zip(grid.axis_quad_x, grid.axis_quad_w)):
@@ -76,19 +78,26 @@ class ModeBasis:
                         "dtype and shape")
                 X[k] = v.reshape(-1, g).T
             tables.append(_kernels.axis_table(X, w.reshape(-1, g).T))
+        del X, v        # no factor values stay alive while SeparableGram copies a table
         self.lams = np.array([model.eigenvalues[j - 1] for j in self.modes])
         self.gram = _kernels.SeparableGram(tables, model.u[[j - 1 for j in self.modes]],
                                            grid.shape)
 
     @functools.cached_property
     def V(self) -> np.ndarray:
-        """The whole mode table (nmodes, npts, q), evaluated on first read.
+        """The whole mode table (nmodes, ncells * g^dim, q) at every cell's
+        tensor Gauss nodes, cell-major, evaluated on first read.
 
         Nothing in obsgrid reads it: the Gram operator is built from
         per-axis factors. perfbench/tracer.py reads its shape in traced
         runs; ROADMAP item 7 deletes it.
         """
-        return np.stack([self.model.phi(j, self.grid.quad_x) for j in self.modes])
+        g, dim = self.grid.gauss_order, self.grid.dim
+        # point (c_0, ..., k_0, ...) in C order: on axis d, node k_d of cell c_d
+        ck = np.indices(self.grid.shape + (g,) * dim).reshape(2 * dim, -1)
+        x = np.stack([t.reshape(-1, g)[ck[d], ck[dim + d]]
+                      for d, t in enumerate(self.grid.axis_quad_x)], axis=1)
+        return np.stack([self.model.phi(j, x) for j in self.modes])
 
     def mass(self, a) -> np.ndarray:
         """Hermitian mass matrix M_ij = integral a phi_i . conj(phi_j)."""

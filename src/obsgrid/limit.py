@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (DensityField, Grid, SpatialFunction, _cell_value_ranges,
-                       _measure_below, bathtub, cell_average, l1_distance,
-                       level_threshold, project_box_mean)
+                       _measure_below, bathtub, l1_distance, level_threshold,
+                       project_box_mean)
+from .gram import ModeBasis
 from .optimize import OptOptions, maximize_sigma1, sigma1
 from .spectral import SpectralModel
 
@@ -381,13 +382,10 @@ def tube_linearity(grid: Grid, sol: LimitSolution) -> tuple[float, float]:
 
 
 def cesaro_mean(model: SpectralModel, grid: Grid, N: int) -> SpatialFunction:
-    """(1/N) sum_{j<=N} |phi_j|^2 as cellwise averages."""
+    """(1/N) sum_{j<=N} |phi_j|^2 as cellwise averages, mode j's from its one-mode
+    basis: |u_j|^2 times the outer product of its per-axis Gauss sums."""
     if not 1 <= N <= model.n_max:
         raise ValueError(f"N must be in 1..{model.n_max}")
-    # only the diagonal of the Gram tensor: evaluate |phi_j|^2 directly
-    # rather than build an N(N+1)/2-row mode basis for one query
-    def density(x):
-        return sum(np.sum(np.abs(model.phi(j, x)) ** 2, axis=1)
-                   for j in range(1, N + 1)) / N
-
-    return SpatialFunction(grid, cell_average(grid, density))
+    cells = sum(ModeBasis(model, grid, (j,)).form_cells(np.ones((1, 1)))
+                for j in range(1, N + 1))
+    return SpatialFunction(grid, cells / N / grid.cell_measures)

@@ -37,6 +37,26 @@ def torus_grid(torus):
     return make_grid(torus.domain, 1024, 3)
 
 
+def tensor_rule(grid):
+    """Every cell's tensor Gauss rule as points and weights (x, w), shapes
+    (ncells * g^dim, dim) and (ncells * g^dim,), built here from the
+    Gauss-Legendre rule, not from the grid's axis rules: point p of cell c
+    holds the tensor node (g_0, ..., g_{d-1}) of that cell, both in C
+    order, with the product of the axis weights."""
+    order, shape, dim = grid.gauss_order, grid.shape, grid.dim
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    npts = grid.ncells * order ** dim
+    cell, node = np.divmod(np.arange(npts), order ** dim)
+    x, w = np.empty((npts, dim)), np.ones(npts)
+    for d, ((lo, hi), c, k) in enumerate(zip(grid.domain.bounds,
+                                             np.unravel_index(cell, shape),
+                                             np.unravel_index(node, (order,) * dim))):
+        h = (hi - lo) / shape[d]
+        x[:, d] = (lo + h * (c + 0.5)) + (h / 2) * gx[k]
+        w = w * ((h / 2) * gw[k])
+    return x, w
+
+
 def interval_indicator(grid, lo, hi):
     """Cell-overlap fractions of the indicator of (lo, hi) on a 1D grid."""
     c = grid.centers[:, 0]

@@ -8,6 +8,8 @@ import pytest
 from obsgrid import cli
 from obsgrid.cli import (COMMON_KEYS, EXPERIMENT_KEYS, ConfigError, fit_rate,
                          load_config, main, validate_config)
+from obsgrid.geometry import write_density_csv
+from obsgrid.optimize import maximize_obs
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # coupled_rect_2d parameters: complex numbers as [re, im] pairs
@@ -581,6 +583,25 @@ class TestReports:
         for T in (0.4, 0.8, 1.2, 1.6):
             assert (tmp_path / "out" / f"density_T{T:g}.csv").exists()
             assert (tmp_path / "out" / f"history_T{T:g}.csv").exists()
+
+    def test_sweep_files_per_horizon(self, tmp_path, capsys):
+        # 1.0 and 1.0000001 agree to 6 significant digits: each horizon
+        # still writes its own density file, holding its own solve
+        names = {0.5: "0.5", 1.0: "1", 1.0000001: "1.0000001", 2.0: "2"}
+        path = write_config(tmp_path, name="sweep.json", experiment="sweep",
+                            T=list(names), grid={"cells": 64, "gauss_order": 2},
+                            out=str(tmp_path / "out"))
+        main(["sweep", "--config", str(path)])
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.glob("density_T*.csv")) == \
+            sorted(f"density_T{t}.csv" for t in names.values())
+        cfg = load_config(str(path))
+        model, grid = cli._build(cfg)
+        for T, name in names.items():
+            res = maximize_obs(model, grid, cfg["L"], T, cfg["N"], cli._opts(cfg))
+            write_density_csv(tmp_path / "own.csv", res.a_star)
+            assert (out / f"density_T{name}.csv").read_bytes() == \
+                (tmp_path / "own.csv").read_bytes()
 
     def test_sweep_certificate_failure_warned(self, tmp_path, capsys):
         # the auto nu_T is not representable at T=0.4: the record's bounds

@@ -15,14 +15,15 @@ from obsgrid.geometry import (DensityField, _cell_value_ranges, _measure_below,
 from obsgrid.limit import limit_set
 from obsgrid.spectral import DomainSpec
 
-from conftest import interval_indicator, random_feasible, tube
+from conftest import interval_indicator, random_feasible, tensor_rule, tube
 
 PI = np.pi
 
 
 def quad(grid, f):
     """Gauss rule of make_grid applied to a callable of the nodes."""
-    return grid.quad_w @ f(grid.quad_x)
+    x, w = tensor_rule(grid)
+    return w @ f(x)
 
 
 @pytest.fixture(scope="module")
@@ -47,25 +48,26 @@ class TestMakeGrid:
 
     def test_weights_positive_and_sum(self):
         g = make_grid(DomainSpec("rectangle", ((0.0, 2.0), (0.0, 3.0))), (5, 7), 3)
-        assert (g.quad_w > 0).all()
-        assert g.quad_w.sum() == pytest.approx(6.0, rel=1e-12)
+        w = tensor_rule(g)[1]
+        assert (w > 0).all()
+        assert w.sum() == pytest.approx(6.0, rel=1e-12)
         assert g.cell_measures.sum() == pytest.approx(6.0, rel=1e-12)
 
     def test_nodes_and_weights_cell_major(self):
-        # point p of cell c holds the tensor Gauss node (g_0, ..., g_{d-1})
-        # of that cell, both in C order, with the product of the axis weights
+        # axis d's rule holds the Gauss nodes and weights of each of its
+        # cells in turn, and every cell's tensor rule (tensor_rule, built
+        # independently) is their product: point (k_0, k_1) of cell
+        # (c_0, c_1) at node k_d of cell c_d on each axis, with the product
+        # of the axis weights
         lo, hi, shape, order = (0.0, -1.0), (2.0, 3.0), (5, 7), 3
         g = make_grid(DomainSpec("rectangle", tuple(zip(lo, hi))), shape, order)
-        gx, gw = np.polynomial.legendre.leggauss(order)
-        cell, node = np.divmod(np.arange(g.quad_w.size), order ** 2)
-        x, w = np.empty((g.quad_w.size, 2)), np.ones(g.quad_w.size)
-        for d, (c, k) in enumerate(zip(np.unravel_index(cell, shape),
-                                       np.unravel_index(node, (order,) * 2))):
-            h = (hi[d] - lo[d]) / shape[d]
-            x[:, d] = (lo[d] + h * (c + 0.5)) + (h / 2) * gx[k]
-            w = w * ((h / 2) * gw[k])
-        assert np.array_equal(g.quad_x, x) and g.quad_x.flags.c_contiguous
-        assert np.array_equal(g.quad_w, w)
+        x, w = tensor_rule(g)
+        x, w = x.reshape(shape + (order,) * 2 + (2,)), w.reshape(shape + (order,) * 2)
+        ax, ay = (t.reshape(n, order) for t, n in zip(g.axis_quad_x, shape))
+        wx, wy = (t.reshape(n, order) for t, n in zip(g.axis_quad_w, shape))
+        assert np.array_equal(x[..., 0], np.broadcast_to(ax[:, None, :, None], w.shape))
+        assert np.array_equal(x[..., 1], np.broadcast_to(ay[None, :, None, :], w.shape))
+        assert np.array_equal(w, wx[:, None, :, None] * wy[None, :, None, :])
 
     @pytest.mark.parametrize("bounds, shape", [
         (((0.0, 1.0), (0.0, 1.0)), (96, 96)),
@@ -99,8 +101,13 @@ class TestMakeGrid:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        kept = sum(a.nbytes for a in (g.centers, g.cell_measures, g.quad_x, g.quad_w))
+        kept = sum(a.nbytes for a in (g.centers, g.cell_measures))
         assert peak <= 1.5 * kept
+        # the grid's one rule is per axis: it holds no per-point array
+        held = [a for v in vars(g).values()
+                for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+        assert len(held) == 2 + 2 * g.dim
+        assert all(len(a) != g.ncells * g.gauss_order ** g.dim for a in held)
 
     def test_cumulative_measures_cached(self):
         g = make_grid(DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0))), (48, 40), 2)
@@ -142,8 +149,9 @@ class TestIntegrate:
         # int_{pi/4}^{3pi/4} sin x sin 3x dx = -1/2 (closed form)
         g = make_grid(DomainSpec("interval", ((0.0, PI),)), 1024, 3)
         ind = interval_indicator(g, PI / 4, 3 * PI / 4)
-        vals = np.sin(g.quad_x[:, 0]) * np.sin(3 * g.quad_x[:, 0])
-        w = g.quad_w * np.repeat(ind.values, g.pts_per_cell)
+        x, w = tensor_rule(g)
+        vals = np.sin(x[:, 0]) * np.sin(3 * x[:, 0])
+        w = w * np.repeat(ind.values, g.gauss_order)
         assert vals @ w == pytest.approx(-0.5, abs=1e-8)
 
 

@@ -22,6 +22,8 @@ from obsgrid.geometry import make_grid
 from obsgrid.gram import ContractViolation, ModeBasis
 from obsgrid.spectral import DomainSpec, SpectralModel, build_model
 
+from conftest import tensor_rule
+
 REL = 1e-13
 MODELS = ("dirichlet_1d", "torus_1d", "dirichlet_rect_2d", "coupled_rect_2d")
 
@@ -59,7 +61,7 @@ def _weights(basis, seed, hermitian):
 
 def _table(model, grid, modes):
     """The whole mode table (nmodes, npts, q), evaluated from model.phi."""
-    return np.stack([model.phi(j, grid.quad_x) for j in modes])
+    return np.stack([model.phi(j, tensor_rule(grid)[0]) for j in modes])
 
 
 def _basis_table(basis):
@@ -93,6 +95,11 @@ def _point_form_cells(V, quad_w, pc, W):
     return (F * quad_w).reshape(-1, pc).sum(axis=1)
 
 
+def _rule_weights(grid):
+    """The point weights of `tensor_rule` and the points per cell."""
+    return tensor_rule(grid)[1], grid.gauss_order ** grid.dim
+
+
 def _rel_err(got, ref):
     return np.abs(got - ref).max() / np.abs(ref).max()
 
@@ -102,7 +109,7 @@ def test_mass_matches_point_quadrature(bases, name):
     basis = bases[name]
     a = _density(basis, 0)
     g = basis.grid
-    ref = _point_mass(_basis_table(basis), g.quad_w, g.pts_per_cell, a)
+    ref = _point_mass(_basis_table(basis), *_rule_weights(g), a)
     assert _rel_err(basis.mass(a), ref) <= REL
 
 
@@ -112,7 +119,7 @@ def test_form_cells_matches_point_quadrature(bases, name, hermitian):
     basis = bases[name]
     W = _weights(basis, 1, hermitian)
     g = basis.grid
-    ref = _point_form_cells(_basis_table(basis), g.quad_w, g.pts_per_cell, W)
+    ref = _point_form_cells(_basis_table(basis), *_rule_weights(g), W)
     assert _rel_err(basis.form_cells(W), ref) <= REL
 
 
@@ -163,9 +170,8 @@ def test_complex_factors_and_vectors_match_point_quadrature():
     assert all(np.iscomplexobj(A) for A in basis.gram.tables)
     V, g = _basis_table(basis), basis.grid
     a, W = _density(basis, 13), _weights(basis, 14, False)
-    assert _rel_err(basis.mass(a), _point_mass(V, g.quad_w, g.pts_per_cell, a)) <= REL
-    assert _rel_err(basis.form_cells(W),
-                    _point_form_cells(V, g.quad_w, g.pts_per_cell, W)) <= REL
+    assert _rel_err(basis.mass(a), _point_mass(V, *_rule_weights(g), a)) <= REL
+    assert _rel_err(basis.form_cells(W), _point_form_cells(V, *_rule_weights(g), W)) <= REL
 
 
 def test_three_axes_rejected():
@@ -215,7 +221,7 @@ def test_1d_table_is_the_per_cell_tensor(bases, name):
     # tensor's GEMVs
     basis = bases[name]
     g = basis.grid
-    K = _full_copy_K(_basis_table(basis).astype(complex), g.quad_w, g.pts_per_cell)
+    K = _full_copy_K(_basis_table(basis).astype(complex), *_rule_weights(g))
     A, = basis.gram.tables
     assert A.dtype == K.dtype and np.array_equal(A, K)
     a, W = _density(basis, 10), _weights(basis, 11, True)
@@ -273,9 +279,10 @@ def test_tensor_bitwise_equal_to_full_copy_reduction(name):
     cells = 97 if model.domain.dim == 1 else (37, 23)
     grid = make_grid(model.domain, cells, 3)
     V = _table(model, grid, range(1, model.n_max + 1))
-    quad_w = grid.quad_w * np.random.default_rng(8).uniform(0.5, 1.5, grid.quad_w.size)
-    ref = _full_copy_K(V, quad_w, grid.pts_per_cell)
-    K = axis_table(*_cell_major(V, quad_w, grid.pts_per_cell))
+    w, pc = _rule_weights(grid)
+    quad_w = w * np.random.default_rng(8).uniform(0.5, 1.5, w.size)
+    ref = _full_copy_K(V, quad_w, pc)
+    K = axis_table(*_cell_major(V, quad_w, pc))
     assert K.dtype == ref.dtype and np.array_equal(K, ref)
 
 
@@ -304,12 +311,14 @@ def test_mixed_dtype_modes_raise(other, modes, axis):
         ModeBasis(model, grid, modes)
 
 
-@pytest.mark.parametrize("modes", [(), (1, 1), (2, 1, 2), (0,), (-1, 1), (5,)],
+@pytest.mark.parametrize("modes", [(), (1, 1), (2, 1, 2), (0,), (-1, 1), (5,),
+                                   (1.5, 2.7)],
                          ids=["empty", "repeated", "repeated-apart", "zero", "negative",
-                              "above-n-max"])
+                              "above-n-max", "non-integer"])
 def test_empty_or_repeated_modes_raise(modes):
     # an empty basis has no table; a repeated mode makes every mass singular;
-    # a mode outside 1..n_max would alias another mode's factors or eigenvalue
+    # a mode outside 1..n_max would alias another mode's factors or
+    # eigenvalue, and a non-integer one names no mode
     model = build_model("dirichlet_1d", 4)
     grid = make_grid(model.domain, 16, 3)
     with pytest.raises(ContractViolation, match=re.escape(f"modes {modes}")):
@@ -325,9 +334,10 @@ def test_mode_table_build_peak_memory(name, n, cells):
     # whole-table copies 18.0 MiB, and a list of complex modes stacked into
     # a complex V 31.3 MiB. The separable build keeps only its tables and
     # the packing indices; its peak is twice the tables (SeparableGram
-    # scales a copy of the first) plus each axis's factor values and their
-    # weighted conjugate, so no whole-grid array is built. In 1D the one
-    # table is the per-cell tensor (smallt's largest basis: 1.1 MB).
+    # scales a copy of the first) plus one axis's factor values and their
+    # weighted conjugate, so no whole-grid array is built and no factor
+    # values are alive during that copy. In 1D the one table is the
+    # per-cell tensor (smallt's largest basis: 1.1 MB).
     model = build_model(name, n)
     grid = make_grid(model.domain, cells, 3)
     tracing = tracemalloc.is_tracing()
@@ -345,7 +355,7 @@ def test_mode_table_build_peak_memory(name, n, cells):
     assert [A.shape for A in tables] == [(n * (n + 1) // 2, c) for c in grid.shape]
     table_bytes = sum(A.nbytes for A in tables)
     assert held <= table_bytes + 2 ** 14
-    assert peak <= 2 * table_bytes + 2 * n * grid.gauss_order * sum(grid.shape) * 8
+    assert peak <= 2 * table_bytes + n * grid.gauss_order * sum(grid.shape) * 8
     basis.mass(np.full(grid.ncells, 0.5))
     basis.form_cells(np.eye(n))
     assert "V" not in vars(basis)

@@ -18,7 +18,8 @@ from obsgrid.limit import (LimitSolution, _min_ratio, _tube_deltas, cesaro_mean,
 from obsgrid.optimize import OptOptions, maximize_sigma1
 from obsgrid.spectral import build_model
 
-from conftest import interval_indicator, random_feasible, simple_cluster_solution, tube
+from conftest import (interval_indicator, random_feasible, simple_cluster_solution,
+                      tensor_rule, tube)
 
 PI = np.pi
 INV_2PI = 0.1591549430918953357688837633725143620345
@@ -584,6 +585,24 @@ class TestCesaroMean:
             devs.append(float(np.abs(ces.values[mask] - 1 / PI)
                               @ g.cell_measures[mask]))
         assert all(b < a for a, b in zip(devs, devs[1:]))
+
+    @pytest.mark.parametrize("name, N, cells", [("torus_1d", 12, 1024),
+                                                ("dirichlet_rect_2d", 20, (37, 23)),
+                                                ("coupled_rect_2d", 9, (17, 13))])
+    def test_matches_point_quadrature(self, name, N, cells):
+        # the per-axis sums against the cell averages of (1/N) sum_j |phi_j|^2
+        # over every Gauss point of each cell; coupled_rect_2d with complex u
+        if name == "coupled_rect_2d":
+            u = np.linalg.qr(np.arange(1, 10).reshape(3, 3).astype(complex)
+                             + 1j * np.eye(3))[0].conj().T
+            m = build_model(name, N, mu=[1 + 2j, 1 - 2j, 3.0], u=u)
+        else:
+            m = build_model(name, N)
+        g = make_grid(m.domain, cells, 3)
+        x, w = tensor_rule(g)
+        dens = sum(np.sum(np.abs(m.phi(j, x)) ** 2, axis=1) for j in range(1, N + 1)) / N
+        ref = (dens * w).reshape(g.ncells, -1).sum(axis=1) / g.cell_measures
+        assert np.max(np.abs(cesaro_mean(m, g, N).values - ref) / ref) <= 1e-13
 
 
 class TestSigma1Properties:

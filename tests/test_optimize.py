@@ -11,7 +11,7 @@ from obsgrid.optimize import (OptOptions, bang_bang_fraction,
 from obsgrid.spectral import (DomainSpec, SpectralModel, build_model,
                                gamma_from_lambda)
 
-from conftest import interval_indicator, mp_min_eig, random_feasible
+from conftest import interval_indicator, mp_min_eig, random_feasible, tensor_rule
 
 PI = np.pi
 SIGMA1_MAX = 0.8183098861837906715377675267450287240689   # 1/2 + 1/pi
@@ -100,9 +100,10 @@ class TestMaximizeObs:
         from obsgrid.gram import get_basis
         from obsgrid.spectral import tau
         basis = get_basis(model, grid, (1, 2, 3))
-        pc = grid.pts_per_cell
-        V = np.stack([model.phi(j, grid.quad_x) for j in basis.modes])   # (3, npts, 1)
-        W = grid.quad_w.reshape(grid.ncells, pc)
+        pc = grid.gauss_order
+        x, w = tensor_rule(grid)
+        V = np.stack([model.phi(j, x) for j in basis.modes])   # (3, npts, 1)
+        W = w.reshape(grid.ncells, pc)
         P = np.einsum("icpq,jcpq,cp->cij",
                       V.reshape(3, grid.ncells, pc, 1),
                       V.conj().reshape(3, grid.ncells, pc, 1), W)
