@@ -5,8 +5,7 @@ oracle, the sigma_1 limit problem, and asymptotic experiment harnesses.
 
 from .spectral import (DomainSpec, FactoredScalar, SpectralModel, build_model,
                        gamma_from_lambda, tau)
-from .geometry import (DensityField, Grid, SpatialFunction, bathtub, l1_distance,
-                       make_grid, project_box_mean)
+from .geometry import Grid, bathtub, l1_distance, make_grid, project_box_mean
 from .gram import (GramForm, min_eigpair, obs_constant, obs_constant_rand,
                    quadratic_decomposition)
 from .optimize import (Certificate, OptResult, bang_bang_fraction,

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import DensityField, l1_distance, make_grid, write_density_csv
+from .geometry import l1_distance, make_grid, write_density_csv
 from .gram import get_basis
 from .limit import (cesaro_mean, exact_bathtub_constant, kkt_check, limit_set,
                     sigma1, sliding_ratio, tube_linearity)
@@ -376,9 +376,9 @@ def _horizon(T: float) -> str:
     return repr(float(T)).removesuffix(".0")
 
 
-def _write_solution(out: Path, res, suffix: str = "") -> None:
+def _write_solution(out: Path, grid, res, suffix: str = "") -> None:
     """A FW solve's density{suffix}.csv and history{suffix}.csv."""
-    write_density_csv(out / f"density{suffix}.csv", res.a_star)
+    write_density_csv(out / f"density{suffix}.csv", grid, res.a_star)
     _write_csv(out / f"history{suffix}.csv", ["iter", "value", "gap"], res.history)
 
 
@@ -435,7 +435,7 @@ def run_solve(cfg) -> ExperimentReport:
     rep.timing["solve_s"] = time.perf_counter() - t0
     _solve_record(rep, model, grid, T, N, res)
     rep.checks["gap_nonnegative"] = res.fw_gap >= -1e-12
-    _write_solution(_outdir(cfg), res)
+    _write_solution(_outdir(cfg), grid, res)
     return rep
 
 
@@ -454,7 +454,7 @@ def _sweep_point(model, grid, cfg, T, a1, sigma1_max):
     lam1 = model.eigenvalues[0]
     g1 = tau(lam1, lam1, T).value().real
     ratio = res.value / (g1 * sigma1_max)
-    d = l1_distance(res.a_star, a1)
+    d = l1_distance(grid, res.a_star, a1)
     return res, lower, upper, ratio, d, warning
 
 
@@ -472,13 +472,13 @@ def run_sweep(cfg) -> ExperimentReport:
             res, lower, upper, ratio, d, warning = _sweep_point(
                 model, grid, cfg, T, s1.a_star, s1.value)
         except Exception as e:           # noqa: BLE001 - per-point diagnostics
-            rep.warnings.append(f"T={T}: {e}")
+            rep.warnings.append(f"T={_horizon(T)}: {e}")
             continue
         if warning:
             rep.warnings.append(warning)
         _solve_record(rep, model, grid, T, cfg["N"], res, lower_bound=lower,
                       upper_bound=upper, l1_dist=d, ratio=ratio)
-        _write_solution(out, res, f"_T{_horizon(T)}")
+        _write_solution(out, grid, res, f"_T{_horizon(T)}")
     rep.timing["sweep_s"] = time.perf_counter() - t0
     if not rep.records:                  # the warnings are the failures
         raise RuntimeError("all sweep points failed: " + "; ".join(rep.warnings))
@@ -534,13 +534,13 @@ def run_limit(cfg) -> ExperimentReport:
     rec["kkt_margins"] = [kk.min_inside_minus_mu, kk.mu_minus_max_outside]
 
     out = _outdir(cfg)
-    write_density_csv(out / "density_a1.csv", sol.a1)
+    write_density_csv(out / "density_a1.csv", grid, sol.a1)
 
     if not sol.degenerate:
         t0 = time.perf_counter()
         bc = exact_bathtub_constant(model, grid, sol)
         if bc.witness is not None:
-            write_density_csv(out / "density_k_witness.csv", bc.witness)
+            write_density_csv(out / "density_k_witness.csv", grid, bc.witness)
         rep.timing["k_s"] = time.perf_counter() - t0
         rec["k"] = k = None if bc.lower is None else [bc.lower, bc.upper]
         rec["k_floor"] = bc.floor
@@ -608,12 +608,8 @@ def _cesaro_deviations(model, grid, Ns):
         pad = (1.0 - COMPACT_FRACTION) / 2.0 * width
         c = grid.centers[:, d]
         mask &= (c >= lo + pad) & (c <= hi - pad)
-    devs = []
-    for N in Ns:
-        ces = cesaro_mean(model, grid, N)
-        dev = float(np.abs(ces.values[mask] - target) @ grid.cell_measures[mask])
-        devs.append(dev)
-    return devs
+    return [float(np.abs(ces[mask] - target) @ grid.cell_measures[mask])
+            for ces in cesaro_mean(model, grid, Ns)]
 
 
 def run_cesaro(cfg) -> ExperimentReport:
@@ -642,7 +638,7 @@ def _torus_family_member(grid, L, rng):
         vals += coefs[k, 0] * np.cos(k * x) + coefs[k, 1] * np.sin(k * x)
     amp = np.abs(vals).max()
     scale = TORUS_ETA * min(L, 1.0 - L) / amp if amp > 0 else 0.0
-    return DensityField(grid, np.clip(L + scale * vals, 0.0, 1.0))
+    return np.clip(L + scale * vals, 0.0, 1.0)
 
 
 def run_torus_deg(cfg) -> ExperimentReport:
@@ -651,14 +647,14 @@ def run_torus_deg(cfg) -> ExperimentReport:
     L = cfg["L"]
     rng = np.random.default_rng(cfg["seed"])
 
-    base = DensityField(grid, np.full(grid.ncells, L))
+    base = np.full(grid.ncells, L)
     s_base = sigma1(model, grid, base)
     members = [_torus_family_member(grid, L, rng) for _ in range(TORUS_MEMBERS)]
     svals = [sigma1(model, grid, a) for a in members]
     spread = max(abs(s - s_base) for s in svals)
 
     res = maximize_sigma1(model, grid, L, _opts(cfg))
-    dists = [l1_distance(a, base) for a in members]
+    dists = [l1_distance(grid, a, base) for a in members]
     far = max(dists)
 
     rec = {"L": L, "sigma1_base": s_base, "sigma1_family": svals,
@@ -675,8 +671,8 @@ def run_torus_deg(cfg) -> ExperimentReport:
         and abs(s_base - res.value) <= TORUS_ATTAIN_TOL + res.fw_gap
     rep.checks["degenerate_detected"] = res.degenerate_flag
     out = _outdir(cfg)
-    write_density_csv(out / "density_constant.csv", base)
-    write_density_csv(out / "density_member0.csv", members[0])
+    write_density_csv(out / "density_constant.csv", grid, base)
+    write_density_csv(out / "density_member0.csv", grid, members[0])
     return rep
 
 
@@ -695,7 +691,7 @@ def run_certify(cfg) -> ExperimentReport:
     rep.checks["rel_gap"] = res.fw_gap <= CERTIFY_MAX_REL_GAP * max(res.value, 1e-300)
     rep.checks["lower_below_estimate"], rep.checks["value_below_upper"] = _sandwich(
         res.value, res.fw_gap, cert.lower_bound, cert.upper_bound, CERTIFY_SANDWICH_RTOL)
-    _write_solution(_outdir(cfg), res)
+    _write_solution(_outdir(cfg), grid, res)
     return rep
 
 

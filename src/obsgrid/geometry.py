@@ -1,8 +1,10 @@
 """Tensor grids with per-axis quadrature, relaxed densities and the bathtub oracle.
 
-Densities are piecewise constant per cell; the relaxed feasible set
-{0 <= a <= 1, mean = L} is closed under that discretization, which makes
-the bathtub tie-splitting and the box/mean projection exact.
+A cellwise field (a density, Psi, a Cesaro mean) is a float array of the
+grid's ncells values in C cell order; a function that reads one takes the
+grid too. Densities are piecewise constant per cell; the relaxed feasible
+set {0 <= a <= 1, mean = L} is closed under that discretization, which
+makes the bathtub tie-splitting and the box/mean projection exact.
 """
 
 from __future__ import annotations
@@ -92,20 +94,9 @@ class Grid:
     def measure(self) -> float:
         return self.domain.measure
 
-
-@dataclass
-class DensityField:
-    grid: Grid
-    values: np.ndarray            # (ncells,) in [0, 1]
-
-    def mean(self) -> float:
-        return float(self.values @ self.grid.cell_measures) / self.grid.measure
-
-
-@dataclass
-class SpatialFunction:
-    grid: Grid
-    values: np.ndarray            # (ncells,) cellwise values (cell averages)
+    def mean(self, a: np.ndarray) -> float:
+        """Measure-weighted mean of a cellwise field (not numpy's unweighted a.mean())."""
+        return float(a @ self.cell_measures) / self.measure
 
 
 def make_grid(domain: DomainSpec, cells_per_axis, gauss_order: int = 3) -> Grid:
@@ -136,12 +127,12 @@ def make_grid(domain: DomainSpec, cells_per_axis, gauss_order: int = 3) -> Grid:
                 tuple(axes_nodes), tuple(axes_wts))
 
 
-def bathtub(grid: Grid, f, L: float) -> tuple[DensityField, float]:
-    """Maximize integral(a*f) over {0 <= a <= 1, mean = L}.
+def bathtub(grid: Grid, f, L: float) -> tuple[np.ndarray, float]:
+    """Maximize integral(a*f) over {0 <= a <= 1, mean = L} for a cellwise f.
 
-    Returns the superlevel-set density (1 above the threshold, 0 below,
-    a uniform fraction on the tie set {f == mu}) and the threshold mu,
-    the L-quantile of f under the cell measure.
+    Returns (a, mu): the superlevel-set density array a (1 above the
+    threshold, 0 below, a uniform fraction on the tie set {f == mu}) and
+    the threshold mu, the L-quantile of f under the cell measure.
 
     The cells have equal measure (see Grid), so the k largest values fill
     cumsum(w)[k-1] whichever cells hold them: the threshold index k comes
@@ -151,7 +142,7 @@ def bathtub(grid: Grid, f, L: float) -> tuple[DensityField, float]:
     """
     if not 0.0 < L < 1.0:
         raise ValueError("L must be in (0,1)")
-    f = f.values if isinstance(f, SpatialFunction) else np.asarray(f, dtype=float)
+    f = np.asarray(f, dtype=float)
     w = grid.cell_measures
     target = L * grid.measure
     k = int(np.searchsorted(grid.cumulative_measures, target * (1 - 1e-15)))
@@ -165,10 +156,10 @@ def bathtub(grid: Grid, f, L: float) -> tuple[DensityField, float]:
     tie_meas = float(w[tie].sum())
     if tie_meas > 0:
         a[tie] = (target - filled) / tie_meas
-    return DensityField(grid, a), mu
+    return a, mu
 
 
-def project_box_mean(grid: Grid, v, L: float) -> DensityField:
+def project_box_mean(grid: Grid, v, L: float) -> np.ndarray:
     """Measure-weighted Euclidean projection onto {0 <= a <= 1, mean = L}.
 
     KKT form a = clip(v + s, 0, 1) with the scalar shift s found by
@@ -177,10 +168,10 @@ def project_box_mean(grid: Grid, v, L: float) -> DensityField:
     """
     if not 0.0 < L < 1.0:
         raise ValueError("L must be in (0,1)")
-    v = v.values if isinstance(v, DensityField) else np.asarray(v, dtype=float)
+    v = np.asarray(v, dtype=float)
 
     def mean_at(s):
-        return float(np.clip(v + s, 0.0, 1.0) @ grid.cell_measures) / grid.measure
+        return grid.mean(np.clip(v + s, 0.0, 1.0))
 
     lo, hi = float(-v.max()), float(1.0 - v.min())
     if mean_at(lo) > L or mean_at(hi) < L:      # safety; cannot happen for L in (0,1)
@@ -194,15 +185,15 @@ def project_box_mean(grid: Grid, v, L: float) -> DensityField:
         lo, hi = (mid, hi) if m < L else (lo, mid)
         if hi - lo < 1e-16 * max(1.0, abs(lo)):
             break
-    return DensityField(grid, np.clip(v + 0.5 * (lo + hi), 0.0, 1.0))
+    return np.clip(v + 0.5 * (lo + hi), 0.0, 1.0)
 
 
-def l1_distance(a: DensityField, b: DensityField) -> float:
-    """L1(Omega) distance between two cellwise densities on one grid."""
-    if a.grid is not b.grid and (a.grid.shape != b.grid.shape
-                                 or a.grid.domain != b.grid.domain):
+def l1_distance(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
+    """L1(Omega) distance between two cellwise densities on grid; a
+    density of another cell count raises ValueError."""
+    if a.shape != (grid.ncells,) or b.shape != (grid.ncells,):
         raise ValueError("grid mismatch")
-    return float(np.abs(a.values - b.values) @ a.grid.cell_measures)
+    return float(np.abs(a - b) @ grid.cell_measures)
 
 
 def _corner_values(grid: Grid, vals: np.ndarray) -> np.ndarray:
@@ -264,8 +255,7 @@ def level_threshold(grid: Grid, psi, L: float) -> float:
     """
     if not 0.0 < L < 1.0:
         raise ValueError("L must be in (0,1)")
-    vals = psi.values if isinstance(psi, SpatialFunction) else np.asarray(psi, dtype=float)
-    lo, hi = _cell_value_ranges(grid, vals)
+    lo, hi = _cell_value_ranges(grid, np.asarray(psi, dtype=float))
     target = (1.0 - L) * grid.measure       # measure below the threshold
     a, b = float(lo.min()), float(hi.max())
     # a finite corner value is half a finite sum, so no a + b overflows
@@ -292,8 +282,9 @@ def level_threshold(grid: Grid, psi, L: float) -> float:
     return 0.5 * (a + b)
 
 
-def write_density_csv(path, field: DensityField) -> None:
-    """CSV layout shared by all density outputs: index, center coords, value.
+def write_density_csv(path, grid: Grid, values) -> None:
+    """CSV layout shared by all density outputs: index, center coords, value,
+    one row per cell of grid.
 
     Every number is written as "%.16g" in csv.writer's dialect (comma
     separated, \\r\\n line ends, unquoted). Each block of CSV_BLOCK cells
@@ -301,14 +292,13 @@ def write_density_csv(path, field: DensityField) -> None:
     value is formatted once per block, keyed by its bit pattern so that
     -0.0 stays -0. The file is written one block at a time.
     """
-    g = field.grid
-    vals = np.asarray(field.values, dtype=float).reshape(-1)
-    if vals.size != g.ncells:
-        raise ValueError(f"density has {vals.size} values for a grid of {g.ncells} cells")
-    cols = ["cell"] + [f"center_{ax}" for ax in ("x", "y", "z")[:g.dim]] + ["value"]
+    vals = np.asarray(values, dtype=float).reshape(-1)
+    if vals.size != grid.ncells:
+        raise ValueError(f"density has {vals.size} values for a grid of {grid.ncells} cells")
+    cols = ["cell"] + [f"center_{ax}" for ax in ("x", "y", "z")[:grid.dim]] + ["value"]
     with open(path, "wb") as fh:
         fh.write(",".join(cols).encode() + b"\r\n")
-        for k, template in enumerate(g.csv_templates):
+        for k, template in enumerate(grid.csv_templates):
             part = vals[k * CSV_BLOCK:(k + 1) * CSV_BLOCK]
             bits = part.view(np.uint64).tolist()
             text = {b: b"%.16g" % v for b, v in dict(zip(bits, part.tolist())).items()}

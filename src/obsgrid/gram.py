@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .geometry import DensityField, Grid, SpatialFunction
+from .geometry import Grid
 from .spectral import OVERFLOW_THETA, SpectralModel, tau
 
 CLUSTER_ETA = 1e-8          # relative width of the minimal eigenvalue cluster
@@ -101,16 +101,14 @@ class ModeBasis:
 
     def mass(self, a) -> np.ndarray:
         """Hermitian mass matrix M_ij = integral a phi_i . conj(phi_j)."""
-        avals = a.values if isinstance(a, DensityField) else np.asarray(a, dtype=float)
-        return self.gram.mass(avals)
+        return self.gram.mass(np.asarray(a, dtype=float))
 
     def form_cells(self, W: np.ndarray) -> np.ndarray:
         """Per-cell integrals of the spatial form Re sum_ij W_ij phi_i conj(phi_j)."""
         return self.gram.form(W)
 
-    def form_cell_average(self, W: np.ndarray) -> SpatialFunction:
-        vals = self.form_cells(W) / self.grid.cell_measures
-        return SpatialFunction(self.grid, vals)
+    def form_cell_average(self, W: np.ndarray) -> np.ndarray:
+        return self.form_cells(W) / self.grid.cell_measures
 
 
 _basis_cache: dict = {}
@@ -200,7 +198,7 @@ class GramForm:
         # at a simple eigenvalue integral(a Phi) = lam
         Z = cl.Z
         W = (Z @ Z.conj().T).conj() / Z.shape[1] * self.hhat
-        return cl.scale * np.maximum(self.basis.form_cell_average(W).values.real, 0.0)
+        return cl.scale * np.maximum(self.basis.form_cell_average(W).real, 0.0)
 
 
 def min_eigpair(H: np.ndarray) -> tuple[float, np.ndarray]:

@@ -6,14 +6,14 @@ driving the small-time limit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (DensityField, Grid, SpatialFunction, _cell_value_ranges,
-                       _measure_below, bathtub, l1_distance, level_threshold,
-                       project_box_mean)
+from .geometry import (Grid, _cell_value_ranges, _measure_below, bathtub, l1_distance,
+                       level_threshold, project_box_mean)
 from .gram import ModeBasis
 from .optimize import OptOptions, maximize_sigma1, sigma1
 from .spectral import SpectralModel
@@ -27,9 +27,10 @@ def _flat(psi: np.ndarray) -> bool:
 
 @dataclass
 class LimitSolution:
-    a1: DensityField
+    """The maximizer a1 and Psi, cellwise arrays on its grid; mu_star Psi's level."""
+    a1: np.ndarray
     mu_star: float
-    psi: SpatialFunction
+    psi: np.ndarray
     alphas: np.ndarray
     degenerate: bool
     sigma1_value: float
@@ -49,17 +50,17 @@ def limit_set(model: SpectralModel, grid: Grid, L: float,
     res = maximize_sigma1(model, grid, L, opts)
     m = res.cluster_size
     alphas = np.full(m, 1.0 / m)
-    psi = SpatialFunction(grid, res.supergradient)
-    a_re, _ = bathtub(grid, psi.values, L)
-    flat = _flat(psi.values)
-    mu = float(psi.values.mean()) if flat else level_threshold(grid, psi, L)
+    psi = res.supergradient
+    a_re, _ = bathtub(grid, psi, L)
+    flat = _flat(psi)
+    mu = float(psi.mean()) if flat else level_threshold(grid, psi, L)
     # a constant Psi has no level structure: every mean-L density maximizes
     degenerate = bool(res.degenerate_flag or m > 1 or flat)
     s_orig = res.value
     s_re = sigma1(model, grid, a_re)
     if abs(s_re - s_orig) > 1e-8 * (1.0 + abs(s_orig)):
         degenerate = True
-    elif l1_distance(a_re, res.a_star) > 0.1:
+    elif l1_distance(grid, a_re, res.a_star) > 0.1:
         degenerate = True        # distinct maximizers with equal value
     a_final = a_re if s_re >= s_orig else res.a_star
     return LimitSolution(a_final, mu, psi, alphas, degenerate,
@@ -79,7 +80,7 @@ KKT_SATURATION = 1e-3      # a1 within this of 1 is inside the set, of 0 outside
 
 def _straddling(grid: Grid, sol: LimitSolution) -> np.ndarray:
     """Cells whose corner-interpolated Psi range straddles mu*."""
-    clo, chi = _cell_value_ranges(grid, sol.psi.values)
+    clo, chi = _cell_value_ranges(grid, sol.psi)
     return (clo < sol.mu_star) & (chi > sol.mu_star)
 
 
@@ -97,10 +98,10 @@ def kkt_check(grid: Grid, sol: LimitSolution) -> KKTReport:
     (no level structure, e.g. a == L) fails. Margins pass down to
     -tol = -1e-6 range(Psi).
     """
-    psi = sol.psi.values
+    psi = sol.psi
     tol_kkt = 1e-6 * max(float(psi.max() - psi.min()), 1e-300)
-    inside = sol.a1.values > 1.0 - KKT_SATURATION
-    outside = sol.a1.values < KKT_SATURATION
+    inside = sol.a1 > 1.0 - KKT_SATURATION
+    outside = sol.a1 < KKT_SATURATION
     if not inside.any() or not outside.any() or _flat(psi):
         return KKTReport(-math.inf, -math.inf, tol_kkt, False)
     decided = ~_straddling(grid, sol)
@@ -155,9 +156,8 @@ def estimate_bathtub_constant(model: SpectralModel, grid: Grid, sol: LimitSoluti
     if sol.degenerate:
         raise ValueError("bathtub-constant estimate needs a non-degenerate solution")
     rng = np.random.default_rng(seed)
-    L = sol.a1.mean()
-    s1 = sol.sigma1_value
-    a1 = sol.a1.values
+    a1, s1 = sol.a1, sol.sigma1_value
+    L = grid.mean(a1)
     floor = max(_k_floor(grid, sol), 1e-9)
     diam = min(hi - lo for lo, hi in grid.domain.bounds)
     # per-axis cell coordinates scaled to [0, 1], shaped to broadcast along
@@ -182,18 +182,18 @@ def estimate_bathtub_constant(model: SpectralModel, grid: Grid, sol: LimitSoluti
                 for d in range(grid.dim):
                     score += coef[k] * np.cos((k + 1) * np.pi * axes[d]
                                               + rng.uniform(0, 2 * np.pi))
-            return bathtub(grid, score.reshape(-1), L)[0].values
+            return bathtub(grid, score.reshape(-1), L)[0]
         # "project"
         scale = float(rng.uniform(0.05, 0.8))
         noise = rng.standard_normal(grid.ncells) * scale
-        return project_box_mean(grid, a1 + noise, L).values
+        return project_box_mean(grid, a1 + noise, L)
 
     mins: dict[str, float] = {}
     used = 0
     for i in range(n_samples):
         kind = SAMPLER_FAMILIES[i % len(SAMPLER_FAMILIES)]
         a = sample(kind)
-        d1 = float(np.abs(a - a1) @ grid.cell_measures)
+        d1 = l1_distance(grid, a, a1)
         if d1 < floor:
             continue
         drop = s1 - sigma1(model, grid, a)
@@ -219,7 +219,7 @@ class BathtubConstant:
     upper: float | None
     floor: float
     D: float | None
-    witness: DensityField | None
+    witness: np.ndarray | None
 
 
 def _cumulative(caps: np.ndarray) -> np.ndarray:
@@ -301,7 +301,7 @@ def exact_bathtub_constant(model: SpectralModel, grid: Grid,
     """
     if sol.degenerate:
         raise ValueError("the bathtub constant needs a non-degenerate solution")
-    psi, a1, w = sol.psi.values, sol.a1.values, grid.cell_measures
+    psi, a1, w = sol.psi, sol.a1, grid.cell_measures
     floor = _k_floor(grid, sol)
     tie = (a1 > 0.0) & (a1 < 1.0)
     one_level = tie.any() and np.ptp(psi[tie]) == 0.0
@@ -325,8 +325,8 @@ def exact_bathtub_constant(model: SpectralModel, grid: Grid,
     a = a1.copy()
     a[gi] -= moved(gcap, gstart) / w[gi]
     a[ri] += moved(rcap, rstart) / w[ri]
-    witness = DensityField(grid, np.clip(a, 0.0, 1.0))
-    d = l1_distance(witness, sol.a1)
+    witness = np.clip(a, 0.0, 1.0)
+    d = l1_distance(grid, witness, a1)
     upper = (sol.sigma1_value - sigma1(model, grid, witness)) / d ** 2
     return BathtubConstant(lower, upper, floor, D, witness)
 
@@ -341,11 +341,11 @@ def sliding_ratio(model: SpectralModel, grid: Grid, sol: LimitSolution,
     when the slide only moves mass between cells whose Psi ties up to
     rounding, which the bathtub splits by their last bits.
     """
-    a_h = _shift_density(grid, sol.a1.values, h)
+    a_h = _shift_density(grid, sol.a1, h)
     drop = sol.sigma1_value - sigma1(model, grid, a_h)
     if abs(drop) <= 1e-12 * abs(sol.sigma1_value):
         return None
-    d1 = float(np.abs(a_h - sol.a1.values) @ grid.cell_measures)
+    d1 = l1_distance(grid, a_h, sol.a1)
     return drop / d1 ** 2
 
 
@@ -368,7 +368,7 @@ def tube_linearity(grid: Grid, sol: LimitSolution) -> tuple[float, float]:
     cells count fractionally. The deltas are _tube_deltas; a constant
     Psi (no level structure) is rejected.
     """
-    psi = sol.psi.values
+    psi = sol.psi
     if _flat(psi):
         raise ValueError("Psi has no level structure (degenerate)")
     deltas = _tube_deltas(grid, psi)
@@ -381,11 +381,13 @@ def tube_linearity(grid: Grid, sol: LimitSolution) -> tuple[float, float]:
     return m_hat, resid
 
 
-def cesaro_mean(model: SpectralModel, grid: Grid, N: int) -> SpatialFunction:
-    """(1/N) sum_{j<=N} |phi_j|^2 as cellwise averages, mode j's from its one-mode
-    basis: |u_j|^2 times the outer product of its per-axis Gauss sums."""
-    if not 1 <= N <= model.n_max:
-        raise ValueError(f"N must be in 1..{model.n_max}")
-    cells = sum(ModeBasis(model, grid, (j,)).form_cells(np.ones((1, 1)))
-                for j in range(1, N + 1))
-    return SpatialFunction(grid, cells / N / grid.cell_measures)
+def cesaro_mean(model: SpectralModel, grid: Grid, Ns) -> list[np.ndarray]:
+    """(1/N) sum_{j<=N} |phi_j|^2 as cellwise averages for each N of the ascending
+    Ns, from one running sum (in sum()'s order, from 0); mode j's term from its
+    one-mode basis: |u_j|^2 times the outer product of its per-axis Gauss sums."""
+    if not Ns or list(Ns) != sorted(set(Ns)) or not 1 <= Ns[0] <= Ns[-1] <= model.n_max:
+        raise ValueError(f"Ns must ascend strictly within 1..{model.n_max}")
+    terms = (ModeBasis(model, grid, (j,)).form_cells(np.ones((1, 1)))
+             for j in range(1, Ns[-1] + 1))
+    return [s / N / grid.cell_measures
+            for N, s in enumerate(itertools.accumulate(terms, initial=0)) if N in Ns]

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DensityField, Grid, SpatialFunction, bathtub
+from .geometry import Grid, bathtub
 # bindings perfbench/test_tracer.py checks; the benchmark harness under
 # perfbench/ stays fixed so that its runs compare across library changes
 from .geometry import project_box_mean  # noqa: F401
@@ -42,7 +42,8 @@ BANG_BANG_TOL = 0.01        # bang_bang_fraction: values within this of 0 or 1 a
 
 @dataclass
 class OptResult:
-    a_star: DensityField
+    """A solve's density a_star and its Phi: cellwise arrays on its grid."""
+    a_star: np.ndarray
     value: float
     fw_gap: float
     iterations: int
@@ -77,14 +78,14 @@ class Certificate:
                 "upper_bound": self.upper_bound, "sigma1_a1": self.sigma1_a1}
 
 
-def supergradient(model: SpectralModel, grid: Grid, a, T: float, N: int) -> SpatialFunction:
+def supergradient(model: SpectralModel, grid: Grid, a, T: float, N: int) -> np.ndarray:
     """Nonnegative spatial density Phi with integral(a * Phi) = C_T^{(N)}(a).
 
     At an eigenvalue cluster the uniform average of the cluster member
     forms is returned (a valid supergradient of the concave objective).
     """
     form = GramForm(model, grid, T, N)
-    return SpatialFunction(grid, form.supergradient(form.cluster(form.mantissa(a))))
+    return form.supergradient(form.cluster(form.mantissa(a)))
 
 
 @dataclass
@@ -93,7 +94,7 @@ class OptOptions:
 
     max_iter: int = 2000
     tol: float = 1e-6
-    init: DensityField | None = None
+    init: np.ndarray | None = None
 
     def __post_init__(self):
         if isinstance(self.max_iter, bool) or not isinstance(
@@ -188,7 +189,7 @@ def _frank_wolfe(form: GramForm, grid: Grid, L: float, opts: OptOptions) -> OptR
     last one is the last history entry), or where the search finds no
     ascent (a nonsmooth point).
     """
-    a = opts.init.values.copy() if opts.init is not None else np.full(grid.ncells, L)
+    a = opts.init.copy() if opts.init is not None else np.full(grid.ncells, L)
     Ma = form.mantissa(a)
     cl = form.cluster(Ma)            # EigCluster of Ma
     history: list[tuple[int, float, float]] = []
@@ -198,7 +199,7 @@ def _frank_wolfe(form: GramForm, grid: Grid, L: float, opts: OptOptions) -> OptR
     while True:
         val, f = cl.lam, form.supergradient(cl)
         degenerate = degenerate or len(cl.lams) > 1
-        s = bathtub(grid, f, L)[0].values
+        s = bathtub(grid, f, L)[0]
         gap = float((s - a) * f @ grid.cell_measures)
         history.append((it, val, gap))
         if gap <= opts.tol * max(1.0, abs(val)):
@@ -223,10 +224,9 @@ def _frank_wolfe(form: GramForm, grid: Grid, L: float, opts: OptOptions) -> OptR
         a = a + step * (s - a)
         Ma = Ma + step * dM          # bitwise the matrix clusters[step] solved
         cl = clusters[step]
-    return OptResult(DensityField(grid, a), val, gap, iterations=it,
-                     history=history, degenerate_flag=degenerate,
-                     converged=converged, line_search_evals=ls_evals,
-                     supergradient=f, cluster_size=len(cl.lams))
+    return OptResult(a, val, gap, iterations=it, history=history,
+                     degenerate_flag=degenerate, converged=converged,
+                     line_search_evals=ls_evals, supergradient=f, cluster_size=len(cl.lams))
 
 
 def maximize_obs(model: SpectralModel, grid: Grid, L: float, T: float, N: int,
@@ -257,7 +257,7 @@ def maximize_sigma1(model: SpectralModel, grid: Grid, L: float,
     opts = opts or OptOptions()
     form = GramForm.sigma1(model, grid)
     if len(model.J1) == 1:
-        f = form.basis.form_cell_average(np.ones((1, 1))).values.real
+        f = form.basis.form_cell_average(np.ones((1, 1))).real
         a, _ = bathtub(grid, f, L)
         val = sigma1(model, grid, a)
         return OptResult(a, val, 0.0, 1, [(0, val, 0.0)], False, True,
@@ -265,14 +265,14 @@ def maximize_sigma1(model: SpectralModel, grid: Grid, L: float,
     return _frank_wolfe(form, grid, L, opts)
 
 
-def bang_bang_fraction(a: DensityField) -> float:
+def bang_bang_fraction(a: np.ndarray) -> float:
     """Fraction of cells strictly inside (BANG_BANG_TOL, 1 - BANG_BANG_TOL)."""
-    interior = (a.values > BANG_BANG_TOL) & (a.values < 1.0 - BANG_BANG_TOL)
+    interior = (a > BANG_BANG_TOL) & (a < 1.0 - BANG_BANG_TOL)
     # equal cells (see Grid): a count ratio, which a sum of measures rounds above 1
-    return np.count_nonzero(interior) / a.grid.ncells
+    return np.count_nonzero(interior) / a.size
 
 
-def lower_bound_certificate(model: SpectralModel, grid: Grid, a1: DensityField,
+def lower_bound_certificate(model: SpectralModel, grid: Grid, a1: np.ndarray,
                             T: float, nu: float | None = None,
                             L: float | None = None) -> Certificate:
     """Computable lower/upper bounds on the large-time optimum.
@@ -284,7 +284,7 @@ def lower_bound_certificate(model: SpectralModel, grid: Grid, a1: DensityField,
     in (0,1) (otherwise T is too small for the auto choice).
     """
     if L is None:
-        L = a1.mean()
+        L = grid.mean(a1)
     lam1 = complex(model.eigenvalues[0])
     lamp = complex(model.eigenvalues[model.p0 - 1])
     g1 = tau(lam1, lam1, T)

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from obsgrid.geometry import (DensityField, SpatialFunction, _cell_value_ranges,
-                              _measure_below, level_threshold, make_grid,
-                              project_box_mean)
+from obsgrid.geometry import (_cell_value_ranges, _measure_below, level_threshold,
+                              make_grid, project_box_mean)
 from obsgrid.limit import LimitSolution
 from obsgrid.gram import GramForm
 from obsgrid.optimize import sigma1
@@ -61,8 +60,7 @@ def interval_indicator(grid, lo, hi):
     """Cell-overlap fractions of the indicator of (lo, hi) on a 1D grid."""
     c = grid.centers[:, 0]
     h = grid.cell_measures[0]
-    vals = np.clip((np.minimum(hi, c + h / 2) - np.maximum(lo, c - h / 2)) / h, 0.0, 1.0)
-    return DensityField(grid, vals)
+    return np.clip((np.minimum(hi, c + h / 2) - np.maximum(lo, c - h / 2)) / h, 0.0, 1.0)
 
 
 def simple_cluster_solution(model, grid, a1):
@@ -73,10 +71,10 @@ def simple_cluster_solution(model, grid, a1):
     has a repeated eigenvalue), so this is how the #J1 > 1 path is reached.
     """
     obj = GramForm.sigma1(model, grid)
-    cl = obj.cluster(obj.mantissa(a1.values))
+    cl = obj.cluster(obj.mantissa(a1))
     assert len(cl.lams) == 1
-    psi = SpatialFunction(grid, obj.supergradient(cl))
-    return LimitSolution(a1, level_threshold(grid, psi, a1.mean()), psi, np.ones(1),
+    psi = obj.supergradient(cl)
+    return LimitSolution(a1, level_threshold(grid, psi, grid.mean(a1)), psi, np.ones(1),
                          False, sigma1(model, grid, a1))
 
 

@@ -599,9 +599,46 @@ class TestReports:
         model, grid = cli._build(cfg)
         for T, name in names.items():
             res = maximize_obs(model, grid, cfg["L"], T, cfg["N"], cli._opts(cfg))
-            write_density_csv(tmp_path / "own.csv", res.a_star)
+            write_density_csv(tmp_path / "own.csv", grid, res.a_star)
             assert (out / f"density_T{name}.csv").read_bytes() == \
                 (tmp_path / "own.csv").read_bytes()
+
+    def test_failed_sweep_point_names_its_horizon(self, tmp_path, capsys, monkeypatch):
+        # a failed point used to read T=1.0, where the other sweep warnings
+        # name the horizon T=1
+        solve = cli.maximize_obs
+
+        def fail_at_one(model, grid, L, T, *args):
+            if T == 1.0:
+                raise RuntimeError("boom")
+            return solve(model, grid, L, T, *args)
+
+        monkeypatch.setattr(cli, "maximize_obs", fail_at_one)
+        path = write_config(tmp_path, name="sweep.json", experiment="sweep",
+                            T=[0.5, 1.0, 1.5, 2.0], grid={"cells": 64, "gauss_order": 2},
+                            out=str(tmp_path / "out"))
+        main(["sweep", "--config", str(path)])
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [r["T"] for r in report["records"]] == [0.5, 1.5, 2.0]
+        assert "T=1: boom" in report["warnings"]
+
+    def test_smallt_builds_each_cesaro_mode_once(self, tmp_path, capsys, monkeypatch):
+        # the deviations at N = 8, 16, 32, 64 come from one running sum over
+        # 64 one-mode bases; one sum per N used to build 120
+        from obsgrid import limit
+        built = []
+
+        class Counted(limit.ModeBasis):
+            def __init__(self, model, grid, modes):
+                built.append(tuple(modes))
+                super().__init__(model, grid, modes)
+
+        monkeypatch.setattr(limit, "ModeBasis", Counted)
+        path = write_config(tmp_path, name="smallt.json", experiment="smallt",
+                            T=1e-3, N=[2, 4], optimizer={"max_iter": 3},
+                            out=str(tmp_path / "out"))
+        main(["smallt", "--config", str(path)])
+        assert built == [(j,) for j in range(1, 65)]
 
     def test_sweep_certificate_failure_warned(self, tmp_path, capsys):
         # the auto nu_T is not representable at T=0.4: the record's bounds

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from obsgrid import cli, geometry
-from obsgrid.geometry import (DensityField, _cell_value_ranges, _measure_below,
-                              bathtub, l1_distance, level_threshold, make_grid,
-                              project_box_mean, write_density_csv)
-from obsgrid.limit import limit_set
-from obsgrid.spectral import DomainSpec
+from obsgrid.geometry import (_cell_value_ranges, _measure_below, bathtub, l1_distance,
+                              level_threshold, make_grid, project_box_mean,
+                              write_density_csv)
+from obsgrid.gram import get_basis
+from obsgrid.limit import cesaro_mean, exact_bathtub_constant, limit_set
+from obsgrid.optimize import maximize_obs, supergradient
+from obsgrid.spectral import DomainSpec, build_model
 
 from conftest import interval_indicator, random_feasible, tensor_rule, tube
 
@@ -135,6 +137,43 @@ class TestMakeGrid:
             make_grid(dom, (4, 4), 2)      # axis-count mismatch
 
 
+# every cellwise result of the library, from a model and a grid
+CELLWISE = {
+    "bathtub": lambda m, g: bathtub(g, np.sin(3 * g.centers[:, 0]), 0.3)[0],
+    "project_box_mean": lambda m, g: project_box_mean(g, np.cos(g.centers[:, 0]), 0.3),
+    "supergradient": lambda m, g: supergradient(m, g, np.full(g.ncells, 0.3), 1.0, 4),
+    "cesaro_mean": lambda m, g: cesaro_mean(m, g, [1, 4])[1],
+    "form_cell_average": lambda m, g: get_basis(m, g, (1, 2)).form_cell_average(
+        np.eye(2)).real,
+    "OptResult.a_star": lambda m, g: maximize_obs(m, g, 0.3, 1.0, 4).a_star,
+    "OptResult.supergradient": lambda m, g: maximize_obs(m, g, 0.3, 1.0, 4).supergradient,
+    "LimitSolution.a1": lambda m, g: limit_set(m, g, 0.3).a1,
+    "LimitSolution.psi": lambda m, g: limit_set(m, g, 0.3).psi,
+    "BathtubConstant.witness": lambda m, g: exact_bathtub_constant(
+        m, g, limit_set(m, g, 0.3)).witness,
+}
+
+
+class TestCellwiseArrays:
+    @pytest.mark.parametrize("name", CELLWISE)
+    @pytest.mark.parametrize("model, cells", [("dirichlet_1d", 512),
+                                              ("dirichlet_rect_2d", (12, 9))])
+    def test_results_are_float_arrays_over_the_cells(self, name, model, cells):
+        m = build_model(model, 4)
+        g = make_grid(m.domain, cells, 2)
+        x = CELLWISE[name](m, g)
+        assert type(x) is np.ndarray
+        assert x.dtype == np.float64 and x.shape == (g.ncells,)
+
+    def test_grid_mean_is_the_weighted_mean(self):
+        # float(a @ cell_measures) / measure bit for bit; numpy's unweighted
+        # a.mean() rounds differently
+        m = build_model("dirichlet_rect_2d", 4)
+        g = make_grid(m.domain, (37, 23), 3)
+        a = np.random.default_rng(5).uniform(0.0, 1.0, g.ncells)
+        assert g.mean(a) == float(a @ g.cell_measures) / g.measure
+
+
 class TestIntegrate:
     def test_constant(self):
         g = make_grid(DomainSpec("interval", ((0.0, PI),)), 64, 2)
@@ -151,7 +190,7 @@ class TestIntegrate:
         ind = interval_indicator(g, PI / 4, 3 * PI / 4)
         x, w = tensor_rule(g)
         vals = np.sin(x[:, 0]) * np.sin(3 * x[:, 0])
-        w = w * np.repeat(ind.values, g.gauss_order)
+        w = w * np.repeat(ind, g.gauss_order)
         assert vals @ w == pytest.approx(-0.5, abs=1e-8)
 
 
@@ -250,16 +289,16 @@ class TestBathtub:
             a, mu = bathtub(any_grid, f, L)
             a_ref, mu_ref = bathtub_by_sort(any_grid, f, L)
             assert mu == mu_ref
-            assert np.array_equal(a.values, a_ref)
+            assert np.array_equal(a, a_ref)
 
     def test_three_cells(self, unit3):
         a, mu = bathtub(unit3, np.array([3.0, 1.0, 2.0]), 1 / 3)
-        assert np.allclose(a.values, [1, 0, 0])
+        assert np.allclose(a, [1, 0, 0])
         assert 2.0 < mu <= 3.0
 
     def test_constant_score_full_tie(self, unit3):
         a, _ = bathtub(unit3, np.full(3, 7.0), 0.4)
-        assert np.allclose(a.values, 0.4)
+        assert np.allclose(a, 0.4)
 
     def test_mode_square_quantile(self, d1d):
         for n in (256, 1024):
@@ -267,7 +306,7 @@ class TestBathtub:
             f = (2 / PI) * np.sin(g.centers[:, 0]) ** 2
             a, mu = bathtub(g, f, 0.5)
             ind = interval_indicator(g, PI / 4, 3 * PI / 4)
-            assert l1_distance(a, ind) <= 2.1 * g.cell_measures[0]
+            assert l1_distance(g, a, ind) <= 2.1 * g.cell_measures[0]
             assert abs(mu - 1 / PI) <= 2 / n
         assert abs(mu - 1 / PI) <= 2 / 1024
 
@@ -276,17 +315,17 @@ class TestBathtub:
         for _ in range(20):
             f = rng.standard_normal(grid512.ncells)
             a, _ = bathtub(grid512, f, 0.37)
-            assert abs(a.mean() - 0.37) <= 1e-12
-            assert (a.values >= 0).all() and (a.values <= 1).all()
+            assert abs(grid512.mean(a) - 0.37) <= 1e-12
+            assert (a >= 0).all() and (a <= 1).all()
 
     def test_hardy_littlewood_optimality(self, grid512):
         rng = np.random.default_rng(1)
         f = np.sin(3 * grid512.centers[:, 0]) + 0.3 * grid512.centers[:, 0]
         a_star, _ = bathtub(grid512, f, 0.5)
-        best = float(a_star.values * f @ grid512.cell_measures)
+        best = float(a_star * f @ grid512.cell_measures)
         for _ in range(1000):
             a = random_feasible(grid512, 0.5, rng)
-            val = float(a.values * f @ grid512.cell_measures)
+            val = float(a * f @ grid512.cell_measures)
             assert val <= best + 1e-10
 
     def test_tie_set_variations_are_equal_optimal(self):
@@ -296,13 +335,13 @@ class TestBathtub:
         f = np.array([5.0, 4.0, 3.0, 3.0, 3.0, 3.0, 1.0, 0.0])
         a, mu = bathtub(g, f, 0.5)     # ties on the 3.0 block
         assert mu == 3.0
-        best = float(a.values * f @ g.cell_measures)
+        best = float(a * f @ g.cell_measures)
         tie = f == mu
-        redistributed = a.values.copy()
+        redistributed = a.copy()
         redistributed[tie] = [0.9, 0.5, 0.3, 0.3]   # same tie-set mass
         alt = float(redistributed * f @ g.cell_measures)
         assert alt == pytest.approx(best, abs=1e-14)
-        off_tie = a.values.copy()                   # move mass across levels
+        off_tie = a.copy()                   # move mass across levels
         off_tie[1] -= 0.2
         off_tie[6] += 0.2
         worse = float(off_tie * f @ g.cell_measures)
@@ -317,7 +356,7 @@ class TestBathtub:
         for _ in range(5):
             f = rng.standard_normal(n)
             a, _ = bathtub(g, f, L)
-            got = float(a.values * f @ g.cell_measures)
+            got = float(a * f @ g.cell_measures)
             target_cells = L * n
             k = int(np.floor(target_cells))
             frac = target_cells - k
@@ -345,7 +384,7 @@ class TestProjectBoxMean:
                  "near_feasible": lambda: (rng.uniform(size=n) < L)
                  + 0.3 * rng.standard_normal(n)}[kind]()
             a = project_box_mean(any_grid, v, L)
-            assert np.array_equal(a.values, project_by_bisection(any_grid, v, L))
+            assert np.array_equal(a, project_by_bisection(any_grid, v, L))
 
     def test_bitwise_on_a_flat_mean(self, any_grid):
         # +-5 on alternating cells: the mean is flat in the shift over
@@ -353,29 +392,29 @@ class TestProjectBoxMean:
         v = np.where(np.arange(any_grid.ncells) % 2 == 0, 5.0, -5.0)
         for L in (0.25, 0.5, 0.75):
             a = project_box_mean(any_grid, v, L)
-            assert np.array_equal(a.values, project_by_bisection(any_grid, v, L))
+            assert np.array_equal(a, project_by_bisection(any_grid, v, L))
 
     def test_idempotent(self, grid512):
         rng = np.random.default_rng(2)
         a = random_feasible(grid512, 0.5, rng)
-        b = project_box_mean(grid512, a.values, 0.5)
-        assert np.abs(a.values - b.values).max() <= 1e-12
+        b = project_box_mean(grid512, a, 0.5)
+        assert np.abs(a - b).max() <= 1e-12
 
     def test_constant_shift(self, unit3):
         a = project_box_mean(unit3, np.full(3, 0.8), 0.5)
-        assert np.allclose(a.values, 0.5, atol=1e-12)
+        assert np.allclose(a, 0.5, atol=1e-12)
 
     def test_two_cell_example(self):
         g = make_grid(DomainSpec("interval", ((0.0, 2.0),)), 2, 2)
         a = project_box_mean(g, np.array([2.0, -1.0]), 0.5)
-        assert np.allclose(a.values, [1.0, 0.0], atol=1e-12)
+        assert np.allclose(a, [1.0, 0.0], atol=1e-12)
 
     def test_mean_residual(self, grid512):
         rng = np.random.default_rng(3)
         for _ in range(10):
             v = rng.uniform(-2, 3, grid512.ncells)
             a = project_box_mean(grid512, v, 0.3)
-            assert abs(a.mean() - 0.3) <= 1e-12
+            assert abs(grid512.mean(a) - 0.3) <= 1e-12
 
     def test_lattice_oracle_small_grid(self):
         # brute-force weighted-distance minimization over a fine lattice
@@ -385,7 +424,7 @@ class TestProjectBoxMean:
         for _ in range(3):
             v = rng.uniform(-1, 2, n)
             a = project_box_mean(g, v, L)
-            d_proj = float((a.values - v) ** 2 @ g.cell_measures)
+            d_proj = float((a - v) ** 2 @ g.cell_measures)
             target = L * n
             levels = np.linspace(0, 1, res + 1)
             best = np.inf
@@ -404,33 +443,34 @@ class TestProjectBoxMean:
 
 class TestL1Distance:
     def test_identical(self, grid512):
-        a = DensityField(grid512, np.full(grid512.ncells, 0.5))
-        assert l1_distance(a, a) == 0.0
+        a = np.full(grid512.ncells, 0.5)
+        assert l1_distance(grid512, a, a) == 0.0
 
     def test_full_vs_empty(self, grid512):
-        a = DensityField(grid512, np.ones(grid512.ncells))
-        b = DensityField(grid512, np.zeros(grid512.ncells))
-        assert l1_distance(a, b) == pytest.approx(PI, rel=1e-12)
+        a = np.ones(grid512.ncells)
+        b = np.zeros(grid512.ncells)
+        assert l1_distance(grid512, a, b) == pytest.approx(PI, rel=1e-12)
 
     def test_shifted_indicator(self, grid1024):
         h = 0.05
         a = interval_indicator(grid1024, PI / 4, 3 * PI / 4)
         b = interval_indicator(grid1024, PI / 4 + h, 3 * PI / 4 + h)
-        assert l1_distance(a, b) == pytest.approx(2 * h, abs=2 * grid1024.cell_measures[0])
+        assert l1_distance(grid1024, a, b) == pytest.approx(
+            2 * h, abs=2 * grid1024.cell_measures[0])
 
     def test_metric_properties(self, grid512):
         rng = np.random.default_rng(6)
         for _ in range(20):
             a, b, c = (random_feasible(grid512, 0.5, rng) for _ in range(3))
-            dab = l1_distance(a, b)
-            assert dab == pytest.approx(l1_distance(b, a), rel=1e-12)
-            assert dab <= l1_distance(a, c) + l1_distance(c, b) + 1e-12
+            dab = l1_distance(grid512, a, b)
+            assert dab == pytest.approx(l1_distance(grid512, b, a), rel=1e-12)
+            assert dab <= l1_distance(grid512, a, c) + l1_distance(grid512, c, b) + 1e-12
 
     def test_grid_mismatch(self, grid512, grid1024):
-        a = DensityField(grid512, np.zeros(grid512.ncells))
-        b = DensityField(grid1024, np.zeros(grid1024.ncells))
+        a = np.zeros(grid512.ncells)
+        b = np.zeros(grid1024.ncells)
         with pytest.raises(ValueError):
-            l1_distance(a, b)
+            l1_distance(grid512, a, b)
 
 
 class TestTubeMeasure:
@@ -519,7 +559,7 @@ class TestLevelThreshold:
         assert 0 < len(steps) < 100      # one evaluation a step, to its fixed point
         monkeypatch.undo()
         assert mu == sol.mu_star
-        assert mu == threshold_by_full_bisection(grid, sol.psi.values, cfg["L"])
+        assert mu == threshold_by_full_bisection(grid, sol.psi, cfg["L"])
 
     def test_constant_cells_on_bracket_ends(self):
         # Psi constant on blocks of cells at the levels 0, 1/4, 1/2, 3/4, 1:
@@ -561,14 +601,14 @@ class TestDensityCSV:
         rng = np.random.default_rng(7)
         a = random_feasible(grid512, 0.5, rng)
         path = tmp_path / "density.csv"
-        write_density_csv(path, a)
+        write_density_csv(path, grid512, a)
         header = path.read_text().splitlines()[0]
         assert header == "cell,center_x,value"
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["cell", "center_x", "value"]
         b = np.array([float(r[-1]) for r in rows[1:]])
-        assert np.abs(a.values - b).max() <= 1e-15
+        assert np.abs(a - b).max() <= 1e-15
 
     @pytest.mark.parametrize("bounds, cells", [
         (((0.0, PI),), 37),
@@ -590,7 +630,7 @@ class TestDensityCSV:
         if grid.ncells > geometry.CSV_BLOCK + len(special):   # across a template edge
             vals[geometry.CSV_BLOCK - 5:][:len(special)] = special
         path = tmp_path / "density.csv"
-        write_density_csv(path, DensityField(grid, vals))
+        write_density_csv(path, grid, vals)
         assert path.read_bytes() == csv_writer_bytes(tmp_path, grid, vals)
         assert b",-0\r\n" in path.read_bytes() and b",nan\r\n" in path.read_bytes()
 
@@ -606,7 +646,7 @@ class TestDensityCSV:
             for vals in (rng.uniform(0.0, 1.0, grid.ncells),
                          rng.integers(0, 2, grid.ncells).astype(float)):
                 path = tmp_path / f"density{k}.csv"
-                write_density_csv(path, DensityField(grid, vals))
+                write_density_csv(path, grid, vals)
                 assert path.read_bytes() == csv_writer_bytes(tmp_path, grid, vals)
         assert grids[0].csv_templates != grids[1].csv_templates
 
@@ -616,24 +656,24 @@ class TestDensityCSV:
         grid = make_grid(DomainSpec("interval", ((0.0, 1.0),)), 8, 2)
         path = tmp_path / "density.csv"
         with pytest.raises(ValueError, match=f"{count} values for a grid of 8 cells"):
-            write_density_csv(path, DensityField(grid, np.zeros(count)))
+            write_density_csv(path, grid, np.zeros(count))
 
     def test_limit_run_files(self, tmp_path, monkeypatch, capsys):
         # the shipped 96x96 limit run's two density files, against the
         # csv.writer bytes of the fields that the run wrote
         written = {}
 
-        def keep(path, field):
-            written[Path(path).name] = field
-            write_density_csv(path, field)
+        def keep(path, grid, field):
+            written[Path(path).name] = grid, field
+            write_density_csv(path, grid, field)
 
         monkeypatch.setattr(cli, "write_density_csv", keep)
         config = Path(__file__).resolve().parents[1] / "configs" / "rect2d_limit.json"
         out = tmp_path / "out"
         assert cli.main(["limit", "--config", str(config), "--out", str(out)]) == 0
         assert sorted(written) == ["density_a1.csv", "density_k_witness.csv"]
-        for name, field in written.items():
-            ref = csv_writer_bytes(tmp_path, field.grid, field.values)
+        for name, (grid, field) in written.items():
+            ref = csv_writer_bytes(tmp_path, grid, field)
             assert (out / name).read_bytes() == ref
 
 

@@ -215,7 +215,7 @@ class TestObsConstant:
             ca = obs_constant(d1d, grid512, a, 1.0, 6)
             cb = obs_constant(d1d, grid512, b, 1.0, 6)
             for th in (0.25, 0.5, 0.75):
-                mix = th * a.values + (1 - th) * b.values
+                mix = th * a + (1 - th) * b
                 cmix = obs_constant(d1d, grid512, mix, 1.0, 6)
                 assert cmix >= th * ca + (1 - th) * cb - 1e-9
 

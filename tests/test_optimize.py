@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from obsgrid.geometry import DensityField, bathtub, make_grid
+from obsgrid.geometry import bathtub, make_grid
 from obsgrid.gram import obs_constant
 from obsgrid.optimize import (OptOptions, bang_bang_fraction,
                               lower_bound_certificate, maximize_obs,
@@ -41,13 +41,13 @@ class TestSupergradient:
         for _ in range(3):
             a = random_feasible(grid512, 0.5, rng)
             phi = supergradient(d1d, grid512, a, 1.0, 1)
-            assert np.abs(phi.values - ref).max() <= 1e-9 * ref.max()
+            assert np.abs(phi - ref).max() <= 1e-9 * ref.max()
 
     def test_constant_density_picks_first_mode(self, d1d, grid512):
         a = np.full(grid512.ncells, 0.5)
         phi = supergradient(d1d, grid512, a, 1.0, 2)
         ref = _mode1_sq_cell_avg(grid512, gamma_from_lambda(1.0, 1.0))
-        assert np.abs(phi.values - ref).max() <= 1e-9 * ref.max()
+        assert np.abs(phi - ref).max() <= 1e-9 * ref.max()
 
     @pytest.mark.parametrize("T,N", [(1.0, 4), (5.0, 16)])
     def test_vanishing_density_picks_first_mode(self, d1d, grid512, T, N):
@@ -55,7 +55,7 @@ class TestSupergradient:
         # grows least. (5, 16) spans e^2550 and used to fail in eigh
         phi = supergradient(d1d, grid512, np.zeros(grid512.ncells), T, N)
         ref = _mode1_sq_cell_avg(grid512, gamma_from_lambda(1.0, T))
-        assert np.abs(phi.values - ref).max() <= 1e-9 * ref.max()
+        assert np.abs(phi - ref).max() <= 1e-9 * ref.max()
 
     def test_rayleigh_identity(self, d1d, grid512):
         # the last three cases have 4, 2 and 9 stiff modes (2 e_j > 600),
@@ -64,7 +64,7 @@ class TestSupergradient:
         for T, N in ((0.5, 4), (1.0, 6), (2.0, 8), (2.0, 16), (2.5, 12), (5.0, 16)):
             a = random_feasible(grid512, 0.5, rng)
             phi = supergradient(d1d, grid512, a, T, N)
-            lhs = float(a.values * phi.values @ grid512.cell_measures)
+            lhs = float(a * phi @ grid512.cell_measures)
             rhs = obs_constant(d1d, grid512, a, T, N)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -72,7 +72,7 @@ class TestSupergradient:
         rng = np.random.default_rng(2)
         a = random_feasible(grid512, 0.5, rng)
         phi = supergradient(d1d, grid512, a, 1.5, 8)
-        assert (phi.values >= 0).all()
+        assert (phi >= 0).all()
 
 
 class TestMaximizeObs:
@@ -162,17 +162,17 @@ class TestMaximizeSigma1:
         res = maximize_sigma1(d1d, grid1024, 0.5)
         assert res.value == pytest.approx(SIGMA1_MAX, abs=1e-6)
         ind = interval_indicator(grid1024, PI / 4, 3 * PI / 4)
-        assert np.abs(res.a_star.values - ind.values).max() <= 1.0  # same support
+        assert np.abs(res.a_star - ind).max() <= 1.0  # same support
         from obsgrid.geometry import l1_distance
-        assert l1_distance(res.a_star, ind) <= 2 * grid1024.cell_measures[0]
+        assert l1_distance(grid1024, res.a_star, ind) <= 2 * grid1024.cell_measures[0]
 
     def test_matches_bathtub_bitwise(self, d1d, grid512):
         from obsgrid.gram import get_basis
         res = maximize_sigma1(d1d, grid512, 0.4)
         basis = get_basis(d1d, grid512, (1,))
         f = basis.form_cell_average(np.ones((1, 1)))
-        a_bt, _ = bathtub(grid512, f.values.real, 0.4)
-        assert (res.a_star.values == a_bt.values).all()
+        a_bt, _ = bathtub(grid512, f.real, 0.4)
+        assert (res.a_star == a_bt).all()
 
     def test_value_is_sigma1_of_the_maximizer(self):
         # the #J1 == 1 shortcut used to integrate a |phi_1|^2 over cells,
@@ -191,7 +191,7 @@ class TestMaximizeSigma1:
 
     def test_constant_density_value(self, d1d, grid512):
         from obsgrid.limit import sigma1
-        a = DensityField(grid512, np.full(grid512.ncells, 0.5))
+        a = np.full(grid512.ncells, 0.5)
         assert sigma1(d1d, grid512, a) == pytest.approx(0.5, abs=1e-9)
 
     def test_supergradient_identity_complex_modes(self):
@@ -212,15 +212,15 @@ class TestMaximizeSigma1:
         grid = make_grid(model.domain, 256, 3)
         a = interval_indicator(grid, 0.3, 1.7)
         obj = GramForm.sigma1(model, grid)
-        cl = obj.cluster(obj.mantissa(a.values))
+        cl = obj.cluster(obj.mantissa(a))
         assert len(cl.lams) == 1
-        lhs = float(a.values * obj.supergradient(cl) @ grid.cell_measures)
+        lhs = float(a * obj.supergradient(cl) @ grid.cell_measures)
         assert lhs == pytest.approx(sigma1(model, grid, a), rel=1e-14)
 
 
-def _pairing(res):
+def _pairing(grid, res):
     """integral(a_star * Phi) over the supergradient the solve returned."""
-    return float(res.a_star.values @ (res.supergradient * res.a_star.grid.cell_measures))
+    return float(res.a_star @ (res.supergradient * grid.cell_measures))
 
 
 class TestResultSupergradient:
@@ -231,18 +231,18 @@ class TestResultSupergradient:
     def test_maximize_obs_simple_cluster(self, d1d, grid512, N):
         res = maximize_obs(d1d, grid512, 0.5, 2.0, N)
         assert res.cluster_size == 1
-        assert _pairing(res) == pytest.approx(res.value, rel=1e-12)
+        assert _pairing(grid512, res) == pytest.approx(res.value, rel=1e-12)
 
     def test_maximize_obs_cluster(self, d1d, grid512):
         from obsgrid.gram import CLUSTER_ETA
         res = maximize_obs(d1d, grid512, 0.5, 1e-3, 8)
         assert res.cluster_size == 2
-        assert abs(_pairing(res) - res.value) <= CLUSTER_ETA * (1.0 + abs(res.value))
+        assert abs(_pairing(grid512, res) - res.value) <= CLUSTER_ETA * (1.0 + abs(res.value))
 
     def test_maximize_sigma1_single_mode(self, d1d, grid512):
         res = maximize_sigma1(d1d, grid512, 0.5)
         assert res.cluster_size == 1
-        assert _pairing(res) == pytest.approx(res.value, rel=1e-12)
+        assert _pairing(grid512, res) == pytest.approx(res.value, rel=1e-12)
 
     def test_maximize_sigma1_complex_modes(self):
         c = np.sqrt(2.0 / PI)
@@ -254,9 +254,10 @@ class TestResultSupergradient:
         model = SpectralModel("complex_test", DomainSpec("interval", ((0.0, PI),)),
                               np.array([1.0, 1.0, 4.0], dtype=complex), factors,
                               np.ones((3, 1)))
-        res = maximize_sigma1(model, make_grid(model.domain, 256, 3), 0.5)
+        grid = make_grid(model.domain, 256, 3)
+        res = maximize_sigma1(model, grid, 0.5)
         assert res.cluster_size == 1
-        assert _pairing(res) == pytest.approx(res.value, rel=1e-12)
+        assert _pairing(grid, res) == pytest.approx(res.value, rel=1e-12)
 
     def test_torus_sigma1_constant_start_is_a_pair(self, torus, torus_grid):
         res = maximize_sigma1(torus, torus_grid, 0.5)
@@ -275,12 +276,12 @@ class TestBangBangFraction:
         assert bang_bang_fraction(a) <= 2 / 512   # boundary cells only
 
     def test_constant(self, grid512):
-        a = DensityField(grid512, np.full(grid512.ncells, 0.5))
+        a = np.full(grid512.ncells, 0.5)
         assert bang_bang_fraction(a) == pytest.approx(1.0)
 
     def test_all_interior_is_exactly_one(self, grid1024):
         # the 1024 cell measures of (0, pi) used to sum to 1 + 7e-16 of pi
-        a = DensityField(grid1024, np.linspace(0.02, 0.98, grid1024.ncells))
+        a = np.linspace(0.02, 0.98, grid1024.ncells)
         assert bang_bang_fraction(a) == 1.0
 
     def test_single_tie_cell(self):
@@ -372,7 +373,7 @@ class TestOtherGeometries:
         assert res.value >= 0.3 * gamma_from_lambda(lam1, 0.05) - 1e-12
         assert res.fw_gap >= -1e-12
         # maximizer concentrates around the domain center
-        inside = res.a_star.values > 0.5
+        inside = res.a_star > 0.5
         centers = grid.centers[inside]
         assert np.abs(centers.mean(axis=0) - 0.5).max() <= 0.05
 
@@ -399,7 +400,7 @@ class TestRestartDeterminism:
         r2 = maximize_obs(d1d, grid512, 0.5, 1e-3, 8, opts)
         assert r1.value == r2.value
         assert r1.fw_gap == r2.fw_gap
-        assert (r1.a_star.values == r2.a_star.values).all()
+        assert (r1.a_star == r2.a_star).all()
         assert r1.history == r2.history
 
     def test_stops_where_no_ascent(self, d1d, grid512):
@@ -421,7 +422,7 @@ class TestScalingInvariance:
         f = rng.standard_normal(grid512.ncells)
         a1, mu1 = bathtub(grid512, f, 0.3)
         a2, mu2 = bathtub(grid512, 5.0 * f, 0.3)
-        assert (a1.values == a2.values).all()
+        assert (a1 == a2).all()
         assert mu2 == pytest.approx(5.0 * mu1, rel=1e-12)
 
 
@@ -517,8 +518,8 @@ class TestValueAndSlope:
         assert len(torus.J1) == 2
         rng = np.random.default_rng(5)
         for _ in range(3):
-            M = obj.mantissa(random_feasible(torus_grid, 0.5, rng).values)
-            dM = obj.mantissa(random_feasible(torus_grid, 0.5, rng).values) - M
+            M = obj.mantissa(random_feasible(torus_grid, 0.5, rng))
+            dM = obj.mantissa(random_feasible(torus_grid, 0.5, rng)) - M
             right, left, curvature = obj.cluster(M).derivatives(dM)
             assert right == left
             fd = _fd_slope(lambda h: np.linalg.eigvalsh(M + h * dM)[0])
@@ -532,7 +533,7 @@ class TestValueAndSlope:
         from obsgrid.gram import GramForm
         obj = GramForm.sigma1(torus, torus_grid)
         M = obj.mantissa(np.full(torus_grid.ncells, 0.5))
-        b = random_feasible(torus_grid, 0.5, np.random.default_rng(6)).values
+        b = random_feasible(torus_grid, 0.5, np.random.default_rng(6))
         dM = obj.mantissa(b) - M
         right, left, curvature = obj.cluster(M).derivatives(dM)
         assert curvature is None            # a kink has no second derivative
