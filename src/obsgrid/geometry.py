@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,7 +24,7 @@ from .spectral import DomainSpec
 CSV_BLOCK = 128       # cells per density CSV template
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform tensor grid (build it with `make_grid`).
 
@@ -100,11 +101,14 @@ class Grid:
 
 
 def make_grid(domain: DomainSpec, cells_per_axis, gauss_order: int = 3) -> Grid:
-    """Uniform tensor grid with a Gauss-Legendre rule on each axis's cells."""
+    """Uniform tensor grid with a Gauss-Legendre rule on each axis's cells;
+    a cell count that is not an integer raises ValueError."""
     if not 1 <= gauss_order <= 5:
         raise ValueError("gauss_order must be in 1..5")
     if np.isscalar(cells_per_axis):
-        cells_per_axis = (int(cells_per_axis),) * domain.dim
+        cells_per_axis = (cells_per_axis,) * domain.dim
+    if not all(isinstance(c, numbers.Integral) for c in cells_per_axis):
+        raise ValueError(f"cell counts must be integers, got {cells_per_axis!r}")
     shape = tuple(int(c) for c in cells_per_axis)
     if len(shape) != domain.dim or min(shape) < 2:
         raise ValueError("need >= 2 cells per axis, one count per domain axis")
@@ -138,11 +142,13 @@ def bathtub(grid: Grid, f, L: float) -> tuple[np.ndarray, float]:
     cumsum(w)[k-1] whichever cells hold them: the threshold index k comes
     from cumsum(w) alone (`Grid.cumulative_measures`, computed once per
     grid), and mu, the (k+1)-th largest value, by selection (np.partition,
-    introselect) instead of a sort.
+    introselect) instead of a sort. A non-finite score raises ValueError.
     """
     if not 0.0 < L < 1.0:
         raise ValueError("L must be in (0,1)")
     f = np.asarray(f, dtype=float)
+    if not np.isfinite(f).all():
+        raise ValueError("bathtub scores must be finite")
     w = grid.cell_measures
     target = L * grid.measure
     k = int(np.searchsorted(grid.cumulative_measures, target * (1 - 1e-15)))
@@ -164,11 +170,14 @@ def project_box_mean(grid: Grid, v, L: float) -> np.ndarray:
 
     KKT form a = clip(v + s, 0, 1) with the scalar shift s found by
     bisection of at most 200 steps, stopped once the mean residual is at
-    most 1e-13 (or the bracket is down to rounding).
+    most 1e-13 (or the bracket is down to rounding). A non-finite value
+    raises ValueError.
     """
     if not 0.0 < L < 1.0:
         raise ValueError("L must be in (0,1)")
     v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError("projected values must be finite")
 
     def mean_at(s):
         return grid.mean(np.clip(v + s, 0.0, 1.0))

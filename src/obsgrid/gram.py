@@ -111,20 +111,10 @@ class ModeBasis:
         return self.form_cells(W) / self.grid.cell_measures
 
 
-_basis_cache: dict = {}
-
-
-def get_basis(model: SpectralModel, grid: Grid, modes) -> ModeBasis:
-    # id-keys are safe here: each cached ModeBasis keeps its model and grid
-    # alive, so their ids cannot be reused while the entry exists
-    key = (id(model), id(grid), tuple(modes))
-    basis = _basis_cache.get(key)
-    if basis is None:
-        basis = ModeBasis(model, grid, modes)
-        if len(_basis_cache) > 32:
-            _basis_cache.clear()
-        _basis_cache[key] = basis
-    return basis
+@functools.lru_cache(maxsize=32)
+def get_basis(model: SpectralModel, grid: Grid, modes: tuple[int, ...]) -> ModeBasis:
+    """The 32 most recently used bases, keyed by model and grid identity."""
+    return ModeBasis(model, grid, modes)
 
 
 class GramForm:

@@ -90,7 +90,13 @@ def supergradient(model: SpectralModel, grid: Grid, a, T: float, N: int) -> np.n
 
 @dataclass
 class OptOptions:
-    """FW budget, relative gap tolerance and start (the constant L if None)."""
+    """FW budget, relative gap tolerance and start (the constant L if None).
+
+    A start must be feasible on the solve's grid: shape (ncells,), finite
+    values in [0, 1] and grid.mean within 1e-9 of L; the solve raises
+    ValueError otherwise. The exact #J1 == 1 branch of `maximize_sigma1`
+    reads no start.
+    """
 
     max_iter: int = 2000
     tol: float = 1e-6
@@ -189,7 +195,16 @@ def _frank_wolfe(form: GramForm, grid: Grid, L: float, opts: OptOptions) -> OptR
     last one is the last history entry), or where the search finds no
     ascent (a nonsmooth point).
     """
-    a = opts.init.copy() if opts.init is not None else np.full(grid.ncells, L)
+    if opts.init is None:
+        a = np.full(grid.ncells, L)
+    else:
+        a = np.array(opts.init, dtype=float)
+        if a.shape != (grid.ncells,):
+            raise ValueError(f"init has shape {a.shape}, not ({grid.ncells},)")
+        if not ((a >= 0.0) & (a <= 1.0)).all():
+            raise ValueError("init must hold finite values in [0, 1]")
+        if abs(grid.mean(a) - L) > 1e-9:
+            raise ValueError(f"init has mean {grid.mean(a)!r}, not L = {L!r}")
     Ma = form.mantissa(a)
     cl = form.cluster(Ma)            # EigCluster of Ma
     history: list[tuple[int, float, float]] = []

@@ -34,12 +34,9 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class DomainSpec:
-    kind: str                                # "interval" | "rectangle"
     bounds: tuple[tuple[float, float], ...]  # per-axis (lo, hi)
 
     def __post_init__(self):
-        if self.kind not in ("interval", "rectangle"):
-            raise ConfigurationError(f"unknown domain kind {self.kind!r}")
         for lo, hi in self.bounds:
             if not lo < hi:
                 raise ConfigurationError(f"degenerate axis bounds ({lo}, {hi})")
@@ -56,7 +53,7 @@ class DomainSpec:
         return out
 
 
-@dataclass
+@dataclass(eq=False)
 class SpectralModel:
     """Spectrum + eigenfunctions of one named example system.
 
@@ -119,7 +116,7 @@ class SpectralModel:
 
 
 def _dirichlet_1d(n_max: int) -> SpectralModel:
-    dom = DomainSpec("interval", ((0.0, np.pi),))
+    dom = DomainSpec(((0.0, np.pi),))
     lams = np.array([j * j for j in range(1, n_max + 1)], dtype=complex)
     c = np.sqrt(2.0 / np.pi)
 
@@ -143,7 +140,7 @@ def _rect_factors(m: int, n: int):
 
 
 def _dirichlet_rect_2d(n_max: int) -> SpectralModel:
-    dom = DomainSpec("rectangle", ((0.0, 1.0), (0.0, 1.0)))
+    dom = DomainSpec(((0.0, 1.0), (0.0, 1.0)))
     pairs = _rect_pairs(n_max)
     pairs.sort(key=lambda mn: (mn[0] ** 2 + mn[1] ** 2, mn))  # lexicographic tie-break
     pairs = pairs[:n_max]
@@ -159,7 +156,7 @@ def _dirichlet_rect_2d(n_max: int) -> SpectralModel:
 def _torus_1d(n_max: int) -> SpectralModel:
     # constant mode excluded so lambda_1 = 1 with the cos/sin pair;
     # modes: (cos kx, sin kx)/sqrt(pi), lambda = k^2
-    dom = DomainSpec("interval", ((0.0, 2.0 * np.pi),))
+    dom = DomainSpec(((0.0, 2.0 * np.pi),))
     ks = [(k, trig) for k in range(1, n_max // 2 + 2) for trig in ("cos", "sin")]
     ks = ks[:n_max]
     lams = np.array([k * k for k, _ in ks], dtype=complex)
@@ -206,7 +203,7 @@ def _coupled_rect_2d(n_max: int, mu, u) -> SpectralModel:
     u: orthonormal triple in C^3 (rows u[i] span the coupling eigenspaces).
     """
     mu, u = check_coupling(mu, u)
-    dom = DomainSpec("rectangle", ((0.0, 1.0), (0.0, 1.0)))
+    dom = DomainSpec(((0.0, 1.0), (0.0, 1.0)))
     modes = [(m, n, i) for (m, n) in _rect_pairs(n_max) for i in range(3)]
     modes.sort(key=lambda t: (np.pi ** 2 * (t[0] ** 2 + t[1] ** 2) + mu[t[2]].real, t))
     modes = modes[:n_max]

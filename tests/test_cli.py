@@ -640,6 +640,22 @@ class TestReports:
         main(["smallt", "--config", str(path)])
         assert built == [(j,) for j in range(1, 65)]
 
+    def test_sweep_builds_two_bases(self, tmp_path, capsys, monkeypatch):
+        # the shipped sweep needs sigma_1's basis over J1 and one over modes
+        # 1..N, each built once and reused by every horizon
+        from obsgrid import gram
+        built = []
+
+        class Counted(gram.ModeBasis):
+            def __init__(self, model, grid, modes):
+                built.append(tuple(modes))
+                super().__init__(model, grid, modes)
+
+        monkeypatch.setattr(gram, "ModeBasis", Counted)
+        main(["sweep", "--config", str(CONFIGS / "dirichlet1d_sweep.json"),
+              "--out", str(tmp_path / "out")])
+        assert len(built) == 2
+
     def test_sweep_certificate_failure_warned(self, tmp_path, capsys):
         # the auto nu_T is not representable at T=0.4: the record's bounds
         # are null, which used to leave no trace in the warnings

@@ -30,26 +30,26 @@ def quad(grid, f):
 
 @pytest.fixture(scope="module")
 def unit3():
-    return make_grid(DomainSpec("interval", ((0.0, 3.0),)), 3, 2)
+    return make_grid(DomainSpec(((0.0, 3.0),)), 3, 2)
 
 
 class TestMakeGrid:
     def test_interval_measures(self):
-        g = make_grid(DomainSpec("interval", ((0.0, PI),)), 4, 2)
+        g = make_grid(DomainSpec(((0.0, PI),)), 4, 2)
         assert np.allclose(g.cell_measures, PI / 4)
 
     def test_rectangle_measures(self):
-        g = make_grid(DomainSpec("rectangle", ((0.0, 1.0), (0.0, 1.0))), (8, 8), 2)
+        g = make_grid(DomainSpec(((0.0, 1.0), (0.0, 1.0))), (8, 8), 2)
         assert g.ncells == 64
         assert np.allclose(g.cell_measures, 1.0 / 64)
 
     def test_quadrature_sin2(self):
-        g = make_grid(DomainSpec("interval", ((0.0, PI),)), 512, 3)
+        g = make_grid(DomainSpec(((0.0, PI),)), 512, 3)
         val = quad(g, lambda x: np.sin(x[:, 0]) ** 2)
         assert val == pytest.approx(PI / 2, abs=1e-10)
 
     def test_weights_positive_and_sum(self):
-        g = make_grid(DomainSpec("rectangle", ((0.0, 2.0), (0.0, 3.0))), (5, 7), 3)
+        g = make_grid(DomainSpec(((0.0, 2.0), (0.0, 3.0))), (5, 7), 3)
         w = tensor_rule(g)[1]
         assert (w > 0).all()
         assert w.sum() == pytest.approx(6.0, rel=1e-12)
@@ -62,7 +62,7 @@ class TestMakeGrid:
         # (c_0, c_1) at node k_d of cell c_d on each axis, with the product
         # of the axis weights
         lo, hi, shape, order = (0.0, -1.0), (2.0, 3.0), (5, 7), 3
-        g = make_grid(DomainSpec("rectangle", tuple(zip(lo, hi))), shape, order)
+        g = make_grid(DomainSpec(tuple(zip(lo, hi))), shape, order)
         x, w = tensor_rule(g)
         x, w = x.reshape(shape + (order,) * 2 + (2,)), w.reshape(shape + (order,) * 2)
         ax, ay = (t.reshape(n, order) for t, n in zip(g.axis_quad_x, shape))
@@ -80,7 +80,7 @@ class TestMakeGrid:
     def test_axis_centers(self, bounds, shape):
         # the midpoint formula per axis, bitwise, and its C-order tensor
         # product is `centers`
-        dom = DomainSpec("interval" if len(shape) == 1 else "rectangle", bounds)
+        dom = DomainSpec(bounds)
         g = make_grid(dom, shape, 1)
         axes = g.axis_centers
         for (lo, hi), n, x in zip(bounds, shape, axes):
@@ -91,7 +91,7 @@ class TestMakeGrid:
         # nodes and weights are written in place: the build allocates little
         # beyond the grid it returns (meshgrids and transposed copies of every
         # node and weight peaked at 3.5 times that)
-        dom = DomainSpec("rectangle", ((0.0, 1.0), (0.0, 1.0)))
+        dom = DomainSpec(((0.0, 1.0), (0.0, 1.0)))
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
@@ -112,7 +112,7 @@ class TestMakeGrid:
         assert all(len(a) != g.ncells * g.gauss_order ** g.dim for a in held)
 
     def test_cumulative_measures_cached(self):
-        g = make_grid(DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0))), (48, 40), 2)
+        g = make_grid(DomainSpec(((0.0, 1.0), (0.0, 2.0))), (48, 40), 2)
         c = g.cumulative_measures
         assert np.array_equal(c, np.cumsum(g.cell_measures))
         assert g.cumulative_measures is c
@@ -121,20 +121,36 @@ class TestMakeGrid:
     def test_unequal_cell_measures_rejected(self):
         # the bathtub oracle reads its quantile by selection, which needs
         # equal cells
-        g = make_grid(DomainSpec("interval", ((0.0, 1.0),)), 4, 2)
+        g = make_grid(DomainSpec(((0.0, 1.0),)), 4, 2)
         w = g.cell_measures.copy()
         w[1] = np.nextafter(w[1], 1.0)
         with pytest.raises(ValueError, match="equal cell measures"):
             dataclasses.replace(g, cell_measures=w)
 
     def test_bad_args(self):
-        dom = DomainSpec("interval", ((0.0, 1.0),))
+        dom = DomainSpec(((0.0, 1.0),))
         with pytest.raises(ValueError):
             make_grid(dom, 1, 3)
         with pytest.raises(ValueError):
             make_grid(dom, 8, 7)
         with pytest.raises(ValueError):
             make_grid(dom, (4, 4), 2)      # axis-count mismatch
+
+    @pytest.mark.parametrize("dom, cells", [
+        (DomainSpec(((0.0, 1.0),)), 16.7),
+        (DomainSpec(((0.0, 1.0),)), 16.0),
+        (DomainSpec(((0.0, 1.0),)), "16"),
+        (DomainSpec(((0.0, 1.0), (0.0, 2.0))), (8, 4.5)),
+    ], ids=["fraction", "float", "str", "2d"])
+    def test_non_integer_cell_count_rejected(self, dom, cells):
+        # 16.7 used to build 16 cells
+        with pytest.raises(ValueError, match="integers"):
+            make_grid(dom, cells, 2)
+
+    def test_numpy_integer_cell_counts(self):
+        g = make_grid(DomainSpec(((0.0, 1.0), (0.0, 2.0))), (np.int32(8), np.int64(5)), 2)
+        assert g.shape == (8, 5) and all(type(n) is int for n in g.shape)
+        assert make_grid(DomainSpec(((0.0, 1.0),)), np.int64(16), 2).shape == (16,)
 
 
 # every cellwise result of the library, from a model and a grid
@@ -176,17 +192,17 @@ class TestCellwiseArrays:
 
 class TestIntegrate:
     def test_constant(self):
-        g = make_grid(DomainSpec("interval", ((0.0, PI),)), 64, 2)
+        g = make_grid(DomainSpec(((0.0, PI),)), 64, 2)
         assert quad(g, lambda x: np.ones(len(x))) == pytest.approx(PI, rel=1e-13)
 
     def test_normalized_mode(self):
-        g = make_grid(DomainSpec("interval", ((0.0, PI),)), 512, 3)
+        g = make_grid(DomainSpec(((0.0, PI),)), 512, 3)
         val = quad(g, lambda x: (2 / PI) * np.sin(x[:, 0]) ** 2)
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_cross_mode_antiderivative(self):
         # int_{pi/4}^{3pi/4} sin x sin 3x dx = -1/2 (closed form)
-        g = make_grid(DomainSpec("interval", ((0.0, PI),)), 1024, 3)
+        g = make_grid(DomainSpec(((0.0, PI),)), 1024, 3)
         ind = interval_indicator(g, PI / 4, 3 * PI / 4)
         x, w = tensor_rule(g)
         vals = np.sin(x[:, 0]) * np.sin(3 * x[:, 0])
@@ -263,10 +279,10 @@ def threshold_by_full_bisection(grid, psi, L):
 
 
 SMALL_GRIDS = {
-    "1d-7": (DomainSpec("interval", ((0.0, PI),)), 7),
-    "1d-512": (DomainSpec("interval", ((0.0, PI),)), 512),
-    "2d-5x4": (DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0))), (5, 4)),
-    "2d-48x40": (DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0))), (48, 40)),
+    "1d-7": (DomainSpec(((0.0, PI),)), 7),
+    "1d-512": (DomainSpec(((0.0, PI),)), 512),
+    "2d-5x4": (DomainSpec(((0.0, 1.0), (0.0, 2.0))), (5, 4)),
+    "2d-48x40": (DomainSpec(((0.0, 1.0), (0.0, 2.0))), (48, 40)),
 }
 
 
@@ -290,6 +306,22 @@ class TestBathtub:
             a_ref, mu_ref = bathtub_by_sort(any_grid, f, L)
             assert mu == mu_ref
             assert np.array_equal(a, a_ref)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, any_grid, bad):
+        f = np.cos(any_grid.centers[:, 0])
+        f[any_grid.ncells // 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            bathtub(any_grid, f, 0.5)
+
+    @pytest.mark.parametrize("f", [[np.nan, 1.0, 2.0, 3.0], [np.nan] * 4],
+                             ids=["one_nan", "all_nan"])
+    def test_nan_scores_rejected(self, f):
+        # one nan gave [0, 0, 0, 2], a cell outside the box; all nans gave
+        # zeros of mean 0 and mu nan
+        g = make_grid(DomainSpec(((0.0, 1.0),)), 4, 2)
+        with pytest.raises(ValueError, match="finite"):
+            bathtub(g, np.array(f), 0.5)
 
     def test_three_cells(self, unit3):
         a, mu = bathtub(unit3, np.array([3.0, 1.0, 2.0]), 1 / 3)
@@ -331,7 +363,7 @@ class TestBathtub:
     def test_tie_set_variations_are_equal_optimal(self):
         # redistributions supported on the tie set keep the value exact;
         # any off-tie deviation strictly loses
-        g = make_grid(DomainSpec("interval", ((0.0, 1.0),)), 8, 2)
+        g = make_grid(DomainSpec(((0.0, 1.0),)), 8, 2)
         f = np.array([5.0, 4.0, 3.0, 3.0, 3.0, 3.0, 1.0, 0.0])
         a, mu = bathtub(g, f, 0.5)     # ties on the 3.0 block
         assert mu == 3.0
@@ -351,7 +383,7 @@ class TestBathtub:
         # linear objective attains its max at a polytope vertex: all cells
         # 0/1 except at most one fractional; enumerate every such vertex
         n, L = 12, 0.5
-        g = make_grid(DomainSpec("interval", ((0.0, 1.0),)), n, 2)
+        g = make_grid(DomainSpec(((0.0, 1.0),)), n, 2)
         rng = np.random.default_rng(5)
         for _ in range(5):
             f = rng.standard_normal(n)
@@ -400,12 +432,20 @@ class TestProjectBoxMean:
         b = project_box_mean(grid512, a, 0.5)
         assert np.abs(a - b).max() <= 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, any_grid, bad):
+        # one nan among the values used to give nans in every cell
+        v = np.cos(any_grid.centers[:, 0])
+        v[any_grid.ncells // 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            project_box_mean(any_grid, v, 0.5)
+
     def test_constant_shift(self, unit3):
         a = project_box_mean(unit3, np.full(3, 0.8), 0.5)
         assert np.allclose(a, 0.5, atol=1e-12)
 
     def test_two_cell_example(self):
-        g = make_grid(DomainSpec("interval", ((0.0, 2.0),)), 2, 2)
+        g = make_grid(DomainSpec(((0.0, 2.0),)), 2, 2)
         a = project_box_mean(g, np.array([2.0, -1.0]), 0.5)
         assert np.allclose(a, [1.0, 0.0], atol=1e-12)
 
@@ -419,7 +459,7 @@ class TestProjectBoxMean:
     def test_lattice_oracle_small_grid(self):
         # brute-force weighted-distance minimization over a fine lattice
         n, L, res = 4, 0.5, 50
-        g = make_grid(DomainSpec("interval", ((0.0, 1.0),)), n, 2)
+        g = make_grid(DomainSpec(((0.0, 1.0),)), n, 2)
         rng = np.random.default_rng(4)
         for _ in range(3):
             v = rng.uniform(-1, 2, n)
@@ -497,9 +537,7 @@ class TestCellValueRanges:
         (((0.0, 0.5), (-1.0, 3.0)), (9, 23)),
     ], ids=["1d", "2d", "tall"])
     def test_bitwise_equal_to_stacked_reduction(self, bounds, cells):
-        dim = len(bounds)
-        grid = make_grid(DomainSpec("interval" if dim == 1 else "rectangle", bounds),
-                         cells, 2)
+        grid = make_grid(DomainSpec(bounds), cells, 2)
         rng = np.random.default_rng(5)
         special = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
         for trial in range(40):
@@ -543,7 +581,7 @@ class TestLevelThreshold:
         # the size of the shipped 2D limit config, where most cells leave
         # the bracket in the first steps
         self.assert_full_bisection(
-            make_grid(DomainSpec("rectangle", ((0.0, 1.0), (0.0, 1.0))), (96, 96), 1), kind)
+            make_grid(DomainSpec(((0.0, 1.0), (0.0, 1.0))), (96, 96), 1), kind)
 
     @pytest.mark.parametrize("name", ["dirichlet1d_limit", "rect2d_limit"])
     def test_bitwise_equal_on_limit_configs(self, name, monkeypatch):
@@ -565,7 +603,7 @@ class TestLevelThreshold:
         # Psi constant on blocks of cells at the levels 0, 1/4, 1/2, 3/4, 1:
         # bisection midpoints of [0, 1], so cells with lo == hi sit on a
         # bracket end, where their fraction is 0 at t = lo and 1 above it
-        grid = make_grid(DomainSpec("rectangle", ((0.0, 1.0), (0.0, 1.0))), (40, 40), 1)
+        grid = make_grid(DomainSpec(((0.0, 1.0), (0.0, 1.0))), (40, 40), 1)
         x, y = grid.centers.T
         psi = np.floor(5.0 * x) / 4.0
         lo, hi = _cell_value_ranges(grid, psi)
@@ -586,7 +624,7 @@ class TestLevelThreshold:
 
     def test_rectangular_nonsquare_grid(self):
         # Psi = x on (0,2)x(0,3): {Psi > mu} has measure (2-mu)*3
-        dom = DomainSpec("rectangle", ((0.0, 2.0), (0.0, 3.0)))
+        dom = DomainSpec(((0.0, 2.0), (0.0, 3.0)))
         g = make_grid(dom, (64, 48), 2)
         psi = g.centers[:, 0]
         for L in (0.25, 0.5, 0.7):
@@ -617,8 +655,7 @@ class TestDensityCSV:
     ], ids=["1d", "2d", "tall"])
     def test_bytes_match_csv_writer(self, tmp_path, bounds, cells):
         dim = len(bounds)
-        grid = make_grid(DomainSpec("interval" if dim == 1 else "rectangle", bounds),
-                         cells, 2)
+        grid = make_grid(DomainSpec(bounds), cells, 2)
         rng = np.random.default_rng(dim)
         vals = rng.uniform(0.0, 1.0, grid.ncells)
         # integral, tiny, signed-zero, non-finite and repeated fractional
@@ -639,7 +676,7 @@ class TestDensityCSV:
         # fields on one grid, and fields on two grids of one shape whose
         # domains differ, each give the csv.writer bytes
         shape = (6, 11)
-        grids = [make_grid(DomainSpec("rectangle", b), shape, 2)
+        grids = [make_grid(DomainSpec(b), shape, 2)
                  for b in (((0.0, 1.0), (0.0, 2.0)), ((-1.0, 3.0), (0.5, 0.75)))]
         rng = np.random.default_rng(3)
         for k, grid in enumerate(grids):
@@ -653,7 +690,7 @@ class TestDensityCSV:
     @pytest.mark.parametrize("count", [5, 12])
     def test_value_count_must_match_cells(self, tmp_path, count):
         # used to write min(count, ncells) rows without a word
-        grid = make_grid(DomainSpec("interval", ((0.0, 1.0),)), 8, 2)
+        grid = make_grid(DomainSpec(((0.0, 1.0),)), 8, 2)
         path = tmp_path / "density.csv"
         with pytest.raises(ValueError, match=f"{count} values for a grid of 8 cells"):
             write_density_csv(path, grid, np.zeros(count))

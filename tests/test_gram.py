@@ -5,6 +5,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+from obsgrid.geometry import make_grid
 from obsgrid.gram import (ContractViolation, GramForm, get_basis, min_eig_cluster,
                           min_eigpair, obs_constant, obs_constant_rand,
                           quadratic_decomposition, reduce_min_eig)
@@ -28,6 +29,41 @@ L_GAMMA1 = {0.25: 0.1621803176750320367121626969535408929,
 @pytest.fixture(scope="module")
 def indicator(grid1024):
     return interval_indicator(grid1024, PI / 4, 3 * PI / 4)
+
+
+class TestIdentity:
+    def test_grid_and_model_compare_by_identity(self):
+        # the generated __eq__ compared numpy fields (ValueError) and left
+        # both types unhashable
+        model, twin_model = build_model("dirichlet_1d", 4), build_model("dirichlet_1d", 4)
+        grid, twin_grid = make_grid(model.domain, 64, 3), make_grid(model.domain, 64, 3)
+        for x, twin in ((grid, twin_grid), (model, twin_model)):
+            assert x == x and not x != x
+            assert x != twin and not x == twin
+            assert hash(x) == hash(x)
+            assert len({x, twin}) == 2
+
+    def test_get_basis_keyed_by_identity(self):
+        get_basis.cache_clear()
+        model = build_model("dirichlet_1d", 4)
+        grid, twin = make_grid(model.domain, 64, 3), make_grid(model.domain, 64, 3)
+        basis = get_basis(model, grid, (1, 2))
+        assert get_basis(model, grid, (1, 2)) is basis
+        assert get_basis(model, twin, (1, 2)) is not basis
+        info = get_basis.cache_info()
+        assert (info.hits, info.misses, info.maxsize) == (1, 2, 32)
+
+    def test_recently_used_basis_outlives_33_new_ones(self):
+        # least recently used eviction: a clear-all of the whole cache once
+        # it held more than 32 entries used to drop it
+        get_basis.cache_clear()
+        model = build_model("dirichlet_1d", 40)
+        grid = make_grid(model.domain, 8, 1)
+        kept = get_basis(model, grid, (1,))
+        for j in range(2, 35):
+            assert get_basis(model, grid, (1,)) is kept
+            get_basis(model, grid, (j,))
+        assert get_basis(model, grid, (1,)) is kept
 
 
 class TestMassMatrix:

@@ -163,7 +163,7 @@ def test_complex_factors_and_vectors_match_point_quadrature():
         return (lambda t: np.exp(1j * kx[j - 1] * t) * (1.0 + t),
                 lambda t: np.exp(-1j * ky[j - 1] * t) + 0.5)
 
-    model = SpectralModel("complex_2d", DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0))),
+    model = SpectralModel("complex_2d", DomainSpec(((0.0, 1.0), (0.0, 2.0))),
                           np.arange(1, n + 1, dtype=complex), factors, u)
     grid = make_grid(model.domain, (7, 9), 3)
     basis = ModeBasis(model, grid, range(1, n + 1))

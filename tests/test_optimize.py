@@ -143,6 +143,31 @@ class TestMaximizeObs:
                            OptOptions(init=a0, max_iter=1000))
         assert res.value >= v0 - 1e-12
 
+    @pytest.mark.parametrize("init", [
+        np.full(128, 0.9),                                  # mean 0.9, not L
+        np.full(100, 0.5),                                  # another grid's cells
+        np.full((128, 1), 0.5),
+        np.where(np.arange(128) % 2 == 0, 1.5, -0.5),      # mean L, outside the box
+        np.r_[np.nan, np.full(127, 0.5)],
+    ], ids=["mean", "size", "shape", "box", "nan"])
+    def test_infeasible_start_rejected(self, init):
+        # a start of mean 0.9 came back as the optimum (value 2.875 above
+        # the optimum 2.340, gap -0.261, converged after 0 steps); one of
+        # 100 values failed inside numpy's matmul without naming init
+        model = build_model("dirichlet_1d", 4)
+        grid = make_grid(model.domain, 128, 3)
+        with pytest.raises(ValueError, match="init"):
+            maximize_obs(model, grid, 0.5, 1.0, 4, OptOptions(init=init))
+
+    def test_sigma1_checks_its_start_only_where_it_reads_one(self, d1d, grid512,
+                                                           torus, torus_grid):
+        # the exact #J1 == 1 branch is one bathtub step and reads no start
+        bad = OptOptions(init=np.full(7, 2.0))
+        assert maximize_sigma1(d1d, grid512, 0.5, bad).value == \
+            maximize_sigma1(d1d, grid512, 0.5).value
+        with pytest.raises(ValueError, match="init"):
+            maximize_sigma1(torus, torus_grid, 0.5, bad)
+
     @pytest.mark.parametrize("bad", [{"max_iter": 0}, {"max_iter": -5},
                                      {"max_iter": 2.5}, {"tol": 0.0},
                                      {"tol": -1e-6}, {"tol": float("nan")},
@@ -205,7 +230,7 @@ class TestMaximizeSigma1:
             return (lambda t: (c * np.sin(j * t) * (np.exp(1j * t) if j == 2 else 1.0))
                     .astype(complex),)
 
-        model = SpectralModel("complex_test", DomainSpec("interval", ((0.0, PI),)),
+        model = SpectralModel("complex_test", DomainSpec(((0.0, PI),)),
                               np.array([1.0, 1.0, 4.0], dtype=complex), factors,
                               np.ones((3, 1)))
         assert model.J1 == (1, 2)
@@ -251,7 +276,7 @@ class TestResultSupergradient:
             return (lambda t: (c * np.sin(j * t) * (np.exp(1j * t) if j == 2 else 1.0))
                     .astype(complex),)
 
-        model = SpectralModel("complex_test", DomainSpec("interval", ((0.0, PI),)),
+        model = SpectralModel("complex_test", DomainSpec(((0.0, PI),)),
                               np.array([1.0, 1.0, 4.0], dtype=complex), factors,
                               np.ones((3, 1)))
         grid = make_grid(model.domain, 256, 3)

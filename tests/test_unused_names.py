@@ -1,5 +1,6 @@
-"""Every top-level function, class, class method and module constant of the
-package is read somewhere in the package, its tests or its benchmark.
+"""Every top-level function, class, class method, class field and module
+constant of the package is read somewhere in the package, its tests or its
+benchmark.
 
 Standard-library stand-in for a dead-code finder: a definition counts as
 read where a loaded name, an attribute or an import alias spells it, in
@@ -20,8 +21,9 @@ READERS = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")) \
 
 
 def defined_names(source: str) -> list[tuple[str, int]]:
-    """(name, line) of each top-level function, class, class method and
-    module constant of `source`, dunders aside."""
+    """(name, line) of each top-level function, class, class method, class
+    field (an annotated name of a class body: dataclass and NamedTuple
+    fields) and module constant of `source`, dunders aside."""
     found = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -29,6 +31,8 @@ def defined_names(source: str) -> list[tuple[str, int]]:
         if isinstance(node, ast.ClassDef):
             found += [(f.name, f.lineno) for f in node.body
                       if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            found += [(f.target.id, f.lineno) for f in node.body
+                      if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             found += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
@@ -69,11 +73,17 @@ def test_checker_flags_only_unread_definitions():
            "    def mass(self):\n"
            "        return _cache\n"
            "    def stale_form(self, Z):\n"
-           "        return Z\n")
+           "        return Z\n"
+           "class Spec(NamedTuple):\n"
+           "    bounds: tuple\n"
+           "    kind: str\n"
+           "    CHECKED = True\n")
     reader = ("from pkg import f as run\n"
               "import pkg.ModeBasis\n"
-              "run().mass()\n")
-    assert unused_names(src, [src, reader]) == ["g (line 6)", "stale_form (line 13)"]
+              "run().mass()\n"
+              "Spec((0, 1), kind='interval').bounds\n")
+    assert unused_names(src, [src, reader]) == ["g (line 6)", "stale_form (line 13)",
+                                                "kind (line 17)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
